@@ -33,7 +33,7 @@ from .geometry import (
     sphere_area,
     support,
 )
-from .sampling import philox, sample, unit_directions
+from .sampling import derived_seed, philox, sample, unit_directions
 
 
 @dataclass
@@ -187,10 +187,6 @@ def _cap_mass_ball_analytic(body: Ball, mode: str, eps: np.ndarray) -> np.ndarra
     return np.array([cap_area_sphere(d, r, float(e)) for e in eps]) / total
 
 
-def _derived_seed(seed: int, j: int) -> int:
-    return int(np.random.SeedSequence(int(seed), spawn_key=(j,)).generate_state(1)[0])
-
-
 def check_class_membership(
     body: BodySpec,
     mode: str,
@@ -242,7 +238,7 @@ def check_class_membership(
         argmin_eps = float("nan")
         analytic = False
         for j, u in enumerate(dirs):
-            cloud = sample(body, mode, n_mc, _derived_seed(seed, j))
+            cloud = sample(body, mode, n_mc, derived_seed(seed, j))
             proj = np.sort(cloud.points @ u)
             h = support(body, u)
             counts = n_mc - np.searchsorted(proj, h - eps, side="left")

@@ -22,6 +22,7 @@ volume proportional to delta^(d+1).
 from __future__ import annotations
 
 import json
+import logging
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -48,8 +49,11 @@ from .geometry import (
     canonical_center,
     support_batch,
 )
+from .estimators import _power_mean, hull_points
 from .nets import SphereNet, blocked_max_dot, build_net
-from .sampling import philox, sample, unit_directions
+from .sampling import SampleCloud, derived_seed, philox, sample, unit_directions
+
+log = logging.getLogger("randhull")
 
 
 # ---------------------------------------------------------------------------
@@ -219,22 +223,12 @@ def save_experiment_config(config: ExperimentConfig, path) -> None:
 _KEY_REP, _KEY_NET, _KEY_QUAD = 1, 2, 3
 
 
-def _derived_seed(master: int, *key: int) -> int:
-    return int(np.random.SeedSequence(int(master), spawn_key=tuple(key)).generate_state(1)[0])
-
-
 def replication_seed(master: int, n_index: int, rep: int) -> int:
-    return _derived_seed(master, _KEY_REP, n_index, rep)
+    return derived_seed(master, _KEY_REP, n_index, rep)
 
 
 # ---------------------------------------------------------------------------
 # metric engine: per-replication evaluation against precomputed body data
-
-
-def _power_mean(vals: np.ndarray, p: float) -> float:
-    if math.isinf(p):
-        return float(vals.max())
-    return float(np.mean(vals**p) ** (1.0 / p))
 
 
 class _MetricEngine:
@@ -250,14 +244,20 @@ class _MetricEngine:
             self.net = build_net(
                 d,
                 self.net_delta,
-                _derived_seed(config.master_seed, _KEY_NET),
+                derived_seed(config.master_seed, _KEY_NET),
                 streak=config.net_streak,
+            )
+            log.debug(
+                "net: %d directions, cover radius %.6g, certified %s",
+                len(self.net),
+                self.net.cover_radius,
+                self.net.certified,
             )
             dirs = self.net.points
         else:
             self.quad_n = config.resolved_quad_n()
             dirs = unit_directions(
-                philox(_derived_seed(config.master_seed, _KEY_QUAD)), self.quad_n, d
+                philox(derived_seed(config.master_seed, _KEY_QUAD)), self.quad_n, d
             )
             if self.spec.kind == "functional" and self.spec.which == "S":
                 dirs = np.vstack([dirs, -dirs])
@@ -278,8 +278,12 @@ class _MetricEngine:
             vals = vals[:m] + vals[m:]
         return _power_mean(np.maximum(vals, 0.0), self.spec.p)
 
-    def value(self, cloud_points: np.ndarray) -> float:
-        hull_vals = blocked_max_dot(self.dirs, cloud_points)
+    def value(self, cloud: SampleCloud) -> tuple[float, bool]:
+        """The metric of conv(cloud), and whether its hull reduction applied."""
+        points, reduced = hull_points(cloud)
+        return self._metric(blocked_max_dot(self.dirs, points)), reduced
+
+    def _metric(self, hull_vals: np.ndarray) -> float:
         if self.spec.kind == "hausdorff":
             return float((self.body_vals - hull_vals).max())
         if self.spec.kind == "dl":
@@ -293,6 +297,7 @@ class _MetricEngine:
 def _run_replications(config: ExperimentConfig, engine: _MetricEngine, threads: int) -> np.ndarray:
     """(len(n_grid), reps) array of raw metric values, slot-indexed by seed key."""
     out = np.empty((len(config.n_grid), config.reps))
+    reduced = np.zeros(out.shape, dtype=bool)
 
     def task(i_n: int, rep: int) -> None:
         cloud = sample(
@@ -301,7 +306,7 @@ def _run_replications(config: ExperimentConfig, engine: _MetricEngine, threads: 
             config.n_grid[i_n],
             replication_seed(config.master_seed, i_n, rep),
         )
-        out[i_n, rep] = engine.value(cloud.points)
+        out[i_n, rep], reduced[i_n, rep] = engine.value(cloud)
 
     jobs = [(i, r) for i in range(len(config.n_grid)) for r in range(config.reps)]
     if threads > 1:
@@ -310,6 +315,11 @@ def _run_replications(config: ExperimentConfig, engine: _MetricEngine, threads: 
     else:
         for i, r in jobs:
             task(i, r)
+    log.debug(
+        "hull reduction: %d clouds reduced, %d fell back to the full cloud",
+        int(reduced.sum()),
+        int(reduced.size - reduced.sum()),
+    )
     return out
 
 

@@ -19,11 +19,16 @@ to keep peak memory flat.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import QhullError
 
+from .sampling import unit_directions
+
+log = logging.getLogger("randhull")
 
 _BLOCK_ELEMS = 4_000_000
 
@@ -66,18 +71,6 @@ def blocked_argmax_dot(dirs: np.ndarray, points: np.ndarray) -> tuple[np.ndarray
         best[better] = val[better]
         arg[better] = k[better] + lo
     return arg, best
-
-
-def _random_units(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    g = rng.standard_normal((n, d))
-    norms = np.linalg.norm(g, axis=1)
-    # resample the (measure-zero) degenerate rows instead of dividing by ~0
-    bad = norms < 1e-12
-    while np.any(bad):
-        g[bad] = rng.standard_normal((int(bad.sum()), d))
-        norms[bad] = np.linalg.norm(g[bad], axis=1)
-        bad = norms < 1e-12
-    return g / norms[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +157,7 @@ def build_net(
     misses = 0
     keep_ptr = np.empty(batch, dtype=np.int64)
     while misses < streak:
-        cand = _random_units(rng, batch, d)
+        cand = unit_directions(rng, batch, d)
         if n_kept:
             idx = np.flatnonzero(blocked_max_dot(cand, store[:n_kept]) <= thresh)
         else:
@@ -210,7 +203,15 @@ def build_net(
         elif d == 3:
             try:
                 arr, cover, certified = _repair_sphere(arr, delta)
-            except Exception:
+            except (QhullError, RuntimeError, ValueError) as exc:
+                # QhullError or ValueError from SphericalVoronoi, RuntimeError
+                # when the repair does not converge
+                log.warning(
+                    "Voronoi repair of the d = 3 net failed (%s: %s); "
+                    "falling back to the uncertified probe repair",
+                    type(exc).__name__,
+                    exc,
+                )
                 arr, cover, certified = _repair_probe(arr, delta, rng)
         else:
             arr, cover, certified = _repair_probe(arr, delta, rng)
@@ -299,7 +300,7 @@ def _repair_probe(
     thresh = 1.0 - delta**2 / 2.0
     worst = 0.0
     for _ in range(max_rounds):
-        cand = _random_units(rng, probes, d)
+        cand = unit_directions(rng, probes, d)
         dots = blocked_max_dot(cand, pts)
         worst = math.sqrt(max(0.0, 2.0 - 2.0 * float(dots.min())))
         holes = np.flatnonzero(dots <= thresh)

@@ -39,6 +39,11 @@ def philox(seed: int, *key: int) -> np.random.Generator:
     )
 
 
+def derived_seed(seed: int, *key: int) -> int:
+    """A seed for the role or replication keyed by key, fixed by (seed, key) alone."""
+    return int(np.random.SeedSequence(int(seed), spawn_key=tuple(key)).generate_state(1)[0])
+
+
 def unit_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     g = rng.standard_normal((n, d))
     norms = np.linalg.norm(g, axis=1)

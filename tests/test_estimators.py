@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from randhull import estimators
 from randhull.estimators import (
     HullSupport,
     d_l_estimate,
@@ -12,12 +13,13 @@ from randhull.estimators import (
     functional_t,
     hausdorff_to_body,
     hull_support,
+    hull_points,
     hull_support_batch,
     lp_error,
     support_values,
 )
-from randhull.geometry import Ball, support_batch
-from randhull.nets import build_net
+from randhull.geometry import Ball, Ellipsoid, PolytopeV, support_batch
+from randhull.nets import blocked_max_dot, build_net
 from randhull.sampling import SampleCloud, sample
 
 BALL2 = Ball(center=[0.0, 0.0], radius=1.0)
@@ -80,6 +82,108 @@ def test_support_values_dispatch():
     from_body = support_values(BALL2, dirs)
     np.testing.assert_allclose(from_cloud, from_callable, atol=1e-14)
     np.testing.assert_allclose(from_body, [1.0, 1.0], atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# hull reduction: Qhull vertices stand in for the cloud
+
+
+def _rotation(d, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    return q
+
+
+REDUCIBLE = {
+    "ball2": Ball(center=[0.0, 0.0], radius=1.0),
+    "ball3": Ball(center=[0.1, -0.2, 0.3], radius=0.8),
+    "ellipsoid2": Ellipsoid(center=[0.2, 0.0], semi_axes=[0.9, 0.3], rotation=_rotation(2, 1)),
+    "ellipsoid3": Ellipsoid(
+        center=[0.0, 0.1, 0.0], semi_axes=[0.9, 0.5, 0.25], rotation=_rotation(3, 2)
+    ),
+    "square": PolytopeV(np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])),
+    "cube": PolytopeV(
+        np.array([[a, b, c] for a in (0.0, 0.5) for b in (0.0, 0.5) for c in (0.0, 0.5)])
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCIBLE))
+def test_interior_cloud_reduces_to_matching_hull_points(name):
+    body = REDUCIBLE[name]
+    d = body.dim
+    cloud = sample(body, "interior", 20_000, seed=61)
+    net = build_net(d, 0.01 if d == 2 else 0.05, seed=3)
+    points, reduced = hull_points(cloud)
+    assert reduced
+    assert len(points) < len(cloud.points) // 10
+    full = blocked_max_dot(net.points, cloud.points)
+    np.testing.assert_allclose(hull_support_batch(cloud, net.points), full, rtol=0.0, atol=1e-12)
+    full_hausdorff = float((support_batch(body, net.points) - full).max())
+    assert hausdorff_to_body(body, cloud, net).net_value == full_hausdorff
+
+
+def _kept_whole(cloud):
+    points, reduced = hull_points(cloud)
+    return points is cloud.points and not reduced
+
+
+DEGENERATE = {
+    "one_point": [[0.3, -0.2]],
+    "n_equals_d": [[0.1, 0.2], [-0.4, 0.5]],
+    "collinear": [[0.0, 0.0], [0.1, 0.1], [0.3, 0.3], [-0.2, -0.2]],
+    "one_point_repeated": [[0.2, 0.1]] * 5,
+    "flat_in_3d": [[0.1, 0.0, 0.2], [0.0, 0.3, 0.2], [-0.2, -0.1, 0.2], [0.3, 0.3, 0.2]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_cloud_falls_back_to_full_cloud(name):
+    pts = np.asarray(DEGENERATE[name], dtype=float)
+    d = pts.shape[1]
+    body = Ball(center=np.zeros(d), radius=1.0)
+    cloud = SampleCloud(points=pts, body=body, mode="interior", seed=0, n=len(pts))
+    assert _kept_whole(cloud)
+    dirs = build_net(d, 0.2, seed=1).points
+    np.testing.assert_array_equal(hull_support_batch(cloud, dirs), blocked_max_dot(dirs, pts))
+
+
+def test_repeated_points_still_reduce_and_match():
+    cloud = sample(BALL2, "interior", 2000, seed=62)
+    pts = np.vstack([cloud.points, cloud.points[::3]])
+    doubled = SampleCloud(points=pts, body=BALL2, mode="interior", seed=0, n=len(pts))
+    assert hull_points(doubled)[1]
+    dirs = build_net(2, 0.01, seed=4).points
+    np.testing.assert_allclose(
+        hull_support_batch(doubled, dirs), blocked_max_dot(dirs, pts), rtol=0.0, atol=1e-12
+    )
+
+
+def _forbid_qhull(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Qhull ran on a cloud the rule keeps whole")
+
+    monkeypatch.setattr(estimators, "ConvexHull", refuse)
+
+
+def test_boundary_cloud_skips_qhull(monkeypatch):
+    _forbid_qhull(monkeypatch)
+    cloud = sample(Ball(center=np.zeros(3), radius=1.0), "boundary", 500, seed=63)
+    assert _kept_whole(cloud)
+
+
+def test_high_dimensional_cloud_skips_qhull(monkeypatch):
+    _forbid_qhull(monkeypatch)
+    cloud = sample(Ball(center=np.zeros(4), radius=1.0), "interior", 500, seed=64)
+    assert _kept_whole(cloud)
+
+
+def test_functional_s_reduces_a_cloud_once(monkeypatch):
+    calls = []
+    real = estimators.hull_points
+    monkeypatch.setattr(estimators, "hull_points", lambda c: calls.append(c) or real(c))
+    cloud = sample(BALL2, "interior", 1000, seed=65)
+    functional_s(cloud, 2.0, quad_n=64, quad_seed=1)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

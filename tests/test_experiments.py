@@ -1,14 +1,17 @@
 """Experiment harness: configs, seeding, reports, and the dented-ball family."""
 
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from randhull.geometry import Ball, PolytopeV, support_batch
-from randhull.nets import build_net
+from randhull.nets import blocked_max_dot, build_net
+from randhull.sampling import derived_seed, sample
 from randhull.experiments import (
+    _KEY_NET,
     DeviationReport,
     ExperimentConfig,
     RateReport,
@@ -140,6 +143,32 @@ def test_rate_experiment_threads_match_serial():
     threaded = run_rate_experiment(cfg, threads=3)
     assert serial.means == threaded.means
     assert serial.slope == threaded.slope
+
+
+def test_rate_means_match_the_full_max_dot():
+    cfg = tiny_config()
+    net = build_net(2, cfg.resolved_net_delta(), derived_seed(cfg.master_seed, _KEY_NET))
+    body_vals = support_batch(BALL2, net.points)
+    means = []
+    for i, n in enumerate(cfg.n_grid):
+        vals = [
+            float((body_vals - blocked_max_dot(net.points, cloud.points)).max())
+            for cloud in (
+                sample(BALL2, "interior", n, replication_seed(cfg.master_seed, i, r))
+                for r in range(cfg.reps)
+            )
+        ]
+        means.append(float(np.mean(vals)))
+    assert run_rate_experiment(cfg).means == means
+
+
+def test_rate_experiment_logs_net_and_reduction(caplog):
+    with caplog.at_level(logging.DEBUG, logger="randhull"):
+        run_rate_experiment(tiny_config(n_grid=[2, 200]))
+    messages = [r.getMessage() for r in caplog.records]
+    assert any(m.startswith("net: ") and "certified True" in m for m in messages)
+    # n = 2 <= d: Qhull rejects every cloud at the first grid point
+    assert "hull reduction: 8 clouds reduced, 8 fell back to the full cloud" in messages
 
 
 def test_rate_experiment_q_power():

@@ -137,6 +137,16 @@ def test_c_alpha_closed_form_regions():
     assert c_alpha(0.25) == pytest.approx(2.0**-0.75, abs=1e-9)
 
 
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.5, 3.0, 5.0])
+def test_c_alpha_matches_grid_minimum(alpha):
+    # a log-spaced grid can only overshoot the infimum, which is attained at
+    # t = 1 or approached at the ends of the t-range
+    t = np.logspace(-6, 6, 2001)
+    grid = float(np.min((1.0 + t) ** alpha / (1.0 + t**alpha)))
+    closed = c_alpha(alpha)
+    assert closed - 1e-12 <= grid <= closed + 1e-4
+
+
 def test_c_alpha_subadditivity_inequality():
     rng = np.random.Generator(np.random.Philox(12345))
     t = np.exp(rng.uniform(-8, 8, 10000))

@@ -1,5 +1,6 @@
 """Direction nets: packing/covering guarantees and chained decompositions."""
 
+import logging
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from randhull import nets
 from randhull.nets import (
     blocked_argmax_dot,
     blocked_max_dot,
@@ -115,6 +117,28 @@ def test_higher_dimension_probe_repair():
     dist = net.coverage_distances(probe_dirs(20000, 4))
     assert float(dist.max()) <= 0.5
     assert net.min_pairwise_distance() >= 0.5 * (1.0 - 1e-12)
+
+
+def test_failed_voronoi_repair_warns_and_falls_back(monkeypatch, caplog):
+    def fail(pts, delta):
+        raise RuntimeError("coverage repair did not converge")
+
+    monkeypatch.setattr(nets, "_repair_sphere", fail)
+    with caplog.at_level(logging.WARNING, logger="randhull"):
+        net = build_net(3, 0.3, seed=5, streak=100)
+    assert not net.certified
+    assert any(
+        r.levelno == logging.WARNING and "probe repair" in r.getMessage() for r in caplog.records
+    )
+
+
+def test_unexpected_voronoi_repair_error_propagates(monkeypatch):
+    def broken(pts, delta):
+        raise TypeError("a bug, not a geometric failure")
+
+    monkeypatch.setattr(nets, "_repair_sphere", broken)
+    with pytest.raises(TypeError):
+        build_net(3, 0.3, seed=5, streak=100)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .geometry import BodySpec, support_batch
-from .nets import SphereNet, blocked_max_dot
+from .nets import SphereNet, blocked_max_dot, sup_certificate
 from .sampling import SampleCloud, philox, unit_directions
 
 # largest dimension in which computing the hull costs less than the max-dot
@@ -102,25 +102,21 @@ class DistanceResult:
     net_delta: float
 
 
-def _certified_from_net(net_value: float, delta: float) -> float:
-    # sound for support functions of bodies inside the unit ball, delta <= 1/2
-    if delta > 0.5:
-        return float("inf")
-    return 2.0 * max(net_value, 4.0 * delta)
-
-
 def hausdorff_to_body(body: BodySpec, cloud: SampleCloud, net: SphereNet) -> DistanceResult:
     """sup of h_body - h_hull over the net, with a chaining upper certificate.
 
     For a cloud drawn from the body the hull is nested inside it, so this sup
     is the Hausdorff distance; the net value reads it from below and the
-    certificate bounds it from above.
+    certificate (sup_certificate, at the larger of the body's radius bound and
+    the largest point norm) bounds it from above, or is inf on an uncertified
+    net.
     """
     deficit = support_batch(body, net.points) - hull_support_batch(cloud, net.points)
     net_value = float(deficit.max())
+    radius = max(body.max_norm_bound(), float(np.linalg.norm(cloud.points, axis=1).max()))
     return DistanceResult(
         net_value=net_value,
-        certified_upper=_certified_from_net(net_value, net.delta),
+        certified_upper=sup_certificate(net, net_value, radius),
         net_delta=net.delta,
     )
 

@@ -50,7 +50,7 @@ from .geometry import (
     support_batch,
 )
 from .estimators import _power_mean, hull_points
-from .nets import SphereNet, blocked_max_dot, build_net
+from .nets import SphereNet, blocked_max_dot, build_net, sup_certificate
 from .sampling import SampleCloud, derived_seed, philox, sample, unit_directions
 
 log = logging.getLogger("randhull")
@@ -519,15 +519,15 @@ def pairwise_hausdorff_certified(
     extra_dirs are appended to the net evaluation (useful when the sup is
     attained at known directions sharper than the net resolution); the
     certificate stays valid because adding directions only tightens net_sup.
+    The certificate is sup_certificate at the bodies' larger radius bound.
     """
     dirs = net.points
     if extra_dirs is not None:
         dirs = np.vstack([dirs, np.atleast_2d(extra_dirs)])
     gap = np.abs(support_batch(b1, dirs) - support_batch(b2, dirs))
     net_value = float(gap.max())
-    if net.delta > 0.5:
-        return net_value, float("inf")
-    return net_value, 2.0 * max(net_value, 4.0 * net.delta)
+    radius = max(b1.max_norm_bound(), b2.max_norm_bound())
+    return net_value, sup_certificate(net, net_value, radius)
 
 
 def build_lower_bound_family(

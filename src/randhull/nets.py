@@ -12,8 +12,16 @@ repair step that closes residual coverage gaps:
 * d >= 4 (or tiny degenerate nets): random probe passes until a full pass
   inserts nothing.  Monte Carlo only, so the net is marked uncertified.
 
-Neighbor queries against large point sets go through blocked matrix products
-to keep peak memory flat.
+The greedy phase draws candidates 4096 at a time and screens them in blocks
+of 256, one block after another: a blocked max-dot against every point kept
+so far (those kept from earlier blocks of the same draw included) clears most
+candidates at once, and the one-at-a-time check of a block's survivors reads
+their small within-block gram.  The kept points are those of a greedy that
+checks every candidate against everything kept before it.
+
+Neighbor queries against large point sets go through blocked matrix products,
+so no step holds more than _BLOCK_ELEMS products, or one block's gram, at a
+time and peak memory stays flat.
 """
 
 from __future__ import annotations
@@ -31,6 +39,10 @@ from .sampling import unit_directions
 log = logging.getLogger("randhull")
 
 _BLOCK_ELEMS = 4_000_000
+# the greedy phase draws candidates _DRAW at a time and screens them
+# _SCREEN_BLOCK at a time, so its within-block gram stays small
+_DRAW = 4096
+_SCREEN_BLOCK = 256
 
 
 def blocked_max_dot(dirs: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -132,7 +144,6 @@ def build_net(
     seed: int,
     *,
     streak: int | None = None,
-    batch: int = 4096,
     repair: bool = True,
 ) -> SphereNet:
     """Greedy maximal-packing net with deterministic coverage repair.
@@ -155,44 +166,46 @@ def build_net(
     store = np.empty((65536, d))
     n_kept = 0
     misses = 0
-    keep_ptr = np.empty(batch, dtype=np.int64)
+    keep_ptr = np.empty(_SCREEN_BLOCK, dtype=np.int64)
     while misses < streak:
-        cand = unit_directions(rng, batch, d)
-        if n_kept:
-            idx = np.flatnonzero(blocked_max_dot(cand, store[:n_kept]) <= thresh)
-        else:
-            idx = np.arange(batch)
-        # walk only the pre-cleared candidates; runs of rejected ones in
-        # between just advance the miss counter, exactly as a one-at-a-time
-        # greedy over the full batch would
-        k = 0
-        prev = -1
-        stopped = False
-        if len(idx):
-            sub = np.ascontiguousarray(cand[idx])
-            gram = sub @ sub.T
-            for ptr in range(len(idx)):
-                i = int(idx[ptr])
-                misses += i - prev - 1
-                prev = i
-                if misses >= streak:
-                    stopped = True
-                    break
-                if k and float(np.max(gram[ptr, keep_ptr[:k]])) > thresh:
-                    misses += 1
+        cand = unit_directions(rng, _DRAW, d)
+        for lo in range(0, _DRAW, _SCREEN_BLOCK):
+            block = cand[lo : lo + _SCREEN_BLOCK]
+            if n_kept:
+                idx = np.flatnonzero(blocked_max_dot(block, store[:n_kept]) <= thresh)
+            else:
+                idx = np.arange(len(block))
+            # walk only the pre-cleared candidates; runs of rejected ones in
+            # between just advance the miss counter, exactly as a one-at-a-time
+            # greedy over the full block would
+            k = 0
+            prev = -1
+            if len(idx):
+                sub = np.ascontiguousarray(block[idx])
+                gram = sub @ sub.T
+                for ptr in range(len(idx)):
+                    i = int(idx[ptr])
+                    misses += i - prev - 1
+                    prev = i
                     if misses >= streak:
-                        stopped = True
                         break
-                    continue
-                if n_kept == len(store):
-                    store = np.concatenate([store, np.empty_like(store)])
-                store[n_kept] = sub[ptr]
-                n_kept += 1
-                keep_ptr[k] = ptr
-                k += 1
-                misses = 0
-        if not stopped:
-            misses += batch - 1 - prev
+                    if k and float(np.max(gram[ptr, keep_ptr[:k]])) > thresh:
+                        misses += 1
+                        if misses >= streak:
+                            break
+                        continue
+                    if n_kept == len(store):
+                        store = np.concatenate([store, np.empty_like(store)])
+                    store[n_kept] = sub[ptr]
+                    n_kept += 1
+                    keep_ptr[k] = ptr
+                    k += 1
+                    misses = 0
+            # the trailing rejections; after a stop inside the block this
+            # only adds to a count that already ended the greedy phase
+            misses += len(block) - 1 - prev
+            if misses >= streak:
+                break
     if n_kept == 0:
         raise RuntimeError("greedy phase kept no points; streak too small")
     arr = store[:n_kept].copy()
@@ -370,17 +383,32 @@ def decompose(net: SphereNet, u: np.ndarray, depth: int) -> Decomposition:
 # certified sup bound
 
 
+def sup_certificate(net: SphereNet, net_sup: float, radius: float = 1.0) -> float:
+    """Upper bound on sup over the sphere of a support-function gap, from its net max.
+
+    The gap is h_1 - h_2 or |h_1 - h_2| for convex bodies inside the ball of
+    the given radius about the origin.  Each support function is then
+    R-Lipschitz on the sphere for R = max(1, radius), so over a net covering
+    at delta
+
+        sup gap <= net_sup + 2 * R * delta <= 2 * max(net_sup, 4 * R * delta),
+
+    and the right side is what the certificate reports; for R = 1 it is the
+    chaining bound of unit-ball bodies.  The result is inf, proving nothing,
+    when the net's covering is not certified, and, as for the chaining bound,
+    when delta > 1/2.
+    """
+    if not net.certified or net.delta > 0.5:
+        return math.inf
+    return 2.0 * max(net_sup, 4.0 * max(1.0, radius) * net.delta)
+
+
 def certified_sup_deficit(net: SphereNet, h_big, h_small) -> tuple[float, float]:
     """Bound sup over the sphere of (h_big - h_small) from net evaluations alone.
 
     h_big and h_small map an (m, d) array of unit directions to (m,) support
     values of convex bodies contained in the unit ball, with the small body
-    inside the big one.  Chaining over the net gives
-
-        sup (h_big - h_small) <= net_sup + 2 * delta / (1 - delta)
-
-    and for delta <= 1/2 the right side is at most 2 * max(net_sup, 4 * delta),
-    which is what the certificate reports.
+    inside the big one.  Returns (net_sup, sup_certificate(net, net_sup)).
     """
     if net.delta > 0.5:
         raise ValueError("certificate requires delta <= 1/2")
@@ -388,8 +416,7 @@ def certified_sup_deficit(net: SphereNet, h_big, h_small) -> tuple[float, float]
         h_small(net.points), dtype=float
     )
     net_sup = float(vals.max())
-    certified = 2.0 * max(net_sup, 4.0 * net.delta)
-    return net_sup, certified
+    return net_sup, sup_certificate(net, net_sup)
 
 
 # ---------------------------------------------------------------------------

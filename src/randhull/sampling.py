@@ -14,6 +14,7 @@ Jacobian-reweighted rejection off the sphere (exact area uniformity, no mesh).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ from .geometry import (
     contains_batch,
     support,
 )
+
+log = logging.getLogger("randhull")
 
 _MODE_KEYS = {"interior": 0, "boundary": 1}
 _MAX_REJECTION_ROUNDS = 500
@@ -154,12 +157,18 @@ def _collect(n: int, propose_accepted) -> np.ndarray:
     chunks = []
     got = 0
     batch = max(1024, n)
-    for _ in range(_MAX_REJECTION_ROUNDS):
+    for rounds in range(1, _MAX_REJECTION_ROUNDS + 1):
         pts = propose_accepted(batch)
         if len(pts):
             chunks.append(pts)
             got += len(pts)
         if got >= n:
+            log.debug(
+                "rejection sampler: accepted %d of %d proposed (%.4g)",
+                got,
+                rounds * batch,
+                got / (rounds * batch),
+            )
             return np.vstack(chunks)[:n]
     raise RuntimeError("rejection sampler failed to accept enough points")
 

@@ -9,6 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from randhull import nets
+from randhull.estimators import hausdorff_to_body
+from randhull.experiments import _KEY_NET, ExperimentConfig, pairwise_hausdorff_certified
+from randhull.geometry import Ball, PolytopeV
 from randhull.nets import (
     blocked_argmax_dot,
     blocked_max_dot,
@@ -18,8 +21,9 @@ from randhull.nets import (
     default_streak,
     load_net,
     save_net,
+    sup_certificate,
 )
-from randhull.sampling import philox, unit_directions
+from randhull.sampling import SampleCloud, derived_seed, philox, unit_directions
 
 
 def probe_dirs(n, d, seed=777):
@@ -142,6 +146,102 @@ def test_unexpected_voronoi_repair_error_propagates(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the greedy phase against a one-at-a-time reference
+
+
+def reference_greedy(d, delta, seed, streak):
+    """The greedy phase one candidate at a time.
+
+    Candidates come from the stream build_net uses, 4096 per draw; each is
+    kept when it lies farther than delta from everything kept before it.
+    Returns the kept points and the position of the candidate that ended the
+    streak, counted from 0 across draws.
+    """
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    thresh = 1.0 - delta**2 / 2.0
+    kept = np.empty((65536, d))
+    k = 0
+    misses = 0
+    pos = 0
+    while True:
+        for v in unit_directions(rng, 4096, d):
+            if k and float(np.max(kept[:k] @ v)) > thresh:
+                misses += 1
+                if misses >= streak:
+                    return kept[:k].copy(), pos
+            else:
+                kept[k] = v
+                k += 1
+                misses = 0
+            pos += 1
+
+
+@pytest.mark.parametrize("streak", [1, 7, 300, None])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "d, delta", [(2, 0.3), (2, 0.1), (2, 0.02), (3, 0.5), (3, 0.2), (4, 0.6)]
+)
+def test_greedy_matches_one_at_a_time_reference(d, delta, seed, streak):
+    got = build_net(d, delta, seed, streak=streak, repair=False)
+    want, _ = reference_greedy(d, delta, seed, streak or default_streak(d, delta))
+    np.testing.assert_array_equal(got.points, want)
+
+
+@pytest.mark.parametrize(
+    "d, delta, seed, streak, stop",
+    [(3, 0.3, 2, 27, 255), (4, 0.6, 0, 1653, 4138), (4, 0.5, 1, 258, 1938)],
+)
+def test_greedy_stops_on_the_candidate_the_reference_stops_on(d, delta, seed, streak, stop):
+    # the candidate right after the stop would be kept, so a greedy that
+    # miscounts its misses across screening blocks and stops late differs
+    want, at = reference_greedy(d, delta, seed, streak)
+    assert at == stop
+    assert len(reference_greedy(d, delta, seed, streak + 1)[0]) > len(want)
+    got = build_net(d, delta, seed, streak=streak, repair=False)
+    np.testing.assert_array_equal(got.points, want)
+
+
+@pytest.mark.parametrize(
+    "d, delta, seed, streak, stop",
+    [(2, 0.1, 0, 1800, 4095), (3, 0.5, 2, 3896, 8191), (4, 0.8, 0, 1326, 4095)],
+)
+def test_greedy_stopping_at_a_draw_boundary_draws_no_further(
+    monkeypatch, d, delta, seed, streak, stop
+):
+    # the streak runs out on the last candidate of a draw; one more draw would
+    # hand the probe repair a different stream
+    want, at = reference_greedy(d, delta, seed, streak)
+    assert at == stop
+    draws = []
+
+    def counted(rng, n, dim):
+        draws.append(n)
+        return unit_directions(rng, n, dim)
+
+    monkeypatch.setattr(nets, "unit_directions", counted)
+    got = build_net(d, delta, seed, streak=streak, repair=False)
+    np.testing.assert_array_equal(got.points, want)
+    assert draws == [4096] * (stop // 4096 + 1)
+
+
+def test_rate_net_of_the_disc_configuration_is_pinned():
+    # the net of the criterion-5 configuration (unit disc, master seed 1005)
+    config = ExperimentConfig(
+        body=Ball(center=[0.0, 0.0], radius=1.0),
+        mode="interior",
+        family="smooth_interior",
+        n_grid=[1000, 3000, 10000, 30000, 100000],
+        reps=2,
+        metric="hausdorff",
+        master_seed=1005,
+    )
+    net = build_net(2, config.resolved_net_delta(), derived_seed(1005, _KEY_NET))
+    assert len(net) == 605
+    assert net.cover_radius == 0.007768902172080119
+    assert net.certified
+
+
+# ---------------------------------------------------------------------------
 # decomposition
 
 
@@ -198,6 +298,43 @@ def test_certified_sup_requires_fine_net():
         certified_sup_deficit(
             net, lambda u: np.ones(len(u)), lambda u: np.zeros(len(u))
         )
+
+
+def test_certificate_scales_with_the_radius_of_the_bodies():
+    # a radius-1000 circle and the polygon on it at the directions of the
+    # net: the net reads no gap, while the true one is R (1 - cos(g / 2))
+    # for the widest angular gap g
+    R = 1000.0
+    net = build_net(2, 0.1, seed=23)
+    ang = np.sort(np.arctan2(net.points[:, 1], net.points[:, 0]))
+    widest = float(np.max(np.diff(np.append(ang, ang[0] + 2.0 * math.pi))))
+    true_gap = R * (1.0 - math.cos(widest / 2.0))
+    assert true_gap > 4.3
+    ball = Ball(center=[0.0, 0.0], radius=R)
+    cloud = SampleCloud(points=R * net.points, body=ball, mode="boundary", seed=0, n=len(net))
+    res = hausdorff_to_body(ball, cloud, net)
+    assert res.net_value <= 1e-9
+    assert res.certified_upper >= true_gap
+    net_val, cert = pairwise_hausdorff_certified(ball, PolytopeV(R * net.points), net)
+    assert net_val <= 1e-9
+    assert cert >= true_gap
+
+
+def test_certificate_of_uncertified_net_is_infinite():
+    net = build_net(4, 0.5, seed=2, streak=200)
+    assert not net.certified
+    ball = Ball(center=np.zeros(4), radius=1.0)
+    cloud = SampleCloud(points=0.5 * net.points, body=ball, mode="boundary", seed=0, n=len(net))
+    assert hausdorff_to_body(ball, cloud, net).certified_upper == math.inf
+    assert sup_certificate(net, 0.0) == math.inf
+    assert sup_certificate(build_net(2, 0.2, seed=5, repair=False), 0.0) == math.inf
+
+
+def test_certificate_of_unit_bodies_is_the_chaining_bound():
+    net = build_net(2, 0.05, seed=23)
+    assert sup_certificate(net, 0.3) == 2.0 * max(0.3, 4 * 0.05)
+    assert sup_certificate(net, 0.01, radius=0.5) == 2.0 * 4 * 0.05
+    assert sup_certificate(build_net(2, 0.8, seed=23), 0.0) == math.inf
 
 
 # ---------------------------------------------------------------------------

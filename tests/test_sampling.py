@@ -1,5 +1,6 @@
 """Samplers: determinism, membership, pushforward structure, cap frequencies."""
 
+import logging
 import math
 
 import numpy as np
@@ -160,3 +161,16 @@ def test_points_to_csv_has_header_and_repr_floats():
     lines = text.strip().splitlines()
     assert lines[0] == "x0,x1"
     assert lines[2].split(",")[0] == repr(1.0 / 3.0)
+
+
+def test_rejection_sampler_logs_its_acceptance(caplog):
+    # bounding-box rejection on the 3-simplex accepts 1/3! of the proposals
+    simplex = PolytopeV(vertices=np.vstack([np.zeros(3), np.eye(3)]))
+    with caplog.at_level(logging.DEBUG, logger="randhull"):
+        sample(simplex, "interior", 20000, seed=4)
+    lines = [r.getMessage() for r in caplog.records if "rejection sampler" in r.getMessage()]
+    assert len(lines) == 1
+    accepted, proposed = (int(tok) for tok in lines[0].split() if tok.isdigit())
+    assert accepted >= 20000
+    assert proposed % 20000 == 0
+    assert accepted / proposed == pytest.approx(1.0 / 6.0, abs=0.01)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -48,8 +49,20 @@ def _emit_text(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _strict(value):
+    """The document with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _emit_json(doc, out: str | None) -> None:
-    _emit_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
+    text = json.dumps(_strict(doc), sort_keys=True, indent=2, allow_nan=False)
+    _emit_text(text + "\n", out)
 
 
 def _seed_or(args, fallback: int = 0) -> int:

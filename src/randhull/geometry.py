@@ -395,7 +395,14 @@ def contains_batch(body: BodySpec, points: np.ndarray, tol: float = 1e-12) -> np
         return np.linalg.norm(z, axis=1) <= 1.0 + tol
     if isinstance(body, PolytopeV):
         eqs = body.facet_inequalities()
-        return np.max(points @ eqs[:, :-1].T + eqs[:, -1], axis=1) <= tol
+        # One column test per facet beats a max over the short facet axis;
+        # a NaN row fails every test, as it fails max(...) <= tol.
+        v = points @ eqs[:, :-1].T
+        v += eqs[:, -1]
+        inside = v[:, 0] <= tol
+        for j in range(1, v.shape[1]):
+            inside &= v[:, j] <= tol
+        return inside
     if isinstance(body, BumpBall):
         r2 = np.einsum("ij,ij->i", points, points)
         s = points @ body.direction

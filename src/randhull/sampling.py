@@ -7,8 +7,9 @@ affine image of the unit-ball draw with the same stream; that identity is load
 bearing (tests rely on it), so do not reorder the draws.
 
 Interior modes: ball by radial scaling, ellipsoid by affine pushforward,
-polytope by bounding-box rejection, dented ball by rejection from its
-enclosing ball.  Boundary modes: ball via normalized Gaussians, ellipsoid via
+polytope by bounding-box rejection (proposals scaled in place, containment
+tested facet by facet), dented ball by rejection from its enclosing ball.
+Boundary modes: ball via normalized Gaussians, ellipsoid via
 Jacobian-reweighted rejection off the sphere (exact area uniformity, no mesh).
 """
 
@@ -108,11 +109,17 @@ def _sample_interior(body: BodySpec, n: int, rng: np.random.Generator) -> np.nda
         return body.center + (z * body.semi_axes) @ body.rotation.T
     if isinstance(body, PolytopeV):
         lo = body.vertices.min(axis=0)
-        hi = body.vertices.max(axis=0)
+        width = body.vertices.max(axis=0) - lo
+
+        def propose_box(m: int) -> np.ndarray:
+            # In place: the same bits as lo + width * u, without two temporaries.
+            u = rng.random((m, d))
+            u *= width
+            u += lo
+            return u
+
         return _rejection_loop(
-            n,
-            lambda m: lo + (hi - lo) * rng.random((m, d)),
-            lambda pts: contains_batch(body, pts),
+            n, propose_box, lambda pts: contains_batch(body, pts)
         )
     if isinstance(body, BumpBall):
         return _rejection_loop(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from randhull.cli import main
-from randhull.geometry import Ball, save_body
+from randhull.geometry import Ball, PolytopeV, save_body
 from randhull.nets import load_net
 from randhull.sampling import load_points
 from randhull.experiments import ExperimentConfig, save_experiment_config
@@ -147,6 +147,60 @@ def test_check_class_smooth_ball(tmp_path, ball_path):
     doc = json.loads(out.read_text())
     assert doc["verdict"] is True
     assert doc["analytic"] is True
+
+
+def test_check_class_fit_simplex_is_pinned(tmp_path):
+    # exact values from the bounding-box rejection stream; any change to the
+    # proposals, their order or the containment test moves them
+    body = tmp_path / "simplex3.json"
+    save_body(PolytopeV(vertices=np.vstack([np.zeros(3), np.eye(3)])), body)
+    out = tmp_path / "fit.json"
+    main(
+        [
+            "check-class",
+            "--body", str(body),
+            "--mode", "interior",
+            "--family", "fit",
+            "--alpha", "3.0",
+            "--eps0", "0.5",
+            "--u-probes", "2",
+            "--n-mc", "20000",
+            "--seed", "7",
+            "--out", str(out),
+        ]
+    )
+    doc = json.loads(out.read_text())
+    assert doc["fitted"]["L"] == 1.8920837743055896
+    assert doc["report"]["worst_ratio"] == 0.998747464573026
+    assert doc["report"]["verdict"] is True
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_distance_writes_null_for_missing_certificate(tmp_path):
+    # a d = 4 net is never certified, so the certificate is inf
+    body = tmp_path / "ball4.json"
+    save_body(Ball(center=np.zeros(4), radius=1.0), body)
+    pts = tmp_path / "points.csv"
+    main(["sample", "--body", str(body), "--n", "200", "--seed", "7", "--out", str(pts)])
+    out = tmp_path / "distance.json"
+    main(
+        [
+            "distance",
+            "--body", str(body),
+            "--points", str(pts),
+            "--net-delta", "0.5",
+            "--seed", "1",
+            "--format", "json",
+            "--out", str(out),
+        ]
+    )
+    doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert doc["certified_upper"] is None
+    assert 0.0 < doc["net_value"] < 2.0
+    assert doc["net_delta"] == 0.5
 
 
 def test_rates_csv_schema(tmp_path, config_path):

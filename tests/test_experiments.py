@@ -351,3 +351,14 @@ def test_pairwise_hausdorff_exact_at_poles():
     )
     assert net_val == pytest.approx(amp * delta**2, abs=1e-12)
     assert cert >= net_val
+
+
+@pytest.mark.parametrize("d, delta", [(2, 0.1), (3, 0.3)])
+def test_family_pairwise_gap_at_pole(d, delta):
+    amp = 0.02
+    fam = build_lower_bound_family(d, 1.0, delta, amp, packing_seed=5)
+    assert len(fam) > 2
+    b1, b2 = fam[1], fam[2]
+    pole = b1.direction[None, :]
+    gap = float(np.abs(support_batch(b1, pole) - support_batch(b2, pole))[0])
+    assert abs(gap - amp * delta**2) <= 1e-9 * max(1.0, amp * delta**2)

@@ -23,6 +23,7 @@ from randhull.geometry import (
     cap_area_sphere,
     cap_volume_ball,
     contains,
+    contains_batch,
     load_body,
     minkowski_functional,
     polar_body,
@@ -400,3 +401,71 @@ def test_body_dict_round_trip(body, tmp_path):
 def test_body_from_dict_rejects_unknown_kind():
     with pytest.raises(ValueError):
         body_from_dict({"kind": "torus"})
+
+
+# ---------------------------------------------------------------------------
+# polytope containment, facet by facet
+
+SIMPLEX3 = PolytopeV(vertices=np.vstack([np.zeros(3), np.eye(3)]))
+RANDOM4 = PolytopeV(vertices=np.random.default_rng(17).standard_normal((14, 4)))
+
+
+def _contains_by_max(body, points, tol):
+    """The single-max form of the facet test: max over facets of a.x + b <= tol."""
+    eqs = body.facet_inequalities()
+    return np.max(points @ eqs[:, :-1].T + eqs[:, -1], axis=1) <= tol
+
+
+def _facet_probes(body, tol):
+    """Facet points and their shifts by -2tol..2tol along each outward normal."""
+    eqs = body.facet_inequalities()
+    verts = body.vertices
+    rows = []
+    for a, b in zip(eqs[:, :-1], eqs[:, -1]):
+        on = verts[np.abs(verts @ a + b) <= 1e-12]
+        foot = on.mean(axis=0)
+        rows.append(on)
+        for k in (-2.0, -1.0, 0.0, 1.0, 2.0):
+            rows.append((foot + k * tol * a)[None, :])
+    rng = np.random.default_rng(3)
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
+    rows.append(lo + (hi - lo) * rng.random((500, body.dim)))
+    pts = np.vstack(rows)
+    pts[::37] = np.nan
+    pts[5, 0] = np.nan
+    return pts
+
+
+@pytest.mark.parametrize("body", [SQUARE, SIMPLEX3, RANDOM4], ids=["square", "simplex3", "random4"])
+@pytest.mark.parametrize("tol", [1e-12, 1e-9, 0.0])
+def test_polytope_contains_matches_max_form(body, tol):
+    pts = _facet_probes(body, max(tol, 1e-12))
+    got = contains_batch(body, pts, tol)
+    assert got.dtype == bool and got.shape == (len(pts),)
+    np.testing.assert_array_equal(got, _contains_by_max(body, pts, tol))
+    assert not got[np.isnan(pts).any(axis=1)].any()
+    assert got.any() and not got.all()
+
+
+def test_polytope_contains_square_exact_cases():
+    tol = 2.0**-40  # 1 + k*tol is exact, and so are the square's facet rows
+    pts = np.array(
+        [
+            [1.0, 0.0],
+            [1.0 + tol, 0.0],
+            [1.0 + 2 * tol, 0.0],
+            [1.0 - tol, 0.0],
+            [-1.0, -1.0],
+            [-1.0 - 2 * tol, 0.5],
+            [np.nan, 0.0],
+        ]
+    )
+    got = contains_batch(SQUARE, pts, tol)
+    np.testing.assert_array_equal(got, [True, True, False, True, True, False, False])
+    np.testing.assert_array_equal(got, _contains_by_max(SQUARE, pts, tol))
+
+
+@pytest.mark.parametrize("body", [SQUARE, SIMPLEX3, RANDOM4], ids=["square", "simplex3", "random4"])
+def test_polytope_contains_empty_input(body):
+    got = contains_batch(body, np.empty((0, body.dim)))
+    assert got.dtype == bool and got.shape == (0,)

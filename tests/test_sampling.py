@@ -174,3 +174,34 @@ def test_rejection_sampler_logs_its_acceptance(caplog):
     assert accepted >= 20000
     assert proposed % 20000 == 0
     assert accepted / proposed == pytest.approx(1.0 / 6.0, abs=0.01)
+
+
+# The bounding-box rejection sampler as first written: out-of-place proposals
+# and a single max over the facet values.  The sampler must match it bit for bit.
+SIMPLEX3 = PolytopeV(vertices=np.vstack([np.zeros(3), np.eye(3)]))
+RANDOM4 = PolytopeV(vertices=np.random.default_rng(17).standard_normal((14, 4)))
+
+
+def _reference_box_rejection(body, n, seed):
+    rng = philox(seed, 0)
+    eqs = body.facet_inequalities()
+    lo = body.vertices.min(axis=0)
+    hi = body.vertices.max(axis=0)
+    batch = max(1024, n)
+    chunks, got = [], 0
+    while got < n:
+        pts = lo + (hi - lo) * rng.random((batch, body.dim))
+        pts = pts[np.max(pts @ eqs[:, :-1].T + eqs[:, -1], axis=1) <= 1e-12]
+        chunks.append(pts)
+        got += len(pts)
+    return np.vstack(chunks)[:n]
+
+
+@pytest.mark.parametrize("body", [SQUARE, SIMPLEX3, RANDOM4], ids=["square", "simplex3", "random4"])
+@pytest.mark.parametrize("n", [10, 1023, 5000])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_polytope_sampler_matches_reference_bitwise(body, n, seed):
+    got = sample(body, "interior", n, seed).points
+    want = _reference_box_rejection(body, n, seed)
+    assert got.shape == (n, body.dim)
+    np.testing.assert_array_equal(got, want)

@@ -3,10 +3,13 @@
 The hull's support function is the max of dot products against the cloud,
 evaluated in blocked matrix products.  Only points on the hull can attain that
 max, so interior clouds in d <= 3 are first cut to the vertices Qhull finds
-(Barber, Dobkin and Huhdanpaa 1996), plus the points it keeps as coplanar
-with a facet; the max over that subset is the max over the cloud.  Boundary
-clouds, where every point is a vertex, and clouds in d >= 4, where Qhull
-costs more than the max-dot it saves, keep the full cloud.  Every metric here
+(Barber, Dobkin and Huhdanpaa 1996); the max over that subset is the max over
+the cloud.  Boundary clouds, where every point is a vertex, and clouds in
+d >= 4, where Qhull costs more than the max-dot it saves, keep the full cloud.
+Before Qhull, a large 2-d cloud drops the points deep inside the octagon
+through its extreme points along eight fixed directions (the Akl-Toussaint
+pre-filter; Akl and Toussaint 1978).  None of them can be a vertex, so Qhull
+returns the same points from about a tenth of a disc cloud.  Every metric here
 (Hausdorff deficit over a net, center-relative scaling distance, L^p deficits,
 plug-in functionals) consumes only support evaluations, so the same code path
 works whether the "body" is an analytic spec or another cloud.
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -27,28 +31,138 @@ from .sampling import SampleCloud, philox, unit_directions
 # largest dimension in which computing the hull costs less than the max-dot
 # over the full cloud it replaces
 _HULL_MAX_DIM = 3
+# smallest 2-d cloud on which the octagon pre-filter costs less than the Qhull
+# work it saves (crossover measured in BENCH_hull_prefilter.json)
+_PREFILTER_MIN_POINTS = 2000
+# the filter runs when a probe of every _PREFILTER_PROBE_STRIDE-th point finds
+# at least this share deep inside the octagon; below it, the octagon fits the
+# cloud too loosely (a thin ellipse across the axes) to repay its cost
+_PREFILTER_PROBE_STRIDE = 64
+_PREFILTER_MIN_DEEP = 0.5
+# how far inside the octagon, as a fraction of the largest coordinate, a point
+# must lie to be dropped; far above the roundoff of the edge tests and of
+# Qhull's own distance tests, so no point on or outside an edge is dropped
+_PREFILTER_MARGIN = 1e-9
 
 
-def hull_points(cloud: SampleCloud) -> tuple[np.ndarray, bool]:
+class HullPoints(NamedTuple):
+    points: np.ndarray
+    reduced: bool
+    qhull_input: int  # points handed to Qhull; 0 when it did not run
+
+
+def _octagon(x: np.ndarray, y: np.ndarray) -> list | None:
+    """Corners of the counter-clockwise polygon through the cloud's extremes.
+
+    The extremes are along x, x+y, y, y-x and their negatives.  None when an
+    extreme is not finite or fewer than 3 are distinct.
+    """
+    # one temporary holds x+y, then x-y
+    diag = x + y
+    extremes = [x.argmax(), diag.argmax(), y.argmax(), 0, x.argmin(), diag.argmin(), y.argmin(), 0]
+    np.subtract(x, y, out=diag)
+    extremes[3], extremes[7] = diag.argmin(), diag.argmax()
+    corners = list(zip(x[extremes].tolist(), y[extremes].tolist()))
+    if not all(math.isfinite(c) for corner in corners for c in corner):
+        return None
+    # repeated extremes would make edges of zero length
+    poly = [a for a, b in zip(corners, corners[-1:] + corners[:-1]) if a != b]
+    return poly if len(poly) >= 3 else None
+
+
+def _deep_inside(x: np.ndarray, y: np.ndarray, poly: list) -> np.ndarray:
+    """Mask of the points left of every edge of poly by more than the margin."""
+    margin = _PREFILTER_MARGIN * max(abs(c) for corner in poly for c in corner)
+    deep = np.ones(len(x), dtype=bool)
+    inside = np.empty(len(x), dtype=bool)
+    cross, term = np.empty(len(x)), np.empty(len(x))
+    for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1]):
+        ex, ey = bx - ax, by - ay
+        # (b - a) x (p - a) > margin * |b - a|, with the p-free part moved right
+        np.multiply(y, ex, out=cross)
+        np.multiply(x, ey, out=term)
+        cross -= term
+        np.greater(cross, ex * ay - ey * ax + margin * math.hypot(ex, ey), out=inside)
+        deep &= inside
+    return deep
+
+
+def _octagon_survivors(points: np.ndarray) -> np.ndarray | None:
+    """Indices of the 2-d points not deep inside the octagon of the extremes.
+
+    A point strictly left of each edge of the octagon, by more than the
+    margin, has positive winding number about it, so lies inside the hull of
+    the extremes and is no hull vertex or coplanar point.  The extremes
+    include the coordinate-wise min and max, so Qhull sees the same bounding
+    box and tolerances.  A probe of every _PREFILTER_PROBE_STRIDE-th point,
+    against its own octagon, decides first whether the filter pays.  None
+    when it does not, or when the octagon is None.
+    """
+    x, y = points[:, 0], points[:, 1]
+    probe = slice(None, None, _PREFILTER_PROBE_STRIDE)
+    poly = _octagon(x[probe], y[probe])
+    if poly is None or _deep_inside(x[probe], y[probe], poly).mean() < _PREFILTER_MIN_DEEP:
+        return None
+    poly = _octagon(x, y)
+    if poly is None:
+        return None
+    return np.flatnonzero(~_deep_inside(x, y, poly))
+
+
+def _qhull_keep(points: np.ndarray) -> np.ndarray | None:
+    """Sorted indices of the Qhull vertices and coplanar points, or None
+    when Qhull rejects the points."""
+    try:
+        hull = ConvexHull(points)
+    except QhullError:
+        return None
+    return np.union1d(hull.vertices, hull.coplanar[:, 0])
+
+
+def _x_tied(xs: np.ndarray, keep: np.ndarray) -> bool:
+    """Whether two of the points share the x-coordinate of a kept point."""
+    kept_x = np.unique(xs[keep])
+    at = np.searchsorted(kept_x, xs).clip(max=len(kept_x) - 1)
+    return np.count_nonzero(kept_x[at] == xs) > len(kept_x)
+
+
+def hull_points(cloud: SampleCloud) -> HullPoints:
     """The points of the cloud that can attain its hull's support function.
 
-    Returns (points, reduced).  For an interior cloud in d = 2 or 3 these are
-    the Qhull vertices together with the points Qhull reports as coplanar
-    (its default Qc option), so a point that ties a vertex in floating point
-    stays in.  Otherwise, or when Qhull rejects the cloud (n <= d, flat or
-    repeated points), it is the full cloud and reduced is False.
+    Returns (points, reduced, qhull_input).  For an interior cloud in d = 2
+    or 3 these are the Qhull vertices, with any points Qhull lists as
+    coplanar; scipy runs Qhull without its Qc option, so that list is empty.
+    Otherwise, or when Qhull rejects the cloud (n <= d, flat, repeated or
+    non-finite points), it is the full cloud and reduced is False.
+    qhull_input counts the points handed to Qhull.
+
+    A 2-d cloud of at least _PREFILTER_MIN_POINTS first drops its points deep
+    inside the octagon of its extremes (Akl and Toussaint 1978), and the
+    result is the same array, in the same order, as from Qhull on the full
+    cloud.  Among exact ties Qhull keeps whichever point it meets first, and
+    dropping points changes that order, so when a hull point shares its
+    x-coordinate with another survivor (never, in a continuous sample) the
+    cloud goes to Qhull whole.
     """
     points = cloud.points
     if len(points) == 0:
         raise ValueError("empty cloud has no support function")
     if cloud.mode != "interior" or not 2 <= cloud.dim <= _HULL_MAX_DIM:
-        return points, False
-    try:
-        hull = ConvexHull(points)
-    except QhullError:
-        return points, False
-    keep = np.union1d(hull.vertices, hull.coplanar[:, 0])
-    return points[keep], True
+        return HullPoints(points, False, 0)
+    qhull_input = 0
+    if cloud.dim == 2 and len(points) >= _PREFILTER_MIN_POINTS:
+        survivors = _octagon_survivors(points)
+        if survivors is not None:
+            candidates = points[survivors]
+            qhull_input = len(candidates)
+            keep = _qhull_keep(candidates)
+            if keep is not None and not _x_tied(candidates[:, 0], keep):
+                return HullPoints(points[survivors[keep]], True, qhull_input)
+    qhull_input += len(points)
+    keep = _qhull_keep(points)
+    if keep is None:
+        return HullPoints(points, False, qhull_input)
+    return HullPoints(points[keep], True, qhull_input)
 
 
 @dataclass
@@ -59,7 +173,7 @@ class HullSupport:
     points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.points = hull_points(self.cloud)[0]
+        self.points = hull_points(self.cloud).points
 
     def __call__(self, dirs: np.ndarray) -> np.ndarray:
         return blocked_max_dot(dirs, self.points)

@@ -49,7 +49,7 @@ from .geometry import (
     canonical_center,
     support_batch,
 )
-from .estimators import _power_mean, hull_points
+from .estimators import HullPoints, _power_mean, hull_points
 from .nets import SphereNet, blocked_max_dot, build_net, sup_certificate
 from .sampling import SampleCloud, derived_seed, philox, sample, unit_directions
 
@@ -278,10 +278,10 @@ class _MetricEngine:
             vals = vals[:m] + vals[m:]
         return _power_mean(np.maximum(vals, 0.0), self.spec.p)
 
-    def value(self, cloud: SampleCloud) -> tuple[float, bool]:
-        """The metric of conv(cloud), and whether its hull reduction applied."""
-        points, reduced = hull_points(cloud)
-        return self._metric(blocked_max_dot(self.dirs, points)), reduced
+    def value(self, cloud: SampleCloud) -> tuple[float, HullPoints]:
+        """The metric of conv(cloud), and the hull points it was computed on."""
+        hull = hull_points(cloud)
+        return self._metric(blocked_max_dot(self.dirs, hull.points)), hull
 
     def _metric(self, hull_vals: np.ndarray) -> float:
         if self.spec.kind == "hausdorff":
@@ -298,6 +298,7 @@ def _run_replications(config: ExperimentConfig, engine: _MetricEngine, threads: 
     """(len(n_grid), reps) array of raw metric values, slot-indexed by seed key."""
     out = np.empty((len(config.n_grid), config.reps))
     reduced = np.zeros(out.shape, dtype=bool)
+    qhull_input = np.zeros(out.shape, dtype=np.int64)
 
     def task(i_n: int, rep: int) -> None:
         cloud = sample(
@@ -306,7 +307,8 @@ def _run_replications(config: ExperimentConfig, engine: _MetricEngine, threads: 
             config.n_grid[i_n],
             replication_seed(config.master_seed, i_n, rep),
         )
-        out[i_n, rep], reduced[i_n, rep] = engine.value(cloud)
+        out[i_n, rep], hull = engine.value(cloud)
+        reduced[i_n, rep], qhull_input[i_n, rep] = hull.reduced, hull.qhull_input
 
     jobs = [(i, r) for i in range(len(config.n_grid)) for r in range(config.reps)]
     if threads > 1:
@@ -319,6 +321,11 @@ def _run_replications(config: ExperimentConfig, engine: _MetricEngine, threads: 
         "hull reduction: %d clouds reduced, %d fell back to the full cloud",
         int(reduced.sum()),
         int(reduced.size - reduced.sum()),
+    )
+    log.debug(
+        "hull pre-filter: %d of %d sampled points passed to Qhull",
+        int(qhull_input.sum()),
+        sum(config.n_grid) * config.reps,
     )
     return out
 
@@ -462,6 +469,15 @@ def run_deviation_experiment(
     theoretical = bound.tail(xs)
     slack = 3.0 * np.sqrt(empirical * (1.0 - empirical) / config.reps)
     violations = int(np.sum(empirical > theoretical + slack))
+    largest = float(values.max())
+    exceeded = xs[largest >= thresholds]
+    log.debug(
+        "deviation tightness: largest distance %.6g, %.6g of the first threshold, "
+        "smallest x exceeded %s",
+        largest,
+        largest / float(thresholds[0]),
+        repr(float(exceeded.min())) if len(exceeded) else "none",
+    )
 
     return DeviationReport(
         config=config.to_dict(),

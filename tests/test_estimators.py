@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, QhullError
 
 from randhull import estimators
 from randhull.estimators import (
@@ -113,7 +114,7 @@ def test_interior_cloud_reduces_to_matching_hull_points(name):
     d = body.dim
     cloud = sample(body, "interior", 20_000, seed=61)
     net = build_net(d, 0.01 if d == 2 else 0.05, seed=3)
-    points, reduced = hull_points(cloud)
+    points, reduced, _ = hull_points(cloud)
     assert reduced
     assert len(points) < len(cloud.points) // 10
     full = blocked_max_dot(net.points, cloud.points)
@@ -123,7 +124,7 @@ def test_interior_cloud_reduces_to_matching_hull_points(name):
 
 
 def _kept_whole(cloud):
-    points, reduced = hull_points(cloud)
+    points, reduced, _ = hull_points(cloud)
     return points is cloud.points and not reduced
 
 
@@ -175,6 +176,183 @@ def test_high_dimensional_cloud_skips_qhull(monkeypatch):
     _forbid_qhull(monkeypatch)
     cloud = sample(Ball(center=np.zeros(4), radius=1.0), "interior", 500, seed=64)
     assert _kept_whole(cloud)
+
+
+# ---------------------------------------------------------------------------
+# octagon pre-filter: the same hull points as Qhull on the full cloud
+
+
+def _unfiltered_hull_points(points):
+    """hull_points without the pre-filter: Qhull on every point of the cloud."""
+    try:
+        hull = ConvexHull(points)
+    except QhullError:
+        return points, False
+    return points[np.union1d(hull.vertices, hull.coplanar[:, 0])], True
+
+
+def _interior_cloud(pts):
+    pts = np.asarray(pts, dtype=float)
+    body = Ball(center=np.zeros(pts.shape[1]), radius=1.0)
+    return SampleCloud(points=pts, body=body, mode="interior", seed=0, n=len(pts))
+
+
+def _triangle_with_edge_points(n, seed):
+    """Interior points of a triangle plus a quarter of them on its slanted edges.
+
+    The edge points round to either side of their edge, so the octagon's
+    edges pass within roundoff of many points.
+    """
+    a, b, c = np.array([0.0, 0.0]), np.array([1.0, 0.1]), np.array([0.3, 0.9])
+    rng = np.random.default_rng(seed)
+    u, v = rng.random((2, n))
+    flip = u + v > 1.0
+    u[flip], v[flip] = 1.0 - u[flip], 1.0 - v[flip]
+    inner = a + u[:, None] * (b - a) + v[:, None] * (c - a)
+    t = rng.random((n // 4, 1))
+    edges = np.vstack([b + t * (c - b), c + t[::-1] * (a - c)])
+    return np.vstack([inner, edges])
+
+
+_PREFILTER_BODIES = {
+    "disc": Ball(center=[0.0, 0.0], radius=1.0),
+    "thin_ellipse": Ellipsoid(center=[0.0, 0.0], semi_axes=[1.0, 0.01], rotation=_rotation(2, 5)),
+    "square": PolytopeV(np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])),
+    "triangle": PolytopeV(np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 0.9]])),
+    "far_disc": Ball(center=[1e6, -3e5], radius=1e-3),
+    "off_centre_disc": Ball(center=[1e3, -3e2], radius=1.0),
+    "tiny_disc": Ball(center=[0.0, 0.0], radius=1e-8),
+}
+
+
+def _assert_same_as_unfiltered(pts):
+    cloud = _interior_cloud(pts)
+    got = hull_points(cloud)
+    want, reduced = _unfiltered_hull_points(cloud.points)
+    assert np.array_equal(got.points, want)
+    assert got.reduced == reduced
+    return got
+
+
+@pytest.fixture(params=[False, True], ids=["gated", "every_size"])
+def prefilter_gate(request, monkeypatch):
+    """Run with the gates as shipped, and with the filter on every cloud."""
+    if request.param:
+        monkeypatch.setattr(estimators, "_PREFILTER_MIN_POINTS", 1)
+        monkeypatch.setattr(estimators, "_PREFILTER_PROBE_STRIDE", 1)
+        monkeypatch.setattr(estimators, "_PREFILTER_MIN_DEEP", 0.0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 10, 1000, 100_000])
+@pytest.mark.parametrize("name", sorted(_PREFILTER_BODIES))
+def test_prefilter_returns_the_unfiltered_hull_points(name, n, prefilter_gate):
+    body = _PREFILTER_BODIES[name]
+    for seed in range(3 if n < 100_000 else 1):
+        _assert_same_as_unfiltered(sample(body, "interior", n, seed=70 + seed).points)
+
+
+def test_prefilter_sends_qhull_a_fraction_of_a_large_cloud():
+    for name in ("disc", "square", "off_centre_disc", "tiny_disc"):
+        cloud = sample(_PREFILTER_BODIES[name], "interior", 100_000, seed=71)
+        hull = hull_points(cloud)
+        assert hull.reduced
+        assert hull.qhull_input < 20_000, name
+
+
+def test_prefilter_skips_clouds_below_the_size_gate():
+    n = estimators._PREFILTER_MIN_POINTS - 1
+    assert hull_points(sample(BALL2, "interior", n, seed=72)).qhull_input == n
+
+
+def test_prefilter_skips_a_loosely_fitting_octagon():
+    # the octagon of a thin ellipse across the axes holds about a quarter of
+    # it, so its probe stops the filter and Qhull gets the cloud whole
+    cloud = sample(_PREFILTER_BODIES["thin_ellipse"], "interior", 100_000, seed=72)
+    assert hull_points(cloud).qhull_input == 100_000
+    fatter = Ellipsoid(center=[0.0, 0.0], semi_axes=[1.0, 0.3], rotation=_rotation(2, 5))
+    assert hull_points(sample(fatter, "interior", 100_000, seed=72)).qhull_input < 50_000
+
+
+@pytest.mark.parametrize("n", [10, 1000, 20_000])
+def test_prefilter_on_points_along_hull_edges(n, prefilter_gate):
+    for seed in range(5):
+        got = _assert_same_as_unfiltered(_triangle_with_edge_points(n, seed))
+        if n == 20_000:
+            assert got.qhull_input < n
+
+
+@pytest.mark.parametrize("half_width", [2, 5, 40])
+def test_prefilter_on_integer_lattice_clouds(half_width, prefilter_gate):
+    rng = np.random.default_rng(half_width)
+    for n in (10, 1000, 5000):
+        for _ in range(5):
+            pts = rng.integers(-half_width, half_width + 1, size=(n, 2)).astype(float)
+            _assert_same_as_unfiltered(pts)
+
+
+def test_prefilter_on_repeated_points(prefilter_gate):
+    pts = sample(BALL2, "interior", 3000, seed=73).points
+    _assert_same_as_unfiltered(np.vstack([pts, pts[::3], pts[:1].repeat(50, axis=0)]))
+
+
+@pytest.mark.parametrize("width", [0.0, 1e-14, 1e-7, 1e-3])
+def test_prefilter_on_collinear_and_sliver_clouds(width, prefilter_gate):
+    rng = np.random.default_rng(74)
+    along, across = rng.random(5000), rng.random(5000) - 0.5
+    rot = _rotation(2, 6)
+    pts = np.column_stack([along, width * across]) @ rot.T
+    got = _assert_same_as_unfiltered(pts)
+    if width == 0.0:
+        assert not got.reduced
+
+
+def test_prefilter_drops_only_points_beyond_the_margin():
+    # the unit square, shifted and scaled; the margin is 1e-9 of its largest
+    # coordinate, and points sit above its bottom edge by the inset
+    for shift, scale in ((0.0, 1.0), (1e6, 1.0), (0.0, 1e-8), (-3e5, 1e3)):
+        corners = [(0, 0), (1, 0), (1, 1), (0, 1)]
+        poly = [(shift + scale * a, shift + scale * b) for a, b in corners]
+        margin = 1e-9 * max(abs(c) for corner in poly for c in corner)
+        inset = np.array([0.0, 0.1 * margin, 0.9 * margin, 2.0 * margin, 0.5 * scale])
+        x = np.full(len(inset), shift + 0.5 * scale)
+        deep = estimators._deep_inside(x, shift + inset, poly)
+        np.testing.assert_array_equal(deep, [False, False, False, True, True])
+        assert not estimators._deep_inside(x, shift - inset, poly).any()
+
+
+def test_prefilter_nan_row_still_raises():
+    for n in (20, 5000):
+        pts = sample(BALL2, "interior", n, seed=75).points.copy()
+        pts[n // 2, 1] = np.nan
+        with pytest.raises(ValueError):
+            hull_points(_interior_cloud(pts))
+
+
+def test_prefilter_inf_row_falls_back_to_the_full_cloud():
+    for n in (20, 5000):
+        pts = sample(BALL2, "interior", n, seed=76).points.copy()
+        pts[n // 3, 0] = np.inf
+        cloud = _interior_cloud(pts)
+        got = hull_points(cloud)
+        assert got.points is cloud.points and not got.reduced
+        assert got.qhull_input == n
+
+
+def _forbid_prefilter(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the octagon pre-filter ran on a cloud outside d = 2 interior")
+
+    monkeypatch.setattr(estimators, "_octagon_survivors", refuse)
+
+
+def test_prefilter_skips_boundary_and_higher_dimensional_clouds(monkeypatch):
+    _forbid_prefilter(monkeypatch)
+    boundary = sample(BALL2, "boundary", 5000, seed=77)
+    assert _kept_whole(boundary) and hull_points(boundary).qhull_input == 0
+    ball3 = sample(Ball(center=np.zeros(3), radius=1.0), "interior", 5000, seed=78)
+    assert hull_points(ball3).qhull_input == 5000
+    ball4 = sample(Ball(center=np.zeros(4), radius=1.0), "interior", 5000, seed=79)
+    assert _kept_whole(ball4)
 
 
 def test_functional_s_reduces_a_cloud_once(monkeypatch):

@@ -9,9 +9,12 @@ import pytest
 
 from randhull.geometry import Ball, PolytopeV, support_batch
 from randhull.nets import blocked_max_dot, build_net
+from randhull.estimators import hull_points
 from randhull.sampling import derived_seed, sample
 from randhull.experiments import (
     _KEY_NET,
+    _MetricEngine,
+    _run_replications,
     DeviationReport,
     ExperimentConfig,
     RateReport,
@@ -171,6 +174,73 @@ def test_rate_experiment_logs_net_and_reduction(caplog):
     assert "hull reduction: 8 clouds reduced, 8 fell back to the full cloud" in messages
 
 
+def test_rate_experiment_logs_prefilter_survivors(caplog):
+    cfg = tiny_config(n_grid=[200, 5000], reps=3)
+    passed = sum(
+        hull_points(
+            sample(BALL2, "interior", n, replication_seed(cfg.master_seed, i, r))
+        ).qhull_input
+        for i, n in enumerate(cfg.n_grid)
+        for r in range(cfg.reps)
+    )
+    # the 200-point clouds skip the filter and reach Qhull whole
+    assert 3 * 200 < passed < 3 * 5200
+    with caplog.at_level(logging.DEBUG, logger="randhull"):
+        run_rate_experiment(cfg)
+    messages = [r.getMessage() for r in caplog.records]
+    assert f"hull pre-filter: {passed} of 15600 sampled points passed to Qhull" in messages
+
+
+def test_boundary_experiment_logs_no_qhull_input(caplog):
+    with caplog.at_level(logging.DEBUG, logger="randhull"):
+        run_rate_experiment(
+            tiny_config(mode="boundary", family="smooth_boundary", n_grid=[100, 2000], reps=2)
+        )
+    messages = [r.getMessage() for r in caplog.records]
+    assert "hull pre-filter: 0 of 4200 sampled points passed to Qhull" in messages
+
+
+# A pin of the parent commit's exact floats, so that a hull-path change that
+# moves any bit fails here.  It holds for one BLAS build (README,
+# Reproducibility): another BLAS may round the max-dot differently.
+PINNED_DISC_MEANS = [0.043814800879969085, 0.010173559751052497]
+
+
+def test_disc_rate_means_are_pinned():
+    cfg = ExperimentConfig(
+        body=BALL2,
+        mode="interior",
+        family="smooth_interior",
+        n_grid=[1000, 10000],
+        reps=2,
+        master_seed=1005,
+    )
+    assert run_rate_experiment(cfg).means == PINNED_DISC_MEANS
+
+
+def _emitted(report, tmp_path, tag):
+    out = {}
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"{tag}.{fmt}"
+        emit_report(report, path, fmt)
+        out[fmt] = path.read_bytes()
+    return out
+
+
+def test_reports_do_not_depend_on_thread_count(tmp_path):
+    rate_cfg = tiny_config(n_grid=[1000, 3000], reps=3, net_delta=None, master_seed=5)
+    dev_cfg = tiny_config(n_grid=[3000], reps=3, net_delta=None, master_seed=6)
+    x_grid = [0.0, 1.0, 5.0]
+    for threads in (1, 2):
+        rate = _emitted(run_rate_experiment(rate_cfg, threads=threads), tmp_path, f"r{threads}")
+        dev = run_deviation_experiment(dev_cfg, x_grid, threads=threads)
+        dev = _emitted(dev, tmp_path, f"d{threads}")
+        if threads == 1:
+            serial_rate, serial_dev = rate, dev
+    assert rate == serial_rate
+    assert dev == serial_dev
+
+
 def test_rate_experiment_q_power():
     r1 = run_rate_experiment(tiny_config())
     r2 = run_rate_experiment(tiny_config(q=2.0))
@@ -236,6 +306,26 @@ def test_deviation_experiment_basics():
     assert rep.empirical[-1] == 0.0
     assert rep.theoretical[-1] == 0.0
     assert rep.violations == 0
+
+
+def test_deviation_experiment_logs_tightness(caplog):
+    # the radius-10 disc gets the unit disc's class constants (rolling radius
+    # capped at 1), so its distances, ten times larger, exceed small x
+    for body, x_grid in ((BALL2, [0.0, 2.0, 1e6]), (Ball([0.0, 0.0], 10.0), [20.0, 0.5, 1e6])):
+        cfg = tiny_config(body=body, n_grid=[400], reps=20)
+        largest = float(_run_replications(cfg, _MetricEngine(cfg), 1)[0].max())
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="randhull"):
+            rep = run_deviation_experiment(cfg, x_grid)
+        exceeded = [x for x, t in zip(x_grid, rep.thresholds) if largest >= t]
+        smallest = repr(min(exceeded)) if exceeded else "none"
+        line = (
+            f"deviation tightness: largest distance {largest:.6g}, "
+            f"{largest / rep.thresholds[0]:.6g} of the first threshold, "
+            f"smallest x exceeded {smallest}"
+        )
+        assert line in [r.getMessage() for r in caplog.records]
+        assert smallest == ("none" if body is BALL2 else "0.5")
 
 
 def test_deviation_experiment_needs_single_n():

@@ -478,6 +478,10 @@ def run_deviation_experiment(
         largest / float(thresholds[0]),
         repr(float(exceeded.min())) if len(exceeded) else "none",
     )
+    q50, q90, q99 = np.quantile(values / bound.a_n, (0.5, 0.9, 0.99))
+    log.debug(
+        "deviation quantiles: d_H / a_n at 0.5, 0.9, 0.99: %.6g %.6g %.6g", q50, q90, q99
+    )
 
     return DeviationReport(
         config=config.to_dict(),

@@ -395,13 +395,19 @@ def contains_batch(body: BodySpec, points: np.ndarray, tol: float = 1e-12) -> np
         return np.linalg.norm(z, axis=1) <= 1.0 + tol
     if isinstance(body, PolytopeV):
         eqs = body.facet_inequalities()
-        # One column test per facet beats a max over the short facet axis;
-        # a NaN row fails every test, as it fails max(...) <= tol.
+        # The rejection sampler's accept decisions rest on the rounding of
+        # this one full-batch (n, d) @ (d, k) product: blocking it, or
+        # computing eqs @ points.T instead, rounds differently and changes
+        # clouds.  After it, one column test per facet into buffers made
+        # once; a NaN row fails every test, as it fails max(...) <= tol.
         v = points @ eqs[:, :-1].T
-        v += eqs[:, -1]
-        inside = v[:, 0] <= tol
-        for j in range(1, v.shape[1]):
-            inside &= v[:, j] <= tol
+        col = np.empty(len(v))
+        test = np.empty(len(v), dtype=bool)
+        inside = np.ones(len(v), dtype=bool)
+        for j, b in enumerate(eqs[:, -1]):
+            np.add(v[:, j], b, out=col)
+            np.less_equal(col, tol, out=test)
+            inside &= test
         return inside
     if isinstance(body, BumpBall):
         r2 = np.einsum("ij,ij->i", points, points)

@@ -7,10 +7,17 @@ affine image of the unit-ball draw with the same stream; that identity is load
 bearing (tests rely on it), so do not reorder the draws.
 
 Interior modes: ball by radial scaling, ellipsoid by affine pushforward,
-polytope by bounding-box rejection (proposals scaled in place, containment
-tested facet by facet), dented ball by rejection from its enclosing ball.
-Boundary modes: ball via normalized Gaussians, ellipsoid via
+polytope by bounding-box rejection, dented ball by rejection from its
+enclosing ball.  Boundary modes: ball via normalized Gaussians, ellipsoid via
 Jacobian-reweighted rejection off the sphere (exact area uniformity, no mesh).
+
+The hot kernels work column by column, in place: a broadcast against a last
+axis of length d runs a d-element inner loop per row, which costs more than
+the arithmetic.  Each column operation is the IEEE operation the broadcast
+would do on the same operands, so every cloud is the one the broadcast form
+gives, bit for bit.  Row norms are summed column by column only up to d = 7;
+from d = 8 on numpy's own reduction sums in another order, so
+``np.linalg.norm`` is called there.
 """
 
 from __future__ import annotations
@@ -48,22 +55,54 @@ def derived_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(int(seed), spawn_key=tuple(key)).generate_state(1)[0])
 
 
+# numpy's add.reduce over a row of a C-contiguous array adds the row's
+# entries in sequence up to 7 columns and in unrolled partial sums from 8 on
+_SEQUENTIAL_NORM_MAX_D = 7
+
+
+def _row_norms(g: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(g, axis=1) of a C-contiguous g, bit for bit."""
+    d = g.shape[1]
+    if d > _SEQUENTIAL_NORM_MAX_D:
+        return np.linalg.norm(g, axis=1)
+    out = g[:, 0] * g[:, 0]
+    if d > 1:
+        sq = np.empty_like(out)
+        for j in range(1, d):
+            np.multiply(g[:, j], g[:, j], out=sq)
+            out += sq
+    return np.sqrt(out, out=out)
+
+
+def _scale_shift_columns(pts: np.ndarray, scale, shift) -> np.ndarray:
+    """pts[:, j] = shift[j] + scale[j] * pts[:, j] in place; the bits of shift + scale * pts."""
+    for j in range(pts.shape[1]):
+        col = pts[:, j]
+        col *= scale[j]
+        col += shift[j]
+    return pts
+
+
 def unit_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     g = rng.standard_normal((n, d))
-    norms = np.linalg.norm(g, axis=1)
+    norms = _row_norms(g)
     bad = norms < 1e-12
     while np.any(bad):
         g[bad] = rng.standard_normal((int(bad.sum()), d))
-        norms[bad] = np.linalg.norm(g[bad], axis=1)
+        norms[bad] = _row_norms(g[bad])
         bad = norms < 1e-12
-    return g / norms[:, None]
+    for j in range(d):
+        g[:, j] /= norms
+    return g
 
 
 def unit_ball_points(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """Uniform draw from the unit ball: direction times U^(1/d) radius."""
     dirs = unit_directions(rng, n, d)
     radii = rng.random(n) ** (1.0 / d)
-    return dirs * radii[:, None]
+    for j in range(d):
+        dirs[:, j] *= radii
+    return dirs
 
 
 @dataclass
@@ -103,7 +142,9 @@ def sample(body: BodySpec, mode: str, n: int, seed: int) -> SampleCloud:
 def _sample_interior(body: BodySpec, n: int, rng: np.random.Generator) -> np.ndarray:
     d = body.dim
     if isinstance(body, Ball):
-        return body.center + body.radius * unit_ball_points(rng, n, d)
+        return _scale_shift_columns(
+            unit_ball_points(rng, n, d), [body.radius] * d, body.center
+        )
     if isinstance(body, Ellipsoid):
         z = unit_ball_points(rng, n, d)
         return body.center + (z * body.semi_axes) @ body.rotation.T
@@ -111,15 +152,10 @@ def _sample_interior(body: BodySpec, n: int, rng: np.random.Generator) -> np.nda
         lo = body.vertices.min(axis=0)
         width = body.vertices.max(axis=0) - lo
 
-        def propose_box(m: int) -> np.ndarray:
-            # In place: the same bits as lo + width * u, without two temporaries.
-            u = rng.random((m, d))
-            u *= width
-            u += lo
-            return u
-
         return _rejection_loop(
-            n, propose_box, lambda pts: contains_batch(body, pts)
+            n,
+            lambda m: _scale_shift_columns(rng.random((m, d)), width, lo),
+            lambda pts: contains_batch(body, pts),
         )
     if isinstance(body, BumpBall):
         return _rejection_loop(
@@ -133,14 +169,16 @@ def _sample_interior(body: BodySpec, n: int, rng: np.random.Generator) -> np.nda
 def _sample_boundary(body: BodySpec, n: int, rng: np.random.Generator) -> np.ndarray:
     d = body.dim
     if isinstance(body, Ball):
-        return body.center + body.radius * unit_directions(rng, n, d)
+        return _scale_shift_columns(
+            unit_directions(rng, n, d), [body.radius] * d, body.center
+        )
     if isinstance(body, Ellipsoid):
         s = body.semi_axes
         s_min = float(np.min(s))
 
         def propose(m: int) -> np.ndarray:
             theta = unit_directions(rng, m, d)
-            accept_prob = s_min * np.linalg.norm(theta / s, axis=1)
+            accept_prob = s_min * _row_norms(theta / s)
             keep = rng.random(m) < accept_prob
             return theta[keep]
 
@@ -154,7 +192,7 @@ def _sample_boundary(body: BodySpec, n: int, rng: np.random.Generator) -> np.nda
 def _rejection_loop(n: int, propose, accept) -> np.ndarray:
     def propose_accepted(m: int) -> np.ndarray:
         pts = propose(m)
-        return pts[accept(pts)]
+        return np.compress(accept(pts), pts, axis=0)
 
     return _collect(n, propose_accepted)
 

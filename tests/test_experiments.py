@@ -328,6 +328,20 @@ def test_deviation_experiment_logs_tightness(caplog):
         assert smallest == ("none" if body is BALL2 else "0.5")
 
 
+def test_deviation_experiment_logs_quantiles(caplog):
+    cfg = tiny_config(n_grid=[400], reps=20)
+    values = _run_replications(cfg, _MetricEngine(cfg), 1)[0]
+    with caplog.at_level(logging.DEBUG, logger="randhull"):
+        rep = run_deviation_experiment(cfg, [0.0, 2.0])
+    prefix = "deviation quantiles: d_H / a_n at 0.5, 0.9, 0.99: "
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith(prefix)]
+    assert len(lines) == 1
+    got = [float(tok) for tok in lines[0][len(prefix) :].split()]
+    want = np.quantile(values / rep.a_n, [0.5, 0.9, 0.99])
+    np.testing.assert_allclose(got, want, rtol=1e-5)
+    assert got[0] <= got[1] <= got[2]
+
+
 def test_deviation_experiment_needs_single_n():
     cfg = tiny_config(n_grid=[200, 800])
     with pytest.raises(ValueError):

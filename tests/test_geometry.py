@@ -469,3 +469,41 @@ def test_polytope_contains_square_exact_cases():
 def test_polytope_contains_empty_input(body):
     got = contains_batch(body, np.empty((0, body.dim)))
     assert got.dtype == bool and got.shape == (0,)
+
+
+# A random 4-d polytope whose facet product rounds differently when it is
+# computed as A @ points.T, or row by row (the gemv path of a one-row block),
+# on at least one row's largest facet value: found by search over seeds with
+# OpenBLAS 0.3.31, and kept here so that such a change to contains_batch
+# flips a verdict below.
+def _box_points(body, n, rng):
+    lo, hi = body.vertices.min(axis=0), body.vertices.max(axis=0)
+    return lo + (hi - lo) * rng.random((n, body.dim))
+
+
+_PINNED_RNG = np.random.default_rng(3)
+PINNED4 = PolytopeV(vertices=_PINNED_RNG.standard_normal((14, 4)))
+PINNED4_POINTS = _box_points(PINNED4, 1025, _PINNED_RNG)
+
+
+@pytest.mark.parametrize(
+    "body, pts",
+    [
+        (SQUARE, _box_points(SQUARE, 1025, np.random.default_rng(5))),
+        (SIMPLEX3, _box_points(SIMPLEX3, 1025, np.random.default_rng(6))),
+        (RANDOM4, _box_points(RANDOM4, 1025, np.random.default_rng(7))),
+        (PINNED4, PINNED4_POINTS),
+    ],
+    ids=["square", "simplex3", "random4", "pinned4"],
+)
+def test_polytope_contains_is_exact_at_reference_facet_values(body, pts):
+    # tol set to a row's largest reference facet value (points @ A.T)[i, j] + b[j]
+    # keeps that row inside, and the next float below puts it outside; so any
+    # change in how a row's binding facet value rounds flips a verdict.  1025
+    # rows leave a one-row tail under any power-of-two blocking up to 1024.
+    eqs = body.facet_inequalities()
+    largest = np.max(pts @ eqs[:, :-1].T + eqs[:, -1], axis=1)
+    for t in largest:
+        for tol in (t, np.nextafter(t, -np.inf)):
+            got = contains_batch(body, pts, tol)
+            np.testing.assert_array_equal(got, largest <= tol)

@@ -205,3 +205,145 @@ def test_polytope_sampler_matches_reference_bitwise(body, n, seed):
     want = _reference_box_rejection(body, n, seed)
     assert got.shape == (n, body.dim)
     np.testing.assert_array_equal(got, want)
+
+
+# The ball-type samplers as first written, with broadcasts against the last
+# axis.  The column-wise samplers must match them bit for bit.
+def _reference_unit_directions(rng, n, d):
+    g = rng.standard_normal((n, d))
+    norms = np.linalg.norm(g, axis=1)
+    bad = norms < 1e-12
+    while np.any(bad):
+        g[bad] = rng.standard_normal((int(bad.sum()), d))
+        norms[bad] = np.linalg.norm(g[bad], axis=1)
+        bad = norms < 1e-12
+    return g / norms[:, None]
+
+
+def _reference_unit_ball_points(rng, n, d):
+    dirs = _reference_unit_directions(rng, n, d)
+    radii = rng.random(n) ** (1.0 / d)
+    return dirs * radii[:, None]
+
+
+def _reference_collect(n, propose_accepted):
+    chunks, got = [], 0
+    batch = max(1024, n)
+    while got < n:
+        pts = propose_accepted(batch)
+        chunks.append(pts)
+        got += len(pts)
+    return np.vstack(chunks)[:n]
+
+
+def _reference_sample(body, mode, n, seed):
+    d = body.dim
+    rng = philox(seed, 0 if mode == "interior" else 1)
+    if mode == "boundary" and isinstance(body, Ball):
+        return body.center + body.radius * _reference_unit_directions(rng, n, d)
+    if mode == "boundary":
+        s = body.semi_axes
+        s_min = float(np.min(s))
+
+        def propose(m):
+            theta = _reference_unit_directions(rng, m, d)
+            accept_prob = s_min * np.linalg.norm(theta / s, axis=1)
+            return theta[rng.random(m) < accept_prob]
+
+        theta = _reference_collect(n, propose)
+        return body.center + (theta * s) @ body.rotation.T
+    if isinstance(body, Ball):
+        return body.center + body.radius * _reference_unit_ball_points(rng, n, d)
+    if isinstance(body, Ellipsoid):
+        z = _reference_unit_ball_points(rng, n, d)
+        return body.center + (z * body.semi_axes) @ body.rotation.T
+
+    def propose_bump(m):
+        pts = body.radius * _reference_unit_ball_points(rng, m, d)
+        return pts[contains_batch(body, pts)]
+
+    return _reference_collect(n, propose_bump)
+
+
+BALL_OFF = Ball(center=[0.75, -1.5], radius=2.5)
+BALL_OFF3 = Ball(center=[0.75, -1.5, 3.0], radius=2.5)
+_ROT3 = np.linalg.qr(np.random.default_rng(8).standard_normal((3, 3)))[0]
+ELL3 = Ellipsoid(center=[0.0, 1.0, -2.0], semi_axes=[1.5, 0.4, 0.9], rotation=_ROT3)
+BALL_CASES = [
+    (BALL_OFF, "interior"),
+    (BALL_OFF3, "interior"),
+    (ELL, "interior"),
+    (ELL3, "interior"),
+    (BUMP, "interior"),
+    (BALL_OFF, "boundary"),
+    (BALL_OFF3, "boundary"),
+    (ELL, "boundary"),
+    (ELL3, "boundary"),
+]
+BALL_IDS = [
+    "ball-interior",
+    "ball3-interior",
+    "ellipsoid-interior",
+    "ellipsoid3-interior",
+    "bump-interior",
+    "ball-boundary",
+    "ball3-boundary",
+    "ellipsoid-boundary",
+    "ellipsoid3-boundary",
+]
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+@pytest.mark.parametrize("n", [1, 2, 1023, 100_000])
+def test_unit_directions_match_broadcast_reference(d, n):
+    # d = 8 and 9 cross the switch from column sums to np.linalg.norm
+    for seed in range(4):
+        got = unit_directions(philox(seed, d), n, d)
+        want = _reference_unit_directions(philox(seed, d), n, d)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+@pytest.mark.parametrize("n", [1, 2, 1023, 100_000])
+def test_unit_ball_points_match_broadcast_reference(d, n):
+    for seed in range(4):
+        got = unit_ball_points(philox(seed, d), n, d)
+        want = _reference_unit_ball_points(philox(seed, d), n, d)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("body, mode", BALL_CASES, ids=BALL_IDS)
+@pytest.mark.parametrize("n", [1, 2, 1023, 100_000])
+def test_ball_type_samplers_match_broadcast_reference(body, mode, n):
+    for seed in range(4):
+        got = sample(body, mode, n, seed).points
+        assert np.array_equal(got, _reference_sample(body, mode, n, seed))
+
+
+class _ZeroFirstRow:
+    """A generator whose first standard_normal draw has an all-zero row 1."""
+
+    def __init__(self, seed):
+        self._rng = philox(seed)
+        self.zeroed = False
+
+    def standard_normal(self, size):
+        g = self._rng.standard_normal(size)
+        if not self.zeroed:
+            g[1] = 0.0
+            self.zeroed = True
+        return g
+
+    def random(self, size):
+        return self._rng.random(size)
+
+
+@pytest.mark.parametrize("d", [1, 3, 9])
+def test_zero_norm_row_is_redrawn_as_in_reference(d):
+    got = unit_directions(_ZeroFirstRow(5), 50, d)
+    want = _reference_unit_directions(_ZeroFirstRow(5), 50, d)
+    assert np.array_equal(got, want)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, atol=1e-12)
+    got = unit_ball_points(_ZeroFirstRow(6), 50, d)
+    assert np.array_equal(got, _reference_unit_ball_points(_ZeroFirstRow(6), 50, d))

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .geometry import BodySpec, support_batch
 from .nets import SphereNet, blocked_max_dot, sup_certificate
@@ -112,6 +111,8 @@ def _octagon_survivors(points: np.ndarray) -> np.ndarray | None:
 def _qhull_keep(points: np.ndarray) -> np.ndarray | None:
     """Sorted indices of the Qhull vertices and coplanar points, or None
     when Qhull rejects the points."""
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         hull = ConvexHull(points)
     except QhullError:

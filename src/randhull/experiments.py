@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import yaml
-from scipy import stats
 
 from .bounds import (
     ClassParams,
@@ -390,6 +389,8 @@ def run_rate_experiment(config: ExperimentConfig, threads: int = 1) -> RateRepor
         x = np.log(np.log(ns) / ns)
         fit_kind = "log_lognn_over_n"
         sign = 1.0
+    from scipy import stats
+
     fit = stats.linregress(x, np.log(means))
     ci_half = float(stats.t.ppf(0.975, len(ns) - 2) * fit.stderr) if len(ns) > 2 else math.inf
     exponent = config.q * rate_exponent(config.family, config.body.dim)

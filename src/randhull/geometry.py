@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 
 _UNIT_TOL = 1e-9
@@ -283,6 +282,8 @@ def bump_profile_mass(d: int) -> float:
     """Integral of bump_profile(|s|) over the (d-1)-dimensional dent plane."""
     if d < 2:
         raise ValueError("dimension must be >= 2")
+    from scipy import integrate
+
     k = d - 1
     if k == 1:
         val, _ = integrate.quad(lambda s: bump_profile(s), -1.0, 1.0, epsabs=1e-12)
@@ -516,6 +517,8 @@ def cap_volume_ball(d: int, r: float, eps: float) -> float:
         raise ValueError("cap height must lie in [0, 2r]")
     if eps == 0.0:
         return 0.0
+    from scipy import integrate
+
     beta = ball_volume(d - 1) if d > 1 else 1.0
     val, _ = integrate.quad(
         lambda x: beta * (x * (2.0 * r - x)) ** ((d - 1) / 2.0),
@@ -556,6 +559,8 @@ def cap_area_sphere(d: int, r: float, eps: float) -> float:
             * cs
             / math.sqrt(cs**2 + (1.0 - T) * sn**2)
         )
+
+    from scipy import integrate
 
     val, _ = integrate.quad(integrand, 0.0, math.pi / 2.0, epsabs=1e-12, limit=200)
     return 0.5 * sphere_area(d - 1) * r ** (d - 1) * val if d > 2 else r * val

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import QhullError
 
 from .sampling import unit_directions
 
@@ -214,6 +213,8 @@ def build_net(
         if d == 2:
             arr, cover, certified = _repair_circle(arr, delta)
         elif d == 3:
+            from scipy.spatial import QhullError
+
             try:
                 arr, cover, certified = _repair_sphere(arr, delta)
             except (QhullError, RuntimeError, ValueError) as exc:

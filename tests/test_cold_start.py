@@ -1,0 +1,88 @@
+"""Cold start: what importing randhull and running the light commands loads.
+
+Each check runs in a fresh interpreter, because this process has long since
+imported scipy through other tests.  No timing is measured, only which
+modules end up in sys.modules.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from randhull.experiments import ExperimentConfig, save_experiment_config
+from randhull.geometry import Ball, save_body
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+HEAVY = ("scipy.integrate", "scipy.stats", "scipy.spatial")
+
+SCIPY_MODULES = """
+import sys
+print(*sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def _fresh(code, *args):
+    """Stdout of `python -c code args...` in a new interpreter on this source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env,
+        capture_output=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+def test_import_loads_no_scipy():
+    assert _fresh("import randhull, randhull.cli" + SCIPY_MODULES).split() == []
+
+
+@pytest.mark.parametrize("command", ["sample", "bound"])
+def test_light_commands_load_no_heavy_scipy(tmp_path, command):
+    body = tmp_path / "ball.json"
+    save_body(Ball(center=[0.0, 0.0], radius=1.0), body)
+    out = tmp_path / "out"
+    argv = {
+        "sample": ["sample", "--body", str(body), "--mode", "interior", "--n", "10"],
+        "bound": [
+            "bound",
+            "--params", '{"alpha": 1.5, "L": 0.4244, "eps0": 1.0}',
+            "--d", "2",
+            "--n", "10000",
+            "--x", "20.0",
+            "--format", "json",
+        ],
+    }[command] + ["--out", str(out)]
+    code = "import sys\nfrom randhull.cli import main\nmain(sys.argv[1:])" + SCIPY_MODULES
+    loaded = _fresh(code, *argv).decode().split()
+    assert out.stat().st_size > 0
+    assert [m for m in loaded if m.startswith(HEAVY)] == []
+
+
+def test_rates_bytes_do_not_depend_on_threads_in_a_fresh_interpreter(tmp_path):
+    # With --threads 2 the first scipy.spatial import happens inside the
+    # worker threads that run Qhull, two of them at once.
+    cfg = ExperimentConfig(
+        body=Ball(center=[0.0, 0.0], radius=1.0),
+        mode="interior",
+        family="smooth_interior",
+        n_grid=[1000, 3000],
+        reps=3,
+        metric="hausdorff",
+        master_seed=5,
+    )
+    config = tmp_path / "disc.yaml"
+    save_experiment_config(cfg, config)
+    code = "import sys\nfrom randhull.cli import main\nsys.exit(main(sys.argv[1:]))"
+    runs = [
+        _fresh(code, "rates", "--config", str(config), "--threads", t, "--format", "json")
+        for t in ("1", "2")
+    ]
+    assert runs[0].startswith(b"{")
+    assert runs[0] == runs[1]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.spatial
 from scipy.spatial import ConvexHull, QhullError
 
 from randhull import estimators
@@ -163,7 +164,15 @@ def _forbid_qhull(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Qhull ran on a cloud the rule keeps whole")
 
-    monkeypatch.setattr(estimators, "ConvexHull", refuse)
+    # estimators imports ConvexHull where it calls it, so it reads this name
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", refuse)
+
+
+def test_forbid_qhull_catches_a_qhull_call(monkeypatch):
+    _forbid_qhull(monkeypatch)
+    cloud = sample(BALL2, "interior", 500, seed=65)
+    with pytest.raises(AssertionError, match="Qhull ran"):
+        hull_points(cloud)
 
 
 def test_boundary_cloud_skips_qhull(monkeypatch):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -126,6 +127,19 @@ def test_higher_dimension_probe_repair():
 def test_failed_voronoi_repair_warns_and_falls_back(monkeypatch, caplog):
     def fail(pts, delta):
         raise RuntimeError("coverage repair did not converge")
+
+    monkeypatch.setattr(nets, "_repair_sphere", fail)
+    with caplog.at_level(logging.WARNING, logger="randhull"):
+        net = build_net(3, 0.3, seed=5, streak=100)
+    assert not net.certified
+    assert any(
+        r.levelno == logging.WARNING and "probe repair" in r.getMessage() for r in caplog.records
+    )
+
+
+def test_qhull_error_in_voronoi_repair_warns_and_falls_back(monkeypatch, caplog):
+    def fail(pts, delta):
+        raise scipy.spatial.QhullError("QH6154 Qhull precision error")
 
     monkeypatch.setattr(nets, "_repair_sphere", fail)
     with caplog.at_level(logging.WARNING, logger="randhull"):

@@ -1,18 +1,25 @@
-"""Support-function estimators built on the convex hull of a sample cloud.
+"""Estimators of the distance between a body and the convex hull of a cloud.
 
-The hull's support function is the max of dot products against the cloud,
+Two paths read that distance.  The exact path takes the facets a_i.x <= b_i of
+the hull P, as Qhull (Barber, Dobkin and Huhdanpaa 1996) computes them.  With
+c strictly inside P, the Hausdorff distance of P to a ball of radius R about c
+is R - min_i (b_i - a_i.c), and the center-relative distance d_L to any body K
+is 1 - min_i (b_i - a_i.c) / (h_K(a_i) - a_i.c): the shortest way from c out
+of P ends on a facet, and so does the largest copy of K about c inside P.
+
+The net path reads a metric from support evaluations on a set of directions:
+the hull's support function is the max of dot products against the cloud,
 evaluated in blocked matrix products.  Only points on the hull can attain that
-max, so interior clouds in d <= 3 are first cut to the vertices Qhull finds
-(Barber, Dobkin and Huhdanpaa 1996); the max over that subset is the max over
-the cloud.  Boundary clouds, where every point is a vertex, and clouds in
-d >= 4, where Qhull costs more than the max-dot it saves, keep the full cloud.
-Before Qhull, a large 2-d cloud drops the points deep inside the octagon
-through its extreme points along eight fixed directions (the Akl-Toussaint
-pre-filter; Akl and Toussaint 1978).  None of them can be a vertex, so Qhull
-returns the same points from about a tenth of a disc cloud.  Every metric here
-(Hausdorff deficit over a net, center-relative scaling distance, L^p deficits,
-plug-in functionals) consumes only support evaluations, so the same code path
-works whether the "body" is an analytic spec or another cloud.
+max, so interior clouds in d <= 3 are first cut to the vertices Qhull finds;
+the max over that subset is the max over the cloud.  Boundary clouds, where
+every point is a vertex, and clouds in d >= 4, where Qhull costs more than the
+max-dot it saves, keep the full cloud.  Before Qhull, a large 2-d cloud drops
+the points deep inside the octagon through its extreme points along eight
+fixed directions (the Akl-Toussaint pre-filter; Akl and Toussaint 1978).  None
+of them can be a vertex, so Qhull returns the same points from about a tenth
+of a disc cloud.  Hausdorff deficits over a net, L^p deficits and plug-in
+functionals use only support evaluations, so they work whether the "body" is
+an analytic spec or another cloud.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import BodySpec, support_batch
+from .geometry import Ball, BodySpec, support_batch
 from .nets import SphereNet, blocked_max_dot, sup_certificate
 from .sampling import SampleCloud, philox, unit_directions
 
@@ -48,6 +55,9 @@ class HullPoints(NamedTuple):
     points: np.ndarray
     reduced: bool
     qhull_input: int  # points handed to Qhull; 0 when it did not run
+    # Qhull's facet rows [a, -b], |a| = 1, of the hull a.x <= b; None when
+    # Qhull did not run or rejected the cloud
+    equations: np.ndarray | None
 
 
 def _octagon(x: np.ndarray, y: np.ndarray) -> list | None:
@@ -108,16 +118,16 @@ def _octagon_survivors(points: np.ndarray) -> np.ndarray | None:
     return np.flatnonzero(~_deep_inside(x, y, poly))
 
 
-def _qhull_keep(points: np.ndarray) -> np.ndarray | None:
-    """Sorted indices of the Qhull vertices and coplanar points, or None
-    when Qhull rejects the points."""
+def _qhull_keep(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Sorted indices of the Qhull vertices and coplanar points, and the
+    facet equations; None when Qhull rejects the points."""
     from scipy.spatial import ConvexHull, QhullError
 
     try:
         hull = ConvexHull(points)
     except QhullError:
         return None
-    return np.union1d(hull.vertices, hull.coplanar[:, 0])
+    return np.union1d(hull.vertices, hull.coplanar[:, 0]), hull.equations
 
 
 def _x_tied(xs: np.ndarray, keep: np.ndarray) -> bool:
@@ -127,20 +137,24 @@ def _x_tied(xs: np.ndarray, keep: np.ndarray) -> bool:
     return np.count_nonzero(kept_x[at] == xs) > len(kept_x)
 
 
-def hull_points(cloud: SampleCloud) -> HullPoints:
+def hull_points(cloud: SampleCloud, facets: bool = False) -> HullPoints:
     """The points of the cloud that can attain its hull's support function.
 
-    Returns (points, reduced, qhull_input).  For an interior cloud in d = 2
-    or 3 these are the Qhull vertices, with any points Qhull lists as
+    Returns (points, reduced, qhull_input, equations).  For an interior cloud
+    in d = 2 or 3 these are the Qhull vertices, with any points Qhull lists as
     coplanar; scipy runs Qhull without its Qc option, so that list is empty.
     Otherwise, or when Qhull rejects the cloud (n <= d, flat, repeated or
     non-finite points), it is the full cloud and reduced is False.
-    qhull_input counts the points handed to Qhull.
+    qhull_input counts the points handed to Qhull, and equations holds the
+    facets of the hull Qhull built.  With facets, a boundary cloud in d = 2
+    or 3 also goes to Qhull, for its facets only: its points stay the full
+    cloud.
 
     A 2-d cloud of at least _PREFILTER_MIN_POINTS first drops its points deep
     inside the octagon of its extremes (Akl and Toussaint 1978), and the
     result is the same array, in the same order, as from Qhull on the full
-    cloud.  Among exact ties Qhull keeps whichever point it meets first, and
+    cloud; the facets are those of the survivors' hull, which is the same
+    hull.  Among exact ties Qhull keeps whichever point it meets first, and
     dropping points changes that order, so when a hull point shares its
     x-coordinate with another survivor (never, in a continuous sample) the
     cloud goes to Qhull whole.
@@ -148,22 +162,27 @@ def hull_points(cloud: SampleCloud) -> HullPoints:
     points = cloud.points
     if len(points) == 0:
         raise ValueError("empty cloud has no support function")
-    if cloud.mode != "interior" or not 2 <= cloud.dim <= _HULL_MAX_DIM:
-        return HullPoints(points, False, 0)
+    if not 2 <= cloud.dim <= _HULL_MAX_DIM:
+        return HullPoints(points, False, 0, None)
+    if cloud.mode != "interior":
+        if not facets:
+            return HullPoints(points, False, 0, None)
+        hull = _qhull_keep(points)
+        return HullPoints(points, False, len(points), None if hull is None else hull[1])
     qhull_input = 0
     if cloud.dim == 2 and len(points) >= _PREFILTER_MIN_POINTS:
         survivors = _octagon_survivors(points)
         if survivors is not None:
             candidates = points[survivors]
             qhull_input = len(candidates)
-            keep = _qhull_keep(candidates)
-            if keep is not None and not _x_tied(candidates[:, 0], keep):
-                return HullPoints(points[survivors[keep]], True, qhull_input)
+            hull = _qhull_keep(candidates)
+            if hull is not None and not _x_tied(candidates[:, 0], hull[0]):
+                return HullPoints(points[survivors[hull[0]]], True, qhull_input, hull[1])
     qhull_input += len(points)
-    keep = _qhull_keep(points)
-    if keep is None:
-        return HullPoints(points, False, qhull_input)
-    return HullPoints(points[keep], True, qhull_input)
+    hull = _qhull_keep(points)
+    if hull is None:
+        return HullPoints(points, False, qhull_input, None)
+    return HullPoints(points[hull[0]], True, qhull_input, hull[1])
 
 
 @dataclass
@@ -236,6 +255,24 @@ def hausdorff_to_body(body: BodySpec, cloud: SampleCloud, net: SphereNet) -> Dis
     )
 
 
+def _facet_gaps(equations: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """b_i - a_i.c for the facets a_i.x <= b_i held as Qhull's rows [a_i, -b_i]."""
+    return -(equations[:, :-1] @ center + equations[:, -1])
+
+
+def ball_hausdorff_exact(ball: Ball, equations: np.ndarray) -> float | None:
+    """Hausdorff distance of a hull inside the ball, from the hull's facets.
+
+    R - min_i (b_i - a_i.c): the point of the ball farthest from the hull
+    lies on the ray from the center c through the facet nearest to it.  None
+    unless c lies strictly inside the hull, where the formula fails.
+    """
+    inradius = float(_facet_gaps(equations, ball.center).min())
+    if not inradius > 0:
+        return None
+    return ball.radius - inradius
+
+
 # ---------------------------------------------------------------------------
 # center-relative scaling distance
 
@@ -264,6 +301,25 @@ def d_l_estimate(
     directions is invariant under invertible affine maps of the whole scene.
     """
     return float(d_l_ratios(body, center, cloud, net.points).max())
+
+
+def d_l_exact(body: BodySpec, center: np.ndarray, equations: np.ndarray) -> float | None:
+    """d_L of a hull from its facets: 1 - min_i (b_i - a_i.c)/(h_body(a_i) - a_i.c).
+
+    The body shrunk about the center by a factor t fits inside the hull if
+    and only if it fits under every facet, so the largest such t is the
+    smallest facet ratio.  None unless the center lies strictly inside the
+    hull, where the facet normals need not reach the sup.
+    """
+    center = np.asarray(center, dtype=float)
+    gaps = _facet_gaps(equations, center)
+    if not float(gaps.min()) > 0:
+        return None
+    normals = equations[:, :-1]
+    denom = support_batch(body, normals) - normals @ center
+    if np.min(denom) <= 0:
+        raise ValueError("center must lie in the interior of the body")
+    return float(1.0 - (gaps / denom).min())
 
 
 # ---------------------------------------------------------------------------

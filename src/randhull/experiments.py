@@ -25,6 +25,7 @@ import json
 import logging
 import math
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -48,7 +49,13 @@ from .geometry import (
     canonical_center,
     support_batch,
 )
-from .estimators import HullPoints, _power_mean, hull_points
+from .estimators import (
+    HullPoints,
+    _power_mean,
+    ball_hausdorff_exact,
+    d_l_exact,
+    hull_points,
+)
 from .nets import SphereNet, blocked_max_dot, build_net, sup_certificate
 from .sampling import SampleCloud, derived_seed, philox, sample, unit_directions
 
@@ -231,45 +238,69 @@ def replication_seed(master: int, n_index: int, rep: int) -> int:
 
 
 class _MetricEngine:
+    """Per-replication metric evaluation against precomputed body data.
+
+    A Hausdorff metric on a Ball and a dl metric are read exactly from each
+    hull's Qhull facets (estimators.ball_hausdorff_exact, d_l_exact).  A
+    replication falls back to the net when there are no facets (d >= 4, or
+    Qhull rejects the cloud) or the body's center is not strictly inside the
+    hull; every other Hausdorff body always does.  The net is built, under a
+    lock, by the first replication that needs it, and from a seed derived
+    from the master seed, so it is the same net at any thread count.  L^p and
+    functional metrics evaluate on quadrature directions drawn up front.
+    """
+
     def __init__(self, config: ExperimentConfig):
         self.spec = parse_metric(config.metric)
-        body = config.body
+        self.body = body = config.body
         d = body.dim
-        self.net: SphereNet | None = None
         self.net_delta: float | None = None
         self.quad_n: int | None = None
+        self.dirs: np.ndarray | None = None
+        self.exact = self.spec.kind == "dl" or (
+            self.spec.kind == "hausdorff" and isinstance(body, Ball)
+        )
+        if self.spec.kind == "dl":
+            self.center = canonical_center(body)
+        self._lock = threading.Lock()
         if self.spec.kind in ("hausdorff", "dl"):
             self.net_delta = config.resolved_net_delta()
-            self.net = build_net(
-                d,
-                self.net_delta,
-                derived_seed(config.master_seed, _KEY_NET),
-                streak=config.net_streak,
-            )
-            log.debug(
-                "net: %d directions, cover radius %.6g, certified %s",
-                len(self.net),
-                self.net.cover_radius,
-                self.net.certified,
-            )
-            dirs = self.net.points
-        else:
-            self.quad_n = config.resolved_quad_n()
-            dirs = unit_directions(
-                philox(derived_seed(config.master_seed, _KEY_QUAD)), self.quad_n, d
-            )
-            if self.spec.kind == "functional" and self.spec.which == "S":
-                dirs = np.vstack([dirs, -dirs])
-        self.dirs = dirs
-        self.body_vals = support_batch(body, dirs)
+            self._net_seed = derived_seed(config.master_seed, _KEY_NET)
+            self._net_streak = config.net_streak
+            return
+        self.quad_n = config.resolved_quad_n()
+        dirs = unit_directions(
+            philox(derived_seed(config.master_seed, _KEY_QUAD)), self.quad_n, d
+        )
+        if self.spec.kind == "functional" and self.spec.which == "S":
+            dirs = np.vstack([dirs, -dirs])
+        self._set_dirs(dirs)
+        if self.spec.kind == "functional":
+            self.body_functional = self._functional(self.body_vals)
+
+    def _set_dirs(self, dirs: np.ndarray) -> None:
+        self.body_vals = support_batch(self.body, dirs)
         if self.spec.kind == "dl":
-            center = canonical_center(body)
-            self.shift = dirs @ center
+            self.shift = dirs @ self.center
             self.denom = self.body_vals - self.shift
             if float(self.denom.min()) <= 0:
                 raise ValueError("body center is not interior; dl metric undefined")
-        if self.spec.kind == "functional":
-            self.body_functional = self._functional(self.body_vals)
+        self.dirs = dirs
+
+    def _directions(self) -> np.ndarray:
+        with self._lock:
+            if self.dirs is None:
+                net = build_net(
+                    self.body.dim, self.net_delta, self._net_seed, streak=self._net_streak
+                )
+                log.debug(
+                    "net: %d directions, cover radius %.6g, certified %s",
+                    len(net),
+                    net.cover_radius,
+                    net.certified,
+                )
+                self._set_dirs(net.points)
+            return self.dirs
 
     def _functional(self, vals: np.ndarray) -> float:
         if self.spec.which == "S":
@@ -277,10 +308,18 @@ class _MetricEngine:
             vals = vals[:m] + vals[m:]
         return _power_mean(np.maximum(vals, 0.0), self.spec.p)
 
-    def value(self, cloud: SampleCloud) -> tuple[float, HullPoints]:
-        """The metric of conv(cloud), and the hull points it was computed on."""
-        hull = hull_points(cloud)
-        return self._metric(blocked_max_dot(self.dirs, hull.points)), hull
+    def value(self, cloud: SampleCloud) -> tuple[float, HullPoints, bool]:
+        """The metric of conv(cloud), the hull points it was computed on, and
+        whether it was read from the facets."""
+        hull = hull_points(cloud, facets=self.exact)
+        if self.exact and hull.equations is not None:
+            if self.spec.kind == "hausdorff":
+                exact = ball_hausdorff_exact(self.body, hull.equations)
+            else:
+                exact = d_l_exact(self.body, self.center, hull.equations)
+            if exact is not None:
+                return exact, hull, True
+        return self._metric(blocked_max_dot(self._directions(), hull.points)), hull, False
 
     def _metric(self, hull_vals: np.ndarray) -> float:
         if self.spec.kind == "hausdorff":
@@ -296,6 +335,7 @@ class _MetricEngine:
 def _run_replications(config: ExperimentConfig, engine: _MetricEngine, threads: int) -> np.ndarray:
     """(len(n_grid), reps) array of raw metric values, slot-indexed by seed key."""
     out = np.empty((len(config.n_grid), config.reps))
+    exact = np.zeros(out.shape, dtype=bool)
     reduced = np.zeros(out.shape, dtype=bool)
     qhull_input = np.zeros(out.shape, dtype=np.int64)
 
@@ -306,7 +346,7 @@ def _run_replications(config: ExperimentConfig, engine: _MetricEngine, threads: 
             config.n_grid[i_n],
             replication_seed(config.master_seed, i_n, rep),
         )
-        out[i_n, rep], hull = engine.value(cloud)
+        out[i_n, rep], hull, exact[i_n, rep] = engine.value(cloud)
         reduced[i_n, rep], qhull_input[i_n, rep] = hull.reduced, hull.qhull_input
 
     jobs = [(i, r) for i in range(len(config.n_grid)) for r in range(config.reps)]
@@ -316,6 +356,12 @@ def _run_replications(config: ExperimentConfig, engine: _MetricEngine, threads: 
     else:
         for i, r in jobs:
             task(i, r)
+    if engine.spec.kind in ("hausdorff", "dl"):
+        log.debug(
+            "metric path: %d exact, %d net fallback",
+            int(exact.sum()),
+            int(exact.size - exact.sum()),
+        )
     log.debug(
         "hull reduction: %d clouds reduced, %d fell back to the full cloud",
         int(reduced.sum()),

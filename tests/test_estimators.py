@@ -10,7 +10,9 @@ from scipy.spatial import ConvexHull, QhullError
 from randhull import estimators
 from randhull.estimators import (
     HullSupport,
+    ball_hausdorff_exact,
     d_l_estimate,
+    d_l_exact,
     functional_s,
     functional_t,
     hausdorff_to_body,
@@ -20,8 +22,8 @@ from randhull.estimators import (
     lp_error,
     support_values,
 )
-from randhull.geometry import Ball, Ellipsoid, PolytopeV, support_batch
-from randhull.nets import blocked_max_dot, build_net
+from randhull.geometry import Ball, Ellipsoid, PolytopeV, canonical_center, support_batch
+from randhull.nets import blocked_max_dot, build_net, sup_certificate
 from randhull.sampling import SampleCloud, sample
 
 BALL2 = Ball(center=[0.0, 0.0], radius=1.0)
@@ -115,7 +117,7 @@ def test_interior_cloud_reduces_to_matching_hull_points(name):
     d = body.dim
     cloud = sample(body, "interior", 20_000, seed=61)
     net = build_net(d, 0.01 if d == 2 else 0.05, seed=3)
-    points, reduced, _ = hull_points(cloud)
+    points, reduced = hull_points(cloud)[:2]
     assert reduced
     assert len(points) < len(cloud.points) // 10
     full = blocked_max_dot(net.points, cloud.points)
@@ -125,7 +127,7 @@ def test_interior_cloud_reduces_to_matching_hull_points(name):
 
 
 def _kept_whole(cloud):
-    points, reduced, _ = hull_points(cloud)
+    points, reduced = hull_points(cloud)[:2]
     return points is cloud.points and not reduced
 
 
@@ -410,6 +412,99 @@ def test_dl_rejects_non_interior_center():
     cloud = sample(BALL2, "interior", 50, seed=34)
     with pytest.raises(ValueError):
         d_l_estimate(BALL2, np.array([1.5, 0.0]), cloud, net)
+
+
+# ---------------------------------------------------------------------------
+# exact distances from the hull's facets
+
+
+def test_hull_points_returns_the_facets_qhull_built():
+    cloud = sample(BALL2, "interior", 500, seed=80)
+    hull = hull_points(cloud)
+    np.testing.assert_array_equal(hull.equations, ConvexHull(cloud.points).equations)
+    # the pre-filter's survivors span the same hull
+    large = sample(BALL2, "interior", 20_000, seed=80)
+    hull = hull_points(large)
+    assert hull.qhull_input < 20_000
+    want = ConvexHull(large.points).equations
+    assert hull.equations.shape == want.shape
+    np.testing.assert_allclose(np.unique(hull.equations, axis=0), np.unique(want, axis=0), atol=1e-15)
+
+
+def test_boundary_cloud_goes_to_qhull_for_its_facets_only():
+    cloud = sample(Ball(center=np.zeros(3), radius=1.0), "boundary", 500, seed=81)
+    assert hull_points(cloud).equations is None
+    hull = hull_points(cloud, facets=True)
+    assert hull.points is cloud.points and not hull.reduced
+    assert hull.qhull_input == 500
+    np.testing.assert_array_equal(hull.equations, ConvexHull(cloud.points).equations)
+
+
+def test_facets_are_not_computed_in_four_dimensions(monkeypatch):
+    _forbid_qhull(monkeypatch)
+    cloud = sample(Ball(center=np.zeros(4), radius=1.0), "boundary", 500, seed=82)
+    assert hull_points(cloud, facets=True).equations is None
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 16, 64, 1000, 100_000])
+def test_exact_hausdorff_of_spaced_circle_points(m):
+    hull = hull_points(spaced_circle_cloud(m), facets=True)
+    exact = ball_hausdorff_exact(BALL2, hull.equations)
+    assert abs(exact - (1.0 - math.cos(math.pi / m))) <= 1e-14
+
+
+BALLS = {2: Ball(center=[0.3, -0.2], radius=1.5), 3: Ball(center=[0.1, -0.2, 0.3], radius=0.8)}
+
+
+@pytest.mark.parametrize("mode", ["interior", "boundary"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_exact_hausdorff_lies_between_net_value_and_certificate(d, mode):
+    body = BALLS[d]
+    net = build_net(d, 0.01 if d == 2 else 0.1, seed=5)
+    for n, seed in ((50, 83), (3000, 84)):
+        cloud = sample(body, mode, n, seed=seed)
+        exact = ball_hausdorff_exact(body, hull_points(cloud, facets=True).equations)
+        res = hausdorff_to_body(body, cloud, net)
+        assert res.net_value <= exact <= res.certified_upper
+        radius = max(body.max_norm_bound(), float(np.linalg.norm(cloud.points, axis=1).max()))
+        assert res.certified_upper == sup_certificate(net, res.net_value, radius)
+
+
+DL_BODIES = {
+    "square": PolytopeV(np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])),
+    "simplex3": PolytopeV(np.vstack([np.zeros(3), np.eye(3)])),
+    "ellipse": Ellipsoid(center=[0.2, -0.1], semi_axes=[1.0, 0.4], rotation=_rotation(2, 7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DL_BODIES))
+def test_exact_dl_is_at_least_the_net_value(name):
+    body = DL_BODIES[name]
+    d = body.dim
+    center = canonical_center(body)
+    net = build_net(d, 0.01 if d == 2 else 0.1, seed=6)
+    for n, seed in ((30, 85), (2000, 86)):
+        cloud = sample(body, "interior", n, seed=seed)
+        exact = d_l_exact(body, center, hull_points(cloud).equations)
+        assert 0.0 < exact < 1.0
+        assert d_l_estimate(body, center, cloud, net) <= exact
+
+
+@pytest.mark.parametrize("name", ["square", "simplex3"])
+def test_exact_dl_of_a_cloud_holding_the_vertices_is_zero(name):
+    body = DL_BODIES[name]
+    pts = np.vstack([sample(body, "interior", 200, seed=87).points, body.vertices])
+    cloud = SampleCloud(points=pts, body=body, mode="interior", seed=0, n=len(pts))
+    assert d_l_exact(body, canonical_center(body), hull_points(cloud).equations) == 0.0
+
+
+def test_exact_distances_need_the_center_strictly_inside():
+    # a triangle in the unit disc that misses the center, and one with the
+    # center on an edge
+    for pts in ([[0.2, 0.1], [0.6, 0.1], [0.4, 0.5]], [[-0.5, 0.0], [0.5, 0.0], [0.0, 0.5]]):
+        equations = ConvexHull(np.asarray(pts)).equations
+        assert ball_hausdorff_exact(BALL2, equations) is None
+        assert d_l_exact(BALL2, np.zeros(2), equations) is None
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from scipy.spatial import ConvexHull
+
+from randhull import experiments
 from randhull.geometry import Ball, PolytopeV, support_batch
 from randhull.nets import blocked_max_dot, build_net
 from randhull.estimators import hull_points
-from randhull.sampling import derived_seed, sample
+from randhull.sampling import SampleCloud, derived_seed, sample
 from randhull.experiments import (
     _KEY_NET,
     _MetricEngine,
@@ -34,6 +37,7 @@ from randhull.experiments import (
 )
 
 BALL2 = Ball(center=[0.0, 0.0], radius=1.0)
+SQUARE = PolytopeV([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
 def tiny_config(**overrides):
@@ -149,18 +153,32 @@ def test_rate_experiment_threads_match_serial():
 
 
 def test_rate_means_match_the_full_max_dot():
-    cfg = tiny_config()
+    # polytope Hausdorff takes the net path on every replication
+    cfg = tiny_config(body=SQUARE, family="polytope_interior")
     net = build_net(2, cfg.resolved_net_delta(), derived_seed(cfg.master_seed, _KEY_NET))
-    body_vals = support_batch(BALL2, net.points)
+    body_vals = support_batch(SQUARE, net.points)
     means = []
     for i, n in enumerate(cfg.n_grid):
         vals = [
             float((body_vals - blocked_max_dot(net.points, cloud.points)).max())
             for cloud in (
-                sample(BALL2, "interior", n, replication_seed(cfg.master_seed, i, r))
+                sample(SQUARE, "interior", n, replication_seed(cfg.master_seed, i, r))
                 for r in range(cfg.reps)
             )
         ]
+        means.append(float(np.mean(vals)))
+    assert run_rate_experiment(cfg).means == means
+
+
+def test_ball_rate_means_match_the_facets_of_the_full_cloud():
+    cfg = tiny_config(mode="boundary", family="smooth_boundary", n_grid=[200, 800])
+    means = []
+    for i, n in enumerate(cfg.n_grid):
+        vals = []
+        for r in range(cfg.reps):
+            cloud = sample(BALL2, "boundary", n, replication_seed(cfg.master_seed, i, r))
+            # the unit disc about the origin: R - min_i (b_i - a_i.0) = 1 + max offset
+            vals.append(1.0 - float((-ConvexHull(cloud.points).equations[:, -1]).min()))
         means.append(float(np.mean(vals)))
     assert run_rate_experiment(cfg).means == means
 
@@ -192,18 +210,42 @@ def test_rate_experiment_logs_prefilter_survivors(caplog):
 
 
 def test_boundary_experiment_logs_no_qhull_input(caplog):
+    # an L^p metric reads no facets, so its boundary clouds skip Qhull
     with caplog.at_level(logging.DEBUG, logger="randhull"):
         run_rate_experiment(
-            tiny_config(mode="boundary", family="smooth_boundary", n_grid=[100, 2000], reps=2)
+            tiny_config(
+                mode="boundary",
+                family="smooth_boundary",
+                n_grid=[100, 2000],
+                reps=2,
+                metric="lp(2)",
+            )
         )
     messages = [r.getMessage() for r in caplog.records]
     assert "hull pre-filter: 0 of 4200 sampled points passed to Qhull" in messages
 
 
-# A pin of the parent commit's exact floats, so that a hull-path change that
-# moves any bit fails here.  It holds for one BLAS build (README,
-# Reproducibility): another BLAS may round the max-dot differently.
-PINNED_DISC_MEANS = [0.043814800879969085, 0.010173559751052497]
+def test_boundary_ball_experiment_hands_qhull_every_point(caplog):
+    with caplog.at_level(logging.DEBUG, logger="randhull"):
+        run_rate_experiment(
+            tiny_config(mode="boundary", family="smooth_boundary", n_grid=[100, 2000], reps=2)
+        )
+    messages = [r.getMessage() for r in caplog.records]
+    assert "hull pre-filter: 4200 of 4200 sampled points passed to Qhull" in messages
+    assert "metric path: 4 exact, 0 net fallback" in messages
+    assert "hull reduction: 0 clouds reduced, 4 fell back to the full cloud" in messages
+
+
+# A pin of exact floats, so that a hull-path change that moves any bit fails
+# here.  The disc means come from the Qhull facets; the square means, on the
+# net path, hold for one BLAS build (README, Reproducibility): another BLAS
+# may round the max-dot differently.
+PINNED_DISC_MEANS = [0.04479717167738151, 0.010536692632247213]
+PINNED_SQUARE_CSV = (
+    "n,mean_metric_q,stderr,reps\n"
+    "1000,0.04473629087736656,0.0020153054866131463,3\n"
+    "3000,0.03477725585914878,0.002267215487809239,3\n"
+)
 
 
 def test_disc_rate_means_are_pinned():
@@ -216,6 +258,91 @@ def test_disc_rate_means_are_pinned():
         master_seed=1005,
     )
     assert run_rate_experiment(cfg).means == PINNED_DISC_MEANS
+
+
+def test_square_rate_report_is_pinned():
+    cfg = ExperimentConfig(
+        body=SQUARE,
+        mode="interior",
+        family="polytope_interior",
+        n_grid=[1000, 3000],
+        reps=3,
+        master_seed=1006,
+    )
+    for threads in (1, 2):
+        assert report_to_csv(run_rate_experiment(cfg, threads=threads)) == PINNED_SQUARE_CSV
+
+
+# ---------------------------------------------------------------------------
+# exact path and net fallback
+
+
+def _net_path_value(cfg, pts):
+    """The Hausdorff deficit of conv(pts) to the unit disc over the experiment's net."""
+    net = build_net(2, cfg.resolved_net_delta(), derived_seed(cfg.master_seed, _KEY_NET))
+    return float((support_batch(BALL2, net.points) - blocked_max_dot(net.points, pts)).max())
+
+
+FALLBACK_CLOUDS = {
+    # a triangle inside the disc whose hull misses the center
+    "off_centre_triangle": [[0.2, 0.1], [0.6, 0.1], [0.4, 0.5]],
+    "collinear": [[-0.5, -0.2], [0.0, 0.0], [0.25, 0.1], [0.5, 0.2]],
+    "n_equals_d": [[0.1, 0.2], [-0.4, 0.5]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_CLOUDS))
+def test_fallback_clouds_get_the_net_path_value(name):
+    pts = np.asarray(FALLBACK_CLOUDS[name])
+    cloud = SampleCloud(points=pts, body=BALL2, mode="interior", seed=0, n=len(pts))
+    cfg = tiny_config()
+    value, _, exact = _MetricEngine(cfg).value(cloud)
+    assert not exact
+    assert value == _net_path_value(cfg, pts)
+    # the same clouds under the dl metric on the unit disc about the origin
+    value, _, exact = _MetricEngine(tiny_config(metric="dl")).value(cloud)
+    assert not exact
+    assert value == _net_path_value(cfg, pts)
+
+
+def _count_net_builds(monkeypatch):
+    builds = []
+    real = experiments.build_net
+    monkeypatch.setattr(experiments, "build_net", lambda *a, **k: builds.append(a) or real(*a, **k))
+    return builds
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_net_is_built_once_when_replications_fall_back(monkeypatch, caplog, threads):
+    builds = _count_net_builds(monkeypatch)
+    # n = 2 <= d: Qhull rejects every cloud at the first grid point
+    cfg = tiny_config(n_grid=[2, 200])
+    with caplog.at_level(logging.DEBUG, logger="randhull"):
+        report = run_rate_experiment(cfg, threads=threads)
+    assert len(builds) == 1
+    messages = [r.getMessage() for r in caplog.records]
+    assert "metric path: 8 exact, 8 net fallback" in messages
+    assert sum(m.startswith("net: ") for m in messages) == 1
+    assert report.resolved_net_delta == cfg.resolved_net_delta()
+
+
+@pytest.mark.parametrize("metric", ["hausdorff", "dl"])
+def test_no_net_is_built_when_no_replication_falls_back(monkeypatch, caplog, metric):
+    builds = _count_net_builds(monkeypatch)
+    cfg = tiny_config(metric=metric)
+    with caplog.at_level(logging.DEBUG, logger="randhull"):
+        report = run_rate_experiment(cfg, threads=2)
+    assert builds == []
+    messages = [r.getMessage() for r in caplog.records]
+    assert "metric path: 16 exact, 0 net fallback" in messages
+    assert not any(m.startswith("net: ") for m in messages)
+    assert report.resolved_net_delta == 0.05
+
+
+def test_dl_equals_hausdorff_on_the_unit_disc_about_the_origin():
+    hausdorff = run_rate_experiment(tiny_config()).means
+    dl = run_rate_experiment(tiny_config(metric="dl")).means
+    np.testing.assert_allclose(dl, hausdorff, rtol=1e-13)
 
 
 def _emitted(report, tmp_path, tag):

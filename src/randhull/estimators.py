@@ -237,22 +237,29 @@ class DistanceResult:
 
 
 def hausdorff_to_body(body: BodySpec, cloud: SampleCloud, net: SphereNet) -> DistanceResult:
-    """sup of h_body - h_hull over the net, with a chaining upper certificate.
+    """sup of h_body - h_hull over the net, with an upper certificate.
 
     For a cloud drawn from the body the hull is nested inside it, so this sup
-    is the Hausdorff distance; the net value reads it from below and the
-    certificate (sup_certificate, at the larger of the body's radius bound and
-    the largest point norm) bounds it from above, or is inf on an uncertified
-    net.
+    is the Hausdorff distance; the net value reads it from below.  The
+    certificate is the exact distance from the hull's facets
+    (ball_hausdorff_exact) for a ball in d = 2 or 3 when Qhull builds the
+    hull, the hull holds the center strictly inside and every point lies in
+    the ball.  Otherwise it is the chaining bound (sup_certificate, at the
+    larger of the body's radius bound and the largest point norm), or inf on
+    an uncertified net.
     """
-    deficit = support_batch(body, net.points) - hull_support_batch(cloud, net.points)
+    is_ball = isinstance(body, Ball)
+    hull = hull_points(cloud, facets=is_ball)
+    deficit = support_batch(body, net.points) - blocked_max_dot(net.points, hull.points)
     net_value = float(deficit.max())
-    radius = max(body.max_norm_bound(), float(np.linalg.norm(cloud.points, axis=1).max()))
-    return DistanceResult(
-        net_value=net_value,
-        certified_upper=sup_certificate(net, net_value, radius),
-        net_delta=net.delta,
-    )
+    certified = None
+    if is_ball and hull.equations is not None:
+        if float(np.linalg.norm(cloud.points - body.center, axis=1).max()) <= body.radius:
+            certified = ball_hausdorff_exact(body, hull.equations)
+    if certified is None:
+        radius = max(body.max_norm_bound(), float(np.linalg.norm(cloud.points, axis=1).max()))
+        certified = sup_certificate(net, net_value, radius)
+    return DistanceResult(net_value=net_value, certified_upper=certified, net_delta=net.delta)
 
 
 def _facet_gaps(equations: np.ndarray, center: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,6 +144,20 @@ class Ellipsoid:
         return float(np.linalg.norm(self.center) + np.max(self.semi_axes))
 
 
+class Triangulation(NamedTuple):
+    """Simplices [apex, f_1, ..., f_d] that tile a polytope."""
+
+    apex: np.ndarray  # (d,)
+    edges: np.ndarray  # (k, d, d); edges[i, r] = f_r - apex for simplex i
+    volumes: np.ndarray  # (k,)
+
+
+# a facet whose hyperplane passes within this fraction of the largest vertex
+# coordinate of the apex holds the apex, up to Qhull's roundoff, and spans no
+# simplex with it
+_APEX_PLANE_TOL = 1e-12
+
+
 @dataclass
 class PolytopeV:
     vertices: np.ndarray
@@ -155,6 +170,7 @@ class PolytopeV:
         if np.linalg.matrix_rank(self.vertices[1:] - self.vertices[0]) < d:
             raise ValueError("vertices are not full-dimensional")
         self._facets = None
+        self._triangulation = None
 
     @property
     def dim(self) -> int:
@@ -171,6 +187,31 @@ class PolytopeV:
 
             self._facets = np.unique(ConvexHull(self.vertices).equations, axis=0)
         return self._facets
+
+    def triangulation(self) -> Triangulation:
+        """Pulling triangulation from the first hull vertex a (cached).
+
+        One simplex [a, F] for each of Qhull's simplicial facets F whose
+        hyperplane misses a, with volume |det(F - a)| / d!.  The cones from a
+        over the facets it does not lie on tile the polytope, so a simplex
+        gives one simplex and the volumes sum to the polytope's.  The facet
+        inequalities come from the same Qhull call.  Two threads sampling the
+        body at once may both build it; they build the same arrays.
+        """
+        if self._triangulation is None:
+            from scipy.spatial import ConvexHull
+
+            hull = ConvexHull(self.vertices)
+            if self._facets is None:
+                self._facets = np.unique(hull.equations, axis=0)
+            apex = self.vertices[hull.vertices[0]]
+            # Qhull's rows [n, b], |n| = 1, hold the inside as n.x + b <= 0
+            depth = -(hull.equations[:, :-1] @ apex + hull.equations[:, -1])
+            far = depth > _APEX_PLANE_TOL * float(np.max(np.abs(self.vertices)))
+            edges = self.vertices[hull.simplices[far]] - apex
+            volumes = np.abs(np.linalg.det(edges)) / math.factorial(self.dim)
+            self._triangulation = Triangulation(apex, edges, volumes)
+        return self._triangulation
 
     def max_norm_bound(self) -> float:
         return float(np.max(np.linalg.norm(self.vertices, axis=1)))

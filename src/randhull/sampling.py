@@ -7,9 +7,28 @@ affine image of the unit-ball draw with the same stream; that identity is load
 bearing (tests rely on it), so do not reorder the draws.
 
 Interior modes: ball by radial scaling, ellipsoid by affine pushforward,
-polytope by bounding-box rejection, dented ball by rejection from its
-enclosing ball.  Boundary modes: ball via normalized Gaussians, ellipsoid via
+polytope by its triangulation (or, when it fills its bounding box, by
+bounding-box rejection), dented ball by rejection from its enclosing ball.
+Boundary modes: ball via normalized Gaussians, ellipsoid via
 Jacobian-reweighted rejection off the sphere (exact area uniformity, no mesh).
+
+A polytope's interior draw is exact (Devroye 1986, Non-Uniform Random Variate
+Generation, ch. XI).  Its pulling triangulation (PolytopeV.triangulation)
+tiles it with simplices [a, f_1, ..., f_d] of volumes V_1..V_k.  On the
+interior stream the sampler draws, in this order:
+
+1. when k > 1, n uniforms u; point i goes to the simplex m with
+   c_(m-1) <= u_i < c_m, where c_0 = 0 and
+   c_m = (V_1 + ... + V_m) / (V_1 + ... + V_k);
+2. a (d + 1, n) block of standard exponentials e, row r holding the r-th
+   weight of every point.
+
+With S = e_0 + e_1 + ... + e_d, added in that order, the point is
+x_j = a_j + (e_1 / S)(f_1 - a)_j + ... + (e_d / S)(f_d - a)_j, the terms
+added in that order: the Dirichlet(1, ..., 1) weights e / S are uniform
+barycentric coordinates.  A polytope whose box acceptance vol(P) /
+vol(bounding box) is 1 (up to roundoff) keeps bounding-box rejection instead,
+bit for bit, since there a single round of box proposals is cheaper.
 
 The hot kernels work column by column, in place: a broadcast against a last
 axis of length d runs a d-element inner loop per row, which costs more than
@@ -33,6 +52,7 @@ from .geometry import (
     BumpBall,
     Ellipsoid,
     PolytopeV,
+    Triangulation,
     contains_batch,
     support,
 )
@@ -41,6 +61,13 @@ log = logging.getLogger("randhull")
 
 _MODE_KEYS = {"interior": 0, "boundary": 1}
 _MAX_REJECTION_ROUNDS = 500
+# smallest box acceptance vol(P) / vol(bounding box) at which a polytope keeps
+# bounding-box rejection.  Rejection draws whole batches of max(1024, n), so
+# below acceptance 1 it pays a second round, and from n = 1e4 on the
+# triangulation is faster at every acceptance measured below 1, 0.9987 the
+# highest (BENCH_triangulation_sampler.json).  So only a polytope that fills
+# its box, up to the roundoff of the volume sum, keeps the box.
+_BOX_MIN_ACCEPTANCE = 1.0 - 1e-9
 
 
 def philox(seed: int, *key: int) -> np.random.Generator:
@@ -151,7 +178,17 @@ def _sample_interior(body: BodySpec, n: int, rng: np.random.Generator) -> np.nda
     if isinstance(body, PolytopeV):
         lo = body.vertices.min(axis=0)
         width = body.vertices.max(axis=0) - lo
-
+        tri = body.triangulation()
+        acceptance = float(tri.volumes.sum() / np.prod(width))
+        box = acceptance >= _BOX_MIN_ACCEPTANCE
+        log.debug(
+            "polytope sampler: %s path, simplices %d, box acceptance %.4g",
+            "box" if box else "triangulation",
+            len(tri.volumes),
+            acceptance,
+        )
+        if not box:
+            return _triangulation_points(tri, n, rng)
         return _rejection_loop(
             n,
             lambda m: _scale_shift_columns(rng.random((m, d)), width, lo),
@@ -164,6 +201,33 @@ def _sample_interior(body: BodySpec, n: int, rng: np.random.Generator) -> np.nda
             lambda pts: contains_batch(body, pts),
         )
     raise TypeError(f"unknown body kind {type(body).__name__}")
+
+
+def _triangulation_points(tri: Triangulation, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n uniform points of the union of the simplices [a, f_1, ..., f_d].
+
+    The draw order is documented in the module docstring.
+    """
+    k, d, _ = tri.edges.shape
+    if k > 1:
+        cum = np.cumsum(tri.volumes)
+        which = np.searchsorted(cum[:-1] / cum[-1], rng.random(n), side="right")
+    e = rng.standard_exponential((d + 1, n))
+    total = e[0] + e[1]
+    for r in range(2, d + 1):
+        total += e[r]
+    for r in range(1, d + 1):
+        e[r] /= total
+    pts = np.empty((n, d))
+    term = np.empty(n)
+    for j in range(d):
+        col = pts[:, j]
+        col[...] = tri.apex[j]
+        for r in range(1, d + 1):
+            edge = tri.edges[0, r - 1, j] if k == 1 else tri.edges[:, r - 1, j][which]
+            np.multiply(e[r], edge, out=term)
+            col += term
+    return pts
 
 
 def _sample_boundary(body: BodySpec, n: int, rng: np.random.Generator) -> np.ndarray:

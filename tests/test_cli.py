@@ -94,6 +94,29 @@ def test_distance_reports_deficit(tmp_path, ball_path):
     assert doc["net_delta"] == 0.05
 
 
+def test_distance_certifies_a_disc_cloud_with_the_exact_distance(tmp_path, ball_path):
+    from scipy.spatial import ConvexHull
+
+    from randhull.estimators import ball_hausdorff_exact
+
+    pts = tmp_path / "points.csv"
+    main(["sample", "--body", str(ball_path), "--n", "500", "--seed", "9", "--out", str(pts)])
+    out = tmp_path / "distance.json"
+    main(
+        [
+            "distance",
+            "--body", str(ball_path),
+            "--points", str(pts),
+            "--format", "json",
+            "--out", str(out),
+        ]
+    )
+    doc = json.loads(out.read_text())
+    equations = ConvexHull(load_points(pts)).equations
+    exact = ball_hausdorff_exact(Ball(center=[0.0, 0.0], radius=1.0), equations)
+    assert doc["net_value"] <= doc["certified_upper"] == exact
+
+
 def test_distance_accepts_prebuilt_net(tmp_path, ball_path):
     net_path = tmp_path / "net.json"
     main(["net", "build", "--d", "2", "--delta", "0.1", "--seed", "2", "--out", str(net_path)])
@@ -150,8 +173,8 @@ def test_check_class_smooth_ball(tmp_path, ball_path):
 
 
 def test_check_class_fit_simplex_is_pinned(tmp_path):
-    # exact values from the bounding-box rejection stream; any change to the
-    # proposals, their order or the containment test moves them
+    # exact values from the triangulation sampler's stream; any change to the
+    # simplex choice, the exponential weights or their arithmetic moves them
     body = tmp_path / "simplex3.json"
     save_body(PolytopeV(vertices=np.vstack([np.zeros(3), np.eye(3)])), body)
     out = tmp_path / "fit.json"
@@ -170,8 +193,8 @@ def test_check_class_fit_simplex_is_pinned(tmp_path):
         ]
     )
     doc = json.loads(out.read_text())
-    assert doc["fitted"]["L"] == 1.8920837743055896
-    assert doc["report"]["worst_ratio"] == 0.998747464573026
+    assert doc["fitted"]["L"] == 2.1360000000000037
+    assert doc["report"]["worst_ratio"] == 1.0
     assert doc["report"]["verdict"] is True
 
 

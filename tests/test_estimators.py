@@ -465,9 +465,52 @@ def test_exact_hausdorff_lies_between_net_value_and_certificate(d, mode):
         cloud = sample(body, mode, n, seed=seed)
         exact = ball_hausdorff_exact(body, hull_points(cloud, facets=True).equations)
         res = hausdorff_to_body(body, cloud, net)
-        assert res.net_value <= exact <= res.certified_upper
         radius = max(body.max_norm_bound(), float(np.linalg.norm(cloud.points, axis=1).max()))
-        assert res.certified_upper == sup_certificate(net, res.net_value, radius)
+        chaining = sup_certificate(net, res.net_value, radius)
+        assert res.net_value <= exact <= chaining
+        # the exact distance is its own certificate when every point lies in
+        # the ball; a point of a boundary cloud can round outside the sphere
+        in_ball = np.linalg.norm(cloud.points - body.center, axis=1).max() <= body.radius
+        assert res.certified_upper == (exact if in_ball else chaining)
+        assert in_ball or mode == "boundary"
+
+
+def _chaining(body, cloud, net):
+    radius = max(body.max_norm_bound(), float(np.linalg.norm(cloud.points, axis=1).max()))
+    return sup_certificate(net, hausdorff_to_body(body, cloud, net).net_value, radius)
+
+
+def test_four_dimensional_ball_keeps_the_chaining_certificate(monkeypatch):
+    _forbid_qhull(monkeypatch)
+    body = Ball(center=np.zeros(4), radius=1.0)
+    net = build_net(4, 0.5, seed=2, streak=200)
+    cloud = sample(body, "interior", 500, seed=88)
+    res = hausdorff_to_body(body, cloud, net)
+    assert res.certified_upper == _chaining(body, cloud, net) == math.inf
+
+
+def test_ball_certificate_needs_every_point_in_the_ball():
+    net = build_net(2, 0.05, seed=7)
+    pts = sample(BALL2, "interior", 300, seed=89).points.copy()
+    pts[0] = [0.0, 1.0 + 1e-12]
+    cloud = SampleCloud(points=pts, body=BALL2, mode="interior", seed=0, n=len(pts))
+    assert ball_hausdorff_exact(BALL2, hull_points(cloud).equations) is not None
+    res = hausdorff_to_body(BALL2, cloud, net)
+    assert res.certified_upper == _chaining(BALL2, cloud, net)
+    pts[0] = [0.0, 1.0]  # on the sphere is in the ball
+    inside = SampleCloud(points=pts, body=BALL2, mode="interior", seed=0, n=len(pts))
+    res = hausdorff_to_body(BALL2, inside, net)
+    assert res.certified_upper == ball_hausdorff_exact(BALL2, hull_points(inside).equations)
+
+
+def test_ball_certificate_needs_the_center_inside_the_hull():
+    net = build_net(2, 0.05, seed=7)
+    # a hull that misses the center, one with the center on an edge, and a
+    # cloud Qhull rejects
+    misses = [[0.2, 0.1], [0.6, 0.1], [0.4, 0.5]]
+    for pts in (misses, [[-0.5, 0.0], [0.5, 0.0], [0.0, 0.5]], [[0.1, 0.1]] * 3):
+        cloud = SampleCloud(points=pts, body=BALL2, mode="interior", seed=0, n=3)
+        assert hausdorff_to_body(BALL2, cloud, net).certified_upper == _chaining(BALL2, cloud, net)
 
 
 DL_BODIES = {

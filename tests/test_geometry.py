@@ -507,3 +507,54 @@ def test_polytope_contains_is_exact_at_reference_facet_values(body, pts):
         for tol in (t, np.nextafter(t, -np.inf)):
             got = contains_batch(body, pts, tol)
             np.testing.assert_array_equal(got, largest <= tol)
+
+
+# ---------------------------------------------------------------------------
+# pulling triangulation of a polytope
+
+CUBE = PolytopeV(vertices=[[a, b, c] for a in (0.0, 1.0) for b in (0.0, 1.0) for c in (0.0, 1.0)])
+# a square with two points inside it, which are no vertices
+SQUARE_WITH_INNER = PolytopeV(vertices=np.vstack([SQUARE.vertices, [[0.1, 0.2], [-0.3, 0.0]]]))
+TRIANGULATED = {
+    "square": SQUARE,
+    "square_with_inner": SQUARE_WITH_INNER,
+    "cube": CUBE,
+    "simplex3": SIMPLEX3,
+    "random4": RANDOM4,
+    "simplex7": PolytopeV(vertices=np.vstack([np.zeros(7), np.eye(7)]) + 1e3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRIANGULATED))
+def test_triangulation_volumes_sum_to_the_hull_volume(name):
+    from scipy.spatial import ConvexHull
+
+    body = TRIANGULATED[name]
+    apex, edges, volumes = body.triangulation()
+    d = body.dim
+    assert edges.shape == (len(volumes), d, d)
+    assert volumes.min() > 0
+    assert volumes.sum() == pytest.approx(ConvexHull(body.vertices).volume, rel=1e-9)
+    # every simplex spans polytope vertices from a vertex of the hull
+    assert any(np.array_equal(apex, v) for v in body.vertices[ConvexHull(body.vertices).vertices])
+    corners = (edges + apex).reshape(-1, d)
+    scale = float(np.abs(body.vertices).max())
+    assert all(np.min(np.abs(body.vertices - c).max(axis=1)) <= 1e-15 * scale for c in corners)
+
+
+def test_triangulation_of_a_simplex_is_the_simplex():
+    for d in (2, 3, 7):
+        body = PolytopeV(vertices=np.vstack([np.zeros(d), np.eye(d)]))
+        assert body.triangulation().volumes.tolist() == [pytest.approx(1.0 / math.factorial(d))]
+
+
+def test_triangulation_is_built_once_on_first_use(tmp_path):
+    path = tmp_path / "cube.json"
+    save_body(CUBE, path)
+    body = load_body(path)
+    assert body._triangulation is None and body._facets is None
+    tri = body.triangulation()
+    assert body.triangulation() is tri
+    # the facet inequalities come from the same Qhull call
+    assert body._facets is not None
+    np.testing.assert_array_equal(body.facet_inequalities(), CUBE.facet_inequalities())

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from randhull import sampling
 from randhull.geometry import (
     Ball,
     BumpBall,
@@ -163,25 +164,63 @@ def test_points_to_csv_has_header_and_repr_floats():
     assert lines[2].split(",")[0] == repr(1.0 / 3.0)
 
 
-def test_rejection_sampler_logs_its_acceptance(caplog):
-    # bounding-box rejection on the 3-simplex accepts 1/3! of the proposals
-    simplex = PolytopeV(vertices=np.vstack([np.zeros(3), np.eye(3)]))
+def _ngon(m):
+    t = 2.0 * np.pi * np.arange(m) / m
+    return PolytopeV(vertices=np.column_stack([np.cos(t), np.sin(t)]))
+
+
+def _simplex(d, shift=0.0):
+    return PolytopeV(vertices=np.vstack([np.zeros(d), np.eye(d)]) + shift)
+
+
+def _box_acceptance(body):
+    return float(body.triangulation().volumes.sum() / np.prod(np.ptp(body.vertices, axis=0)))
+
+
+HEXAGON = _ngon(6)  # box acceptance 3/4
+CUBE = PolytopeV(vertices=[[a, b, c] for a in (0.0, 1.0) for b in (0.0, 1.0) for c in (0.0, 1.0)])
+TRIANGLE = PolytopeV(vertices=[[0.0, 0.0], [1.0, 0.1], [0.3, 0.9]])  # box acceptance 0.48
+SIMPLEX3 = _simplex(3)
+RANDOM4 = PolytopeV(vertices=np.random.default_rng(17).standard_normal((14, 4)))
+
+
+def test_rejection_sampler_logs_its_acceptance(caplog, monkeypatch):
+    # bounding-box rejection on the regular hexagon, forced, accepts 3/4 of
+    # the proposals
+    monkeypatch.setattr(sampling, "_BOX_MIN_ACCEPTANCE", 0.0)
     with caplog.at_level(logging.DEBUG, logger="randhull"):
-        sample(simplex, "interior", 20000, seed=4)
+        sample(HEXAGON, "interior", 20000, seed=4)
     lines = [r.getMessage() for r in caplog.records if "rejection sampler" in r.getMessage()]
     assert len(lines) == 1
     accepted, proposed = (int(tok) for tok in lines[0].split() if tok.isdigit())
     assert accepted >= 20000
     assert proposed % 20000 == 0
-    assert accepted / proposed == pytest.approx(1.0 / 6.0, abs=0.01)
+    assert accepted / proposed == pytest.approx(0.75, abs=0.01)
+
+
+@pytest.mark.parametrize(
+    "body, path, simplices, acceptance",
+    [
+        (CUBE, "box", 6, 1.0),
+        (HEXAGON, "triangulation", 4, 0.75),
+        (SIMPLEX3, "triangulation", 1, 1.0 / 6.0),
+    ],
+    ids=["cube", "hexagon", "simplex3"],
+)
+def test_polytope_sampler_logs_its_path(caplog, body, path, simplices, acceptance):
+    with caplog.at_level(logging.DEBUG, logger="randhull"):
+        sample(body, "interior", 100, seed=4)
+    lines = [r.getMessage() for r in caplog.records if "polytope sampler" in r.getMessage()]
+    assert lines == [
+        f"polytope sampler: {path} path, simplices {simplices}, box acceptance {acceptance:.4g}"
+    ]
+    rejection = [r for r in caplog.records if "rejection sampler" in r.getMessage()]
+    assert len(rejection) == (path == "box")
 
 
 # The bounding-box rejection sampler as first written: out-of-place proposals
-# and a single max over the facet values.  The sampler must match it bit for bit.
-SIMPLEX3 = PolytopeV(vertices=np.vstack([np.zeros(3), np.eye(3)]))
-RANDOM4 = PolytopeV(vertices=np.random.default_rng(17).standard_normal((14, 4)))
-
-
+# and a single max over the facet values.  Polytopes that fill their box must
+# match it bit for bit.
 def _reference_box_rejection(body, n, seed):
     rng = philox(seed, 0)
     eqs = body.facet_inequalities()
@@ -197,14 +236,162 @@ def _reference_box_rejection(body, n, seed):
     return np.vstack(chunks)[:n]
 
 
-@pytest.mark.parametrize("body", [SQUARE, SIMPLEX3, RANDOM4], ids=["square", "simplex3", "random4"])
+# The triangulation sampler's documented draw order, one point at a time in
+# plain float arithmetic: n uniforms pick the simplices (only when there are
+# several), then a (d + 1, n) block of exponentials gives the weights.
+def _reference_triangulation(body, n, seed):
+    rng = philox(seed, 0)
+    apex, edges, volumes = body.triangulation()
+    k, d = len(volumes), body.dim
+    cum = []
+    running = 0.0
+    for v in volumes.tolist():
+        running += v
+        cum.append(running)
+    bounds = [c / cum[-1] for c in cum[:-1]]
+    u = rng.random(n).tolist() if k > 1 else [0.0] * n
+    e = rng.standard_exponential((d + 1, n))
+    out = np.empty((n, d))
+    for i in range(n):
+        m = 0
+        while m < k - 1 and bounds[m] <= u[i]:
+            m += 1
+        total = 0.0
+        for r in range(d + 1):
+            total += float(e[r, i])
+        w = [float(e[r, i]) / total for r in range(d + 1)]
+        for j in range(d):
+            x = float(apex[j])
+            for r in range(1, d + 1):
+                x += w[r] * float(edges[m, r - 1, j])
+            out[i, j] = x
+    return out
+
+
+POLYTOPE_PATHS = {"square": (SQUARE, "box"), "cube": (CUBE, "box")}
+POLYTOPE_PATHS.update(
+    hexagon=(HEXAGON, "triangulation"),
+    simplex3=(SIMPLEX3, "triangulation"),
+    random4=(RANDOM4, "triangulation"),
+)
+
+
+@pytest.mark.parametrize("name", sorted(POLYTOPE_PATHS))
 @pytest.mark.parametrize("n", [10, 1023, 5000])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_polytope_sampler_matches_reference_bitwise(body, n, seed):
+def test_polytope_sampler_matches_reference_bitwise(name, n, seed):
+    body, path = POLYTOPE_PATHS[name]
+    assert (_box_acceptance(body) >= sampling._BOX_MIN_ACCEPTANCE) == (path == "box")
+    reference = _reference_box_rejection if path == "box" else _reference_triangulation
     got = sample(body, "interior", n, seed).points
-    want = _reference_box_rejection(body, n, seed)
     assert got.shape == (n, body.dim)
-    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got, reference(body, n, seed))
+
+
+# ---------------------------------------------------------------------------
+# the triangulation sampler: exactness
+
+
+TRIANGULATED = {
+    "hexagon": HEXAGON,
+    "triangle": TRIANGLE,
+    "simplex3": SIMPLEX3,
+    "random4": RANDOM4,
+    "octahedron": PolytopeV(vertices=np.vstack([np.eye(3), -np.eye(3)])),
+    "simplex6": _simplex(6),
+    "simplex7": _simplex(7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRIANGULATED))
+def test_triangulation_samples_are_members(name):
+    # box rejection raised RuntimeError on the 6- and 7-simplex
+    body = TRIANGULATED[name]
+    assert _box_acceptance(body) < sampling._BOX_MIN_ACCEPTANCE
+    cloud = sample(body, "interior", 20000, seed=22)
+    assert cloud.points.shape == (20000, body.dim)
+    assert bool(contains_batch(body, cloud.points).all())
+
+
+def test_translated_simplex_samples_are_members_to_relative_roundoff():
+    body = _simplex(7, shift=1e3 + np.arange(7) / 7.0)
+    pts = sample(body, "interior", 20000, seed=23).points
+    size = float(np.ptp(body.vertices, axis=0).max())
+    assert bool(contains_batch(body, pts, tol=1e-12 * 1e3 * size).all())
+    # the barycentric coordinates are those of points inside the unit simplex
+    lam = pts - body.vertices[0]
+    assert float(lam.min()) >= -1e-12 * 1e3
+    assert float(lam.sum(axis=1).max()) <= 1.0 + 1e-12 * 1e3
+
+
+def _simplex_of_each_point(tri, pts):
+    """Index of the sub-simplex holding each point (-1 when none or several)."""
+    which = np.full(len(pts), -1)
+    hits = np.zeros(len(pts), dtype=int)
+    for i, edges in enumerate(tri.edges):
+        lam = np.linalg.solve(edges.T, (pts - tri.apex).T).T
+        inside = (lam.min(axis=1) >= -1e-9) & (lam.sum(axis=1) <= 1.0 + 1e-9)
+        which[inside] = i
+        hits += inside
+    which[hits != 1] = -1
+    return which
+
+
+@pytest.mark.parametrize("name", ["octahedron", "random4"])
+def test_sub_simplex_hits_match_volume_shares(name):
+    from scipy import stats
+
+    body = TRIANGULATED[name]
+    tri = body.triangulation()
+    n = 200_000
+    which = _simplex_of_each_point(tri, sample(body, "interior", n, seed=24).points)
+    assert np.count_nonzero(which < 0) <= 10  # shared faces only, to roundoff
+    counts = np.bincount(which[which >= 0], minlength=len(tri.volumes))
+    expected = counts.sum() * tri.volumes / tri.volumes.sum()
+    assert expected.min() > 5
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    assert stats.chi2.sf(chi2, len(counts) - 1) > 1e-3
+
+
+def test_simplex3_mean_is_its_centroid():
+    n = 400_000
+    pts = sample(SIMPLEX3, "interior", n, seed=25).points
+    # each coordinate is Beta(1, 3): mean 1/4, variance 3/80
+    se = math.sqrt(3.0 / 80.0 / n)
+    assert np.abs(pts.mean(axis=0) - 0.25).max() < 4.0 * se
+
+
+def test_random4_moments_match_box_rejection(monkeypatch):
+    n = 1_000_000
+    tri_pts = sample(RANDOM4, "interior", n, seed=26).points
+    # box rejection, forced, in ten clouds so that no facet product holds
+    # 1e6 rows at once
+    monkeypatch.setattr(sampling, "_BOX_MIN_ACCEPTANCE", 0.0)
+    box_pts = np.vstack(
+        [sample(RANDOM4, "interior", n // 10, seed=100 + s).points for s in range(10)]
+    )
+
+    def moments(pts):
+        """Means and covariances, each with its standard error."""
+        root_n = math.sqrt(len(pts))
+        mean = pts.mean(axis=0)
+        c = pts - mean
+        prods = (c[:, :, None] * c[:, None, :]).reshape(len(pts), -1)
+        return mean, c.std(axis=0) / root_n, prods.mean(axis=0), prods.std(axis=0) / root_n
+
+    m1, se_m1, c1, se_c1 = moments(tri_pts)
+    m2, se_m2, c2, se_c2 = moments(box_pts)
+    assert np.all(np.abs(m1 - m2) < 4.0 * np.hypot(se_m1, se_m2))
+    assert np.all(np.abs(c1 - c2) < 4.0 * np.hypot(se_c1, se_c2))
+
+
+@pytest.mark.parametrize("name", ["triangle", "random4", "simplex7"])
+def test_triangulation_sampler_reproduces_bitwise(name):
+    body = TRIANGULATED[name]
+    a = sample(body, "interior", 3000, seed=27).points
+    b = sample(PolytopeV(vertices=body.vertices.copy()), "interior", 3000, seed=27).points
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, sample(body, "interior", 3000, seed=28).points)
 
 
 # The ball-type samplers as first written, with broadcasts against the last

@@ -49,6 +49,13 @@ _PREFILTER_MIN_DEEP = 0.5
 # must lie to be dropped; far above the roundoff of the edge tests and of
 # Qhull's own distance tests, so no point on or outside an edge is dropped
 _PREFILTER_MARGIN = 1e-9
+# extreme directions of the octagon and the 16-gon, counter-clockwise over half
+# a turn; the other half are their negatives
+_OCTAGON = ((1, 0), (1, 1), (0, 1), (-1, 1))
+_SIXTEEN_GON = ((1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1), (-2, 1))
+# fewest octagon survivors on which the 16-gon costs less than the Qhull work
+# it saves
+_PREFILTER_16GON_MIN = 1000
 
 
 class HullPoints(NamedTuple):
@@ -60,17 +67,28 @@ class HullPoints(NamedTuple):
     equations: np.ndarray | None
 
 
-def _octagon(x: np.ndarray, y: np.ndarray) -> list | None:
+def _polygon(x: np.ndarray, y: np.ndarray, directions: tuple) -> list | None:
     """Corners of the counter-clockwise polygon through the cloud's extremes.
 
-    The extremes are along x, x+y, y, y-x and their negatives.  None when an
-    extreme is not finite or fewer than 3 are distinct.
+    directions lists integer pairs (a, b), counter-clockwise over half a
+    turn; the extremes are the argmax of a*x + b*y and then, for the opposite
+    directions, its argmin.  Each entry of a pair is 0, 1 or 2 in magnitude,
+    so the products are exact and only the sum rounds.  None when an extreme
+    is not finite or fewer than 3 are distinct.
     """
-    # one temporary holds x+y, then x-y
-    diag = x + y
-    extremes = [x.argmax(), diag.argmax(), y.argmax(), 0, x.argmin(), diag.argmin(), y.argmin(), 0]
-    np.subtract(x, y, out=diag)
-    extremes[3], extremes[7] = diag.argmin(), diag.argmax()
+    buf = np.empty(len(x))
+    highs, lows = [], []
+    for a, b in directions:
+        if b == 0:
+            proj = x
+        elif a == 0:
+            proj = y
+        else:
+            proj = np.multiply(x, a, out=buf)
+            proj += y if b == 1 else b * y
+        highs.append(proj.argmax())
+        lows.append(proj.argmin())
+    extremes = highs + lows
     corners = list(zip(x[extremes].tolist(), y[extremes].tolist()))
     if not all(math.isfinite(c) for corner in corners for c in corner):
         return None
@@ -96,26 +114,73 @@ def _deep_inside(x: np.ndarray, y: np.ndarray, poly: list) -> np.ndarray:
     return deep
 
 
-def _octagon_survivors(points: np.ndarray) -> np.ndarray | None:
-    """Indices of the 2-d points not deep inside the octagon of the extremes.
+def _outside_disc(x: np.ndarray, y: np.ndarray, poly: list) -> np.ndarray | None:
+    """Mask of the points not deep inside the disc inscribed in poly.
 
-    A point strictly left of each edge of the octagon, by more than the
-    margin, has positive winding number about it, so lies inside the hull of
-    the extremes and is no hull vertex or coplanar point.  The extremes
-    include the coordinate-wise min and max, so Qhull sees the same bounding
-    box and tolerances.  A probe of every _PREFILTER_PROBE_STRIDE-th point,
-    against its own octagon, decides first whether the filter pays.  None
-    when it does not, or when the octagon is None.
+    The disc is centred on the mean c of the corners, with radius the least
+    signed distance from c to an edge line, less the margin at a scale s of
+    at least every coordinate of the cloud: s = max(|c_x|, |c_y|) plus the
+    largest distance from c.  A point within the shrunk disc lies left of
+    every edge by more than that margin, so is deep inside poly as
+    _deep_inside has it.  None when the shrunk disc is empty or not finite.
+    """
+    cx = sum(corner[0] for corner in poly) / len(poly)
+    cy = sum(corner[1] for corner in poly) / len(poly)
+    inradius = min(
+        ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)) / math.hypot(bx - ax, by - ay)
+        for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1])
+    )
+    dist2 = np.subtract(x, cx)
+    dist2 *= dist2
+    term = np.subtract(y, cy)
+    term *= term
+    dist2 += term
+    scale = max(abs(cx), abs(cy)) + math.sqrt(dist2.max())
+    radius = inradius - _PREFILTER_MARGIN * scale
+    if not radius > 0:
+        return None
+    # a NaN distance compares False, so its row is kept for the later stages
+    return ~(dist2 < radius * radius)
+
+
+def _prefilter_survivors(points: np.ndarray) -> np.ndarray | None:
+    """Indices of the 2-d points not deep inside the hull of their extremes.
+
+    A cascade of cuts, each dropping only points left of every edge of a
+    polygon through points of the cloud by more than the margin: such a
+    point has positive winding number about the polygon, so lies inside the
+    hull of its corners and is no hull vertex or coplanar point.
+
+    1. A probe of every _PREFILTER_PROBE_STRIDE-th point, against the octagon
+       of its own extremes, decides whether the filter pays.
+    2. The points inside the disc inscribed in the probe's octagon go, at a
+       few array passes per point.
+    3. The octagon through the survivors' extremes along x, x+y, y, y-x and
+       their negatives cuts the rest.  No hull vertex lies in the disc, so
+       these are the cloud's own extremes, coordinate-wise min and max
+       included, and Qhull sees the same bounding box and tolerances.
+    4. Above _PREFILTER_16GON_MIN survivors, the 16-gon through the extremes
+       along the _SIXTEEN_GON directions cuts again.
+
+    None when the probe says the filter does not pay, or when an octagon is
+    None.
     """
     x, y = points[:, 0], points[:, 1]
     probe = slice(None, None, _PREFILTER_PROBE_STRIDE)
-    poly = _octagon(x[probe], y[probe])
+    poly = _polygon(x[probe], y[probe], _OCTAGON)
     if poly is None or _deep_inside(x[probe], y[probe], poly).mean() < _PREFILTER_MIN_DEEP:
         return None
-    poly = _octagon(x, y)
-    if poly is None:
-        return None
-    return np.flatnonzero(~_deep_inside(x, y, poly))
+    outside = _outside_disc(x, y, poly)
+    kept = np.arange(len(x)) if outside is None else np.flatnonzero(outside)
+    for directions, min_points in ((_OCTAGON, 0), (_SIXTEEN_GON, _PREFILTER_16GON_MIN)):
+        if len(kept) < min_points:
+            break
+        xs, ys = x[kept], y[kept]
+        poly = _polygon(xs, ys, directions)
+        if poly is None:
+            return None
+        kept = kept[~_deep_inside(xs, ys, poly)]
+    return kept
 
 
 def _qhull_keep(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -171,7 +236,7 @@ def hull_points(cloud: SampleCloud, facets: bool = False) -> HullPoints:
         return HullPoints(points, False, len(points), None if hull is None else hull[1])
     qhull_input = 0
     if cloud.dim == 2 and len(points) >= _PREFILTER_MIN_POINTS:
-        survivors = _octagon_survivors(points)
+        survivors = _prefilter_survivors(points)
         if survivors is not None:
             candidates = points[survivors]
             qhull_input = len(candidates)
@@ -241,12 +306,14 @@ def hausdorff_to_body(body: BodySpec, cloud: SampleCloud, net: SphereNet) -> Dis
 
     For a cloud drawn from the body the hull is nested inside it, so this sup
     is the Hausdorff distance; the net value reads it from below.  The
-    certificate is the exact distance from the hull's facets
-    (ball_hausdorff_exact) for a ball in d = 2 or 3 when Qhull builds the
-    hull, the hull holds the center strictly inside and every point lies in
-    the ball.  Otherwise it is the chaining bound (sup_certificate, at the
-    larger of the body's radius bound and the largest point norm), or inf on
-    an uncertified net.
+    certificate is exact for a ball in d = 2 or 3 when Qhull builds the hull
+    and the hull holds the center c strictly inside: then the Hausdorff
+    distance is max(R - min_i (b_i - a_i.c), max_x |x - c| - R), the first
+    term the ball's farthest reach outside the hull (ball_hausdorff_exact),
+    the second the hull's outside the ball, so points that round past the
+    sphere keep the certificate.  Otherwise it is the chaining bound
+    (sup_certificate, at the larger of the body's radius bound and the
+    largest point norm), or inf on an uncertified net.
     """
     is_ball = isinstance(body, Ball)
     hull = hull_points(cloud, facets=is_ball)
@@ -254,8 +321,10 @@ def hausdorff_to_body(body: BodySpec, cloud: SampleCloud, net: SphereNet) -> Dis
     net_value = float(deficit.max())
     certified = None
     if is_ball and hull.equations is not None:
-        if float(np.linalg.norm(cloud.points - body.center, axis=1).max()) <= body.radius:
-            certified = ball_hausdorff_exact(body, hull.equations)
+        inner = ball_hausdorff_exact(body, hull.equations)
+        if inner is not None:
+            reach = float(np.linalg.norm(cloud.points - body.center, axis=1).max())
+            certified = max(inner, reach - body.radius)
     if certified is None:
         radius = max(body.max_norm_bound(), float(np.linalg.norm(cloud.points, axis=1).max()))
         certified = sup_certificate(net, net_value, radius)

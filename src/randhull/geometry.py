@@ -282,10 +282,6 @@ class BumpBall:
 BodySpec = Ball | Ellipsoid | PolytopeV | BumpBall
 
 
-def body_dim(body: BodySpec) -> int:
-    return body.dim
-
-
 def canonical_center(body: BodySpec) -> np.ndarray:
     """The body's natural center (used by d_L and the CLI defaults)."""
     if isinstance(body, (Ball, Ellipsoid)):

@@ -252,6 +252,7 @@ def prefilter_gate(request, monkeypatch):
         monkeypatch.setattr(estimators, "_PREFILTER_MIN_POINTS", 1)
         monkeypatch.setattr(estimators, "_PREFILTER_PROBE_STRIDE", 1)
         monkeypatch.setattr(estimators, "_PREFILTER_MIN_DEEP", 0.0)
+        monkeypatch.setattr(estimators, "_PREFILTER_16GON_MIN", 0)
 
 
 @pytest.mark.parametrize("n", [3, 4, 10, 1000, 100_000])
@@ -267,7 +268,7 @@ def test_prefilter_sends_qhull_a_fraction_of_a_large_cloud():
         cloud = sample(_PREFILTER_BODIES[name], "interior", 100_000, seed=71)
         hull = hull_points(cloud)
         assert hull.reduced
-        assert hull.qhull_input < 20_000, name
+        assert hull.qhull_input < 6_000, name
 
 
 def test_prefilter_skips_clouds_below_the_size_gate():
@@ -331,29 +332,108 @@ def test_prefilter_drops_only_points_beyond_the_margin():
         assert not estimators._deep_inside(x, shift - inset, poly).any()
 
 
-def test_prefilter_nan_row_still_raises():
-    for n in (20, 5000):
+def test_disc_cut_drops_only_points_beyond_the_margin():
+    # the inset test above, for the disc inscribed in the same squares: the
+    # cloud holds the square's corners, so its largest coordinate is the
+    # square's, and the margin is 1e-9 of that
+    for shift, scale in ((0.0, 1.0), (1e6, 1.0), (0.0, 1e-8), (-3e5, 1e3)):
+        corners = [(0, 0), (1, 0), (1, 1), (0, 1)]
+        poly = [(shift + scale * a, shift + scale * b) for a, b in corners]
+        margin = 1e-9 * max(abs(c) for corner in poly for c in corner)
+        inset = np.array([0.0, 0.1 * margin, 0.9 * margin, 2.0 * margin, 0.5 * scale])
+        x = np.append(np.full(len(inset), shift + 0.5 * scale), [p[0] for p in poly])
+        y = np.append(shift + inset, [p[1] for p in poly])
+        outside = estimators._outside_disc(x, y, poly)
+        np.testing.assert_array_equal(outside, [True, True, True, False, False] + [True] * 4)
+
+
+def _inset_from_edges(x, y, poly):
+    """Least signed distance of each point inside the edges of poly."""
+    dist = np.full(len(x), np.inf)
+    for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1]):
+        ex, ey = bx - ax, by - ay
+        np.minimum(dist, (ex * (y - ay) - ey * (x - ax)) / math.hypot(ex, ey), out=dist)
+    return dist
+
+
+@pytest.mark.parametrize("name", sorted(_PREFILTER_BODIES))
+def test_disc_cut_drops_only_points_deep_inside_the_probe_octagon(name):
+    clouds = [sample(_PREFILTER_BODIES[name], "interior", 20_000, seed=seed).points for seed in (91, 92)]
+    if name == "triangle":
+        clouds.append(_triangle_with_edge_points(20_000, 93))
+    for pts in clouds:
+        x, y = pts[:, 0], pts[:, 1]
+        probe = slice(None, None, estimators._PREFILTER_PROBE_STRIDE)
+        poly = estimators._polygon(x[probe], y[probe], estimators._OCTAGON)
+        if poly is None:
+            # the thin ellipse's probe can have two distinct extremes, and
+            # the filter stops there
+            assert name == "thin_ellipse"
+            continue
+        outside = estimators._outside_disc(x, y, poly)
+        if outside is None:
+            # the margin swallows the disc of a tiny body far from the origin
+            assert name == "far_disc"
+            continue
+        dropped = ~outside
+        margin = 1e-9 * np.abs(pts).max()
+        assert (_inset_from_edges(x[dropped], y[dropped], poly) > margin).all()
+        assert dropped.any()
+
+
+def _count_disc_cuts(monkeypatch):
+    calls = []
+    real = estimators._outside_disc
+    monkeypatch.setattr(estimators, "_outside_disc", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_prefilter_nan_row_still_raises(monkeypatch):
+    calls = _count_disc_cuts(monkeypatch)
+    for n in (20, 5000, 100_000):
         pts = sample(BALL2, "interior", n, seed=75).points.copy()
         pts[n // 2, 1] = np.nan
         with pytest.raises(ValueError):
             hull_points(_interior_cloud(pts))
+    assert len(calls) == 2  # the row is outside the probe of the large clouds
 
 
-def test_prefilter_inf_row_falls_back_to_the_full_cloud():
-    for n in (20, 5000):
+def test_prefilter_inf_row_falls_back_to_the_full_cloud(monkeypatch):
+    calls = _count_disc_cuts(monkeypatch)
+    for n in (20, 5000, 100_000):
         pts = sample(BALL2, "interior", n, seed=76).points.copy()
         pts[n // 3, 0] = np.inf
         cloud = _interior_cloud(pts)
         got = hull_points(cloud)
         assert got.points is cloud.points and not got.reduced
         assert got.qhull_input == n
+    assert len(calls) == 2
+
+
+def _polygon_directions(monkeypatch):
+    calls = []
+    real = estimators._polygon
+    monkeypatch.setattr(estimators, "_polygon", lambda x, y, dirs: calls.append(dirs) or real(x, y, dirs))
+    return calls
+
+
+def test_sixteen_gon_runs_only_above_its_gate(monkeypatch):
+    calls = _polygon_directions(monkeypatch)
+    # about 10000 of a 1e5-point disc survive the octagon, a few hundred of
+    # the square
+    hull_points(sample(_PREFILTER_BODIES["disc"], "interior", 100_000, seed=94))
+    assert calls == [estimators._OCTAGON, estimators._OCTAGON, estimators._SIXTEEN_GON]
+    calls.clear()
+    hull = hull_points(sample(_PREFILTER_BODIES["square"], "interior", 100_000, seed=94))
+    assert calls == [estimators._OCTAGON, estimators._OCTAGON]
+    assert hull.qhull_input < estimators._PREFILTER_16GON_MIN
 
 
 def _forbid_prefilter(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the octagon pre-filter ran on a cloud outside d = 2 interior")
 
-    monkeypatch.setattr(estimators, "_octagon_survivors", refuse)
+    monkeypatch.setattr(estimators, "_prefilter_survivors", refuse)
 
 
 def test_prefilter_skips_boundary_and_higher_dimensional_clouds(monkeypatch):
@@ -468,11 +548,11 @@ def test_exact_hausdorff_lies_between_net_value_and_certificate(d, mode):
         radius = max(body.max_norm_bound(), float(np.linalg.norm(cloud.points, axis=1).max()))
         chaining = sup_certificate(net, res.net_value, radius)
         assert res.net_value <= exact <= chaining
-        # the exact distance is its own certificate when every point lies in
-        # the ball; a point of a boundary cloud can round outside the sphere
-        in_ball = np.linalg.norm(cloud.points - body.center, axis=1).max() <= body.radius
-        assert res.certified_upper == (exact if in_ball else chaining)
-        assert in_ball or mode == "boundary"
+        # points of a boundary cloud can round an ulp past the sphere; the
+        # hull's reach outside the ball is then far below the exact distance
+        reach = np.linalg.norm(cloud.points - body.center, axis=1).max() - body.radius
+        assert reach <= 1e-15
+        assert res.certified_upper == exact
 
 
 def _chaining(body, cloud, net):
@@ -489,18 +569,32 @@ def test_four_dimensional_ball_keeps_the_chaining_certificate(monkeypatch):
     assert res.certified_upper == _chaining(body, cloud, net) == math.inf
 
 
-def test_ball_certificate_needs_every_point_in_the_ball():
+def test_ball_certificate_counts_the_hull_outside_the_ball():
     net = build_net(2, 0.05, seed=7)
     pts = sample(BALL2, "interior", 300, seed=89).points.copy()
     pts[0] = [0.0, 1.0 + 1e-12]
     cloud = SampleCloud(points=pts, body=BALL2, mode="interior", seed=0, n=len(pts))
-    assert ball_hausdorff_exact(BALL2, hull_points(cloud).equations) is not None
-    res = hausdorff_to_body(BALL2, cloud, net)
-    assert res.certified_upper == _chaining(BALL2, cloud, net)
-    pts[0] = [0.0, 1.0]  # on the sphere is in the ball
-    inside = SampleCloud(points=pts, body=BALL2, mode="interior", seed=0, n=len(pts))
-    res = hausdorff_to_body(BALL2, inside, net)
-    assert res.certified_upper == ball_hausdorff_exact(BALL2, hull_points(inside).equations)
+    exact = ball_hausdorff_exact(BALL2, hull_points(cloud).equations)
+    assert hausdorff_to_body(BALL2, cloud, net).certified_upper == exact > 1e-12
+    # the two-sided distance sup_u |h_hull(u) - 1| on a fine grid of angles
+    ang = np.linspace(0.0, 2.0 * math.pi, 20_000, endpoint=False)
+    grid = np.column_stack([np.cos(ang), np.sin(ang)])
+    # a spike to (0, 1.5): the hull reaches 0.5 outside the ball, more than
+    # the ball reaches outside the hull
+    pts[0] = [0.0, 1.5]
+    spike = SampleCloud(points=pts, body=BALL2, mode="interior", seed=0, n=len(pts))
+    assert ball_hausdorff_exact(BALL2, hull_points(spike).equations) < 0.5
+    assert hausdorff_to_body(BALL2, spike, net).certified_upper == 0.5
+    # a cloud from the radius-2 disc holds the unit disc: the first term is
+    # negative and the distance is the cloud's reach
+    wide = sample(Ball(center=[0.0, 0.0], radius=2.0), "interior", 300, seed=90)
+    reach = float(np.linalg.norm(wide.points, axis=1).max())
+    assert ball_hausdorff_exact(BALL2, hull_points(wide).equations) < 0
+    assert hausdorff_to_body(BALL2, wide, net).certified_upper == reach - 1.0
+    for cloud in (spike, wide):
+        on_grid = np.abs((grid @ cloud.points.T).max(axis=1) - 1.0).max()
+        certified = hausdorff_to_body(BALL2, cloud, net).certified_upper
+        assert on_grid <= certified <= on_grid + 1e-7
 
 
 def test_ball_certificate_needs_the_center_inside_the_hull():

@@ -3,9 +3,10 @@
 Two paths read that distance.  The exact path takes the facets a_i.x <= b_i of
 the hull P, as Qhull (Barber, Dobkin and Huhdanpaa 1996) computes them.  With
 c strictly inside P, the Hausdorff distance of P to a ball of radius R about c
-is R - min_i (b_i - a_i.c), and the center-relative distance d_L to any body K
-is 1 - min_i (b_i - a_i.c) / (h_K(a_i) - a_i.c): the shortest way from c out
-of P ends on a facet, and so does the largest copy of K about c inside P.
+is max(R - min_i (b_i - a_i.c), max_x |x - c| - R), the first term alone when
+P lies in the ball, and the center-relative distance d_L to any body K is
+1 - min_i (b_i - a_i.c) / (h_K(a_i) - a_i.c): the shortest way from c out of
+P ends on a facet, and so does the largest copy of K about c inside P.
 
 The net path reads a metric from support evaluations on a set of directions:
 the hull's support function is the max of dot products against the cloud,
@@ -14,12 +15,14 @@ max, so interior clouds in d <= 3 are first cut to the vertices Qhull finds;
 the max over that subset is the max over the cloud.  Boundary clouds, where
 every point is a vertex, and clouds in d >= 4, where Qhull costs more than the
 max-dot it saves, keep the full cloud.  Before Qhull, a large 2-d cloud drops
-the points deep inside the octagon through its extreme points along eight
-fixed directions (the Akl-Toussaint pre-filter; Akl and Toussaint 1978).  None
-of them can be a vertex, so Qhull returns the same points from about a tenth
-of a disc cloud.  Hausdorff deficits over a net, L^p deficits and plug-in
-functionals use only support evaluations, so they work whether the "body" is
-an analytic spec or another cloud.
+the points deep inside polygons through its extreme points (the Akl-Toussaint
+pre-filter; Akl and Toussaint 1978): first those inside a disc inscribed in
+the octagon of a probe, then those inside the octagon through the extremes
+along eight fixed directions, and on a cloud with many survivors those inside
+the 16-gon through sixteen.  None of them can be a vertex, so Qhull returns
+the same points from about 3% of a disc cloud.  Hausdorff deficits over a
+net, L^p deficits and plug-in functionals use only support evaluations, so
+they work whether the "body" is an analytic spec or another cloud.
 """
 
 from __future__ import annotations
@@ -45,16 +48,16 @@ _PREFILTER_MIN_POINTS = 2000
 # cloud too loosely (a thin ellipse across the axes) to repay its cost
 _PREFILTER_PROBE_STRIDE = 64
 _PREFILTER_MIN_DEEP = 0.5
-# how far inside the octagon, as a fraction of the largest coordinate, a point
-# must lie to be dropped; far above the roundoff of the edge tests and of
-# Qhull's own distance tests, so no point on or outside an edge is dropped
+# how far inside a polygon, as a fraction of the largest coordinate, a point
+# must lie to be dropped; far above the roundoff of the edge and disc tests and
+# of Qhull's own distance tests, so no point on or outside an edge is dropped
 _PREFILTER_MARGIN = 1e-9
 # extreme directions of the octagon and the 16-gon, counter-clockwise over half
 # a turn; the other half are their negatives
 _OCTAGON = ((1, 0), (1, 1), (0, 1), (-1, 1))
 _SIXTEEN_GON = ((1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1), (-2, 1))
 # fewest octagon survivors on which the 16-gon costs less than the Qhull work
-# it saves
+# it saves (crossover measured in BENCH_prefilter_cascade.json)
 _PREFILTER_16GON_MIN = 1000
 
 
@@ -70,11 +73,12 @@ class HullPoints(NamedTuple):
 def _polygon(x: np.ndarray, y: np.ndarray, directions: tuple) -> list | None:
     """Corners of the counter-clockwise polygon through the cloud's extremes.
 
-    directions lists integer pairs (a, b), counter-clockwise over half a
-    turn; the extremes are the argmax of a*x + b*y and then, for the opposite
-    directions, its argmin.  Each entry of a pair is 0, 1 or 2 in magnitude,
-    so the products are exact and only the sum rounds.  None when an extreme
-    is not finite or fewer than 3 are distinct.
+    directions lists integer pairs (a, b) counter-clockwise from (1, 0) over
+    half a turn, so (1, 0) and (0, 1) are the only ones with a zero entry;
+    the extremes are the argmax of a*x + b*y and then, for the opposite
+    directions, its argmin.  Each entry is at most 2 in magnitude, so the
+    products are exact and only the sum rounds.  None when an extreme is not
+    finite or fewer than 3 are distinct.
     """
     buf = np.empty(len(x))
     highs, lows = [], []
@@ -118,9 +122,9 @@ def _outside_disc(x: np.ndarray, y: np.ndarray, poly: list) -> np.ndarray | None
     """Mask of the points not deep inside the disc inscribed in poly.
 
     The disc is centred on the mean c of the corners, with radius the least
-    signed distance from c to an edge line, less the margin at a scale s of
-    at least every coordinate of the cloud: s = max(|c_x|, |c_y|) plus the
-    largest distance from c.  A point within the shrunk disc lies left of
+    signed distance from c to an edge line, less the margin at a scale s no
+    smaller than any coordinate of the cloud in magnitude: s = max(|c_x|,
+    |c_y|) plus the largest distance from c.  A point within the shrunk disc lies left of
     every edge by more than that margin, so is deep inside poly as
     _deep_inside has it.  None when the shrunk disc is empty or not finite.
     """
@@ -139,7 +143,8 @@ def _outside_disc(x: np.ndarray, y: np.ndarray, poly: list) -> np.ndarray | None
     radius = inradius - _PREFILTER_MARGIN * scale
     if not radius > 0:
         return None
-    # a NaN distance compares False, so its row is kept for the later stages
+    # a NaN row has already made the scale NaN and skipped the cut; compared
+    # this way it would be kept all the same, for the octagon to catch
     return ~(dist2 < radius * radius)
 
 
@@ -216,9 +221,9 @@ def hull_points(cloud: SampleCloud, facets: bool = False) -> HullPoints:
     cloud.
 
     A 2-d cloud of at least _PREFILTER_MIN_POINTS first drops its points deep
-    inside the octagon of its extremes (Akl and Toussaint 1978), and the
-    result is the same array, in the same order, as from Qhull on the full
-    cloud; the facets are those of the survivors' hull, which is the same
+    inside the polygons of _prefilter_survivors (Akl and Toussaint 1978), and
+    the result is the same array, in the same order, as from Qhull on the
+    full cloud; the facets are those of the survivors' hull, which is the same
     hull.  Among exact ties Qhull keeps whichever point it meets first, and
     dropping points changes that order, so when a hull point shares its
     x-coordinate with another survivor (never, in a continuous sample) the

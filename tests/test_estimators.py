@@ -358,7 +358,8 @@ def _inset_from_edges(x, y, poly):
 
 @pytest.mark.parametrize("name", sorted(_PREFILTER_BODIES))
 def test_disc_cut_drops_only_points_deep_inside_the_probe_octagon(name):
-    clouds = [sample(_PREFILTER_BODIES[name], "interior", 20_000, seed=seed).points for seed in (91, 92)]
+    body = _PREFILTER_BODIES[name]
+    clouds = [sample(body, "interior", 20_000, seed=seed).points for seed in (91, 92)]
     if name == "triangle":
         clouds.append(_triangle_with_edge_points(20_000, 93))
     for pts in clouds:
@@ -381,15 +382,16 @@ def test_disc_cut_drops_only_points_deep_inside_the_probe_octagon(name):
         assert dropped.any()
 
 
-def _count_disc_cuts(monkeypatch):
+def _spy(monkeypatch, name):
+    """The argument tuples of the calls to estimators.<name> from now on."""
     calls = []
-    real = estimators._outside_disc
-    monkeypatch.setattr(estimators, "_outside_disc", lambda *a: calls.append(1) or real(*a))
+    real = getattr(estimators, name)
+    monkeypatch.setattr(estimators, name, lambda *args: calls.append(args) or real(*args))
     return calls
 
 
 def test_prefilter_nan_row_still_raises(monkeypatch):
-    calls = _count_disc_cuts(monkeypatch)
+    calls = _spy(monkeypatch, "_outside_disc")
     for n in (20, 5000, 100_000):
         pts = sample(BALL2, "interior", n, seed=75).points.copy()
         pts[n // 2, 1] = np.nan
@@ -399,7 +401,7 @@ def test_prefilter_nan_row_still_raises(monkeypatch):
 
 
 def test_prefilter_inf_row_falls_back_to_the_full_cloud(monkeypatch):
-    calls = _count_disc_cuts(monkeypatch)
+    calls = _spy(monkeypatch, "_outside_disc")
     for n in (20, 5000, 100_000):
         pts = sample(BALL2, "interior", n, seed=76).points.copy()
         pts[n // 3, 0] = np.inf
@@ -410,28 +412,22 @@ def test_prefilter_inf_row_falls_back_to_the_full_cloud(monkeypatch):
     assert len(calls) == 2
 
 
-def _polygon_directions(monkeypatch):
-    calls = []
-    real = estimators._polygon
-    monkeypatch.setattr(estimators, "_polygon", lambda x, y, dirs: calls.append(dirs) or real(x, y, dirs))
-    return calls
-
-
 def test_sixteen_gon_runs_only_above_its_gate(monkeypatch):
-    calls = _polygon_directions(monkeypatch)
+    calls = _spy(monkeypatch, "_polygon")
+    octagon, sixteen_gon = estimators._OCTAGON, estimators._SIXTEEN_GON
     # about 10000 of a 1e5-point disc survive the octagon, a few hundred of
     # the square
     hull_points(sample(_PREFILTER_BODIES["disc"], "interior", 100_000, seed=94))
-    assert calls == [estimators._OCTAGON, estimators._OCTAGON, estimators._SIXTEEN_GON]
+    assert [args[2] for args in calls] == [octagon, octagon, sixteen_gon]
     calls.clear()
     hull = hull_points(sample(_PREFILTER_BODIES["square"], "interior", 100_000, seed=94))
-    assert calls == [estimators._OCTAGON, estimators._OCTAGON]
+    assert [args[2] for args in calls] == [octagon, octagon]
     assert hull.qhull_input < estimators._PREFILTER_16GON_MIN
 
 
 def _forbid_prefilter(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the octagon pre-filter ran on a cloud outside d = 2 interior")
+        raise AssertionError("the hull pre-filter ran on a cloud outside d = 2 interior")
 
     monkeypatch.setattr(estimators, "_prefilter_survivors", refuse)
 

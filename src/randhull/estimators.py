@@ -118,22 +118,48 @@ def _deep_inside(x: np.ndarray, y: np.ndarray, poly: list) -> np.ndarray:
     return deep
 
 
-def _outside_disc(x: np.ndarray, y: np.ndarray, poly: list) -> np.ndarray | None:
-    """Mask of the points not deep inside the disc inscribed in poly.
+def _inradius(poly: list, cx: float, cy: float) -> float:
+    """Least signed distance from (cx, cy) to the edge lines of poly."""
+    return min(
+        ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)) / math.hypot(bx - ax, by - ay)
+        for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1])
+    )
 
-    The disc is centred on the mean c of the corners, with radius the least
+
+def _disc_centre(poly: list) -> tuple[float, float, float]:
+    """(c_x, c_y, inradius) for whichever of two centres lies deeper in poly.
+
+    The candidates are the mean m of the corners and the area centroid, taken
+    about m so that a polygon far from the origin loses no digits.  Several
+    extremes at one vertex of a polygonal body pull m toward it; the
+    centroid stays central.
+    """
+    mx = sum(corner[0] for corner in poly) / len(poly)
+    my = sum(corner[1] for corner in poly) / len(poly)
+    best = (mx, my, _inradius(poly, mx, my))
+    rel = [(ax - mx, ay - my) for ax, ay in poly]
+    edges = list(zip(rel, rel[1:] + rel[:1]))
+    cross = [ax * by - bx * ay for (ax, ay), (bx, by) in edges]
+    area2 = sum(cross)  # twice the area
+    if not area2 > 0:
+        return best
+    cx = mx + sum((a[0] + b[0]) * c for (a, b), c in zip(edges, cross)) / (3 * area2)
+    cy = my + sum((a[1] + b[1]) * c for (a, b), c in zip(edges, cross)) / (3 * area2)
+    inradius = _inradius(poly, cx, cy)
+    return (cx, cy, inradius) if inradius > best[2] else best
+
+
+def _outside_disc(x: np.ndarray, y: np.ndarray, poly: list) -> np.ndarray | None:
+    """Mask of the points not deep inside a disc inscribed in poly.
+
+    The disc is centred on the c of _disc_centre, with radius the least
     signed distance from c to an edge line, less the margin at a scale s no
     smaller than any coordinate of the cloud in magnitude: s = max(|c_x|,
     |c_y|) plus the largest distance from c.  A point within the shrunk disc lies left of
     every edge by more than that margin, so is deep inside poly as
     _deep_inside has it.  None when the shrunk disc is empty or not finite.
     """
-    cx = sum(corner[0] for corner in poly) / len(poly)
-    cy = sum(corner[1] for corner in poly) / len(poly)
-    inradius = min(
-        ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)) / math.hypot(bx - ax, by - ay)
-        for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1])
-    )
+    cx, cy, inradius = _disc_centre(poly)
     dist2 = np.subtract(x, cx)
     dist2 *= dist2
     term = np.subtract(y, cy)

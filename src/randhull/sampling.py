@@ -68,6 +68,10 @@ _MAX_REJECTION_ROUNDS = 500
 # highest (BENCH_triangulation_sampler.json).  So only a polytope that fills
 # its box, up to the roundoff of the volume sum, keeps the box.
 _BOX_MIN_ACCEPTANCE = 1.0 - 1e-9
+# rows of the per-point sampler arithmetic done at a time, so that a block's
+# weights, norms and output columns stay in the L2 cache (measured sweep in
+# BENCH_sampler_blocks.json)
+_BLOCK_ROWS = 16384
 
 
 def philox(seed: int, *key: int) -> np.random.Generator:
@@ -92,13 +96,18 @@ def _row_norms(g: np.ndarray) -> np.ndarray:
     d = g.shape[1]
     if d > _SEQUENTIAL_NORM_MAX_D:
         return np.linalg.norm(g, axis=1)
-    out = g[:, 0] * g[:, 0]
-    if d > 1:
-        sq = np.empty_like(out)
+    n = len(g)
+    out = np.empty(n)
+    sq = np.empty(min(n, _BLOCK_ROWS))
+    for s in range(0, n, _BLOCK_ROWS):
+        t = min(s + _BLOCK_ROWS, n)
+        block, term = out[s:t], sq[: t - s]
+        np.multiply(g[s:t, 0], g[s:t, 0], out=block)
         for j in range(1, d):
-            np.multiply(g[:, j], g[:, j], out=sq)
-            out += sq
-    return np.sqrt(out, out=out)
+            np.multiply(g[s:t, j], g[s:t, j], out=term)
+            block += term
+        np.sqrt(block, out=block)
+    return out
 
 
 def _scale_shift_columns(pts: np.ndarray, scale, shift) -> np.ndarray:
@@ -110,7 +119,8 @@ def _scale_shift_columns(pts: np.ndarray, scale, shift) -> np.ndarray:
     return pts
 
 
-def unit_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+def _gaussian_rows(rng: np.random.Generator, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """n Gaussian rows in R^d and their norms, rows of norm under 1e-12 redrawn."""
     g = rng.standard_normal((n, d))
     norms = _row_norms(g)
     bad = norms < 1e-12
@@ -118,18 +128,45 @@ def unit_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
         g[bad] = rng.standard_normal((int(bad.sum()), d))
         norms[bad] = _row_norms(g[bad])
         bad = norms < 1e-12
-    for j in range(d):
-        g[:, j] /= norms
+    return g, norms
+
+
+def _ball_draw(
+    rng: np.random.Generator, n: int, d: int, interior: bool, radius=None, center=None
+) -> np.ndarray:
+    """Uniform directions, or unit-ball points (direction times U^(1/d)),
+    times radius plus center when given.
+
+    The draws are whole; each column is then divided, scaled and shifted
+    _BLOCK_ROWS rows at a time in a contiguous buffer, in the order of
+    center + radius * ((g / norms) * radii), so the bits are those of that
+    expression.
+    """
+    g, norms = _gaussian_rows(rng, n, d)
+    radii = rng.random(n) ** (1.0 / d) if interior else None
+    acc = np.empty(min(n, _BLOCK_ROWS))
+    for s in range(0, n, _BLOCK_ROWS):
+        t = min(s + _BLOCK_ROWS, n)
+        col = acc[: t - s]
+        for j in range(d):
+            np.divide(g[s:t, j], norms[s:t], out=col)
+            if interior:
+                col *= radii[s:t]
+            if radius is not None:
+                col *= radius
+                col += center[j]
+            g[s:t, j] = col
     return g
+
+
+def unit_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """Uniform draw from the unit sphere: normalised Gaussian rows."""
+    return _ball_draw(rng, n, d, interior=False)
 
 
 def unit_ball_points(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """Uniform draw from the unit ball: direction times U^(1/d) radius."""
-    dirs = unit_directions(rng, n, d)
-    radii = rng.random(n) ** (1.0 / d)
-    for j in range(d):
-        dirs[:, j] *= radii
-    return dirs
+    return _ball_draw(rng, n, d, interior=True)
 
 
 @dataclass
@@ -169,9 +206,7 @@ def sample(body: BodySpec, mode: str, n: int, seed: int) -> SampleCloud:
 def _sample_interior(body: BodySpec, n: int, rng: np.random.Generator) -> np.ndarray:
     d = body.dim
     if isinstance(body, Ball):
-        return _scale_shift_columns(
-            unit_ball_points(rng, n, d), [body.radius] * d, body.center
-        )
+        return _ball_draw(rng, n, d, True, body.radius, body.center)
     if isinstance(body, Ellipsoid):
         z = unit_ball_points(rng, n, d)
         return body.center + (z * body.semi_axes) @ body.rotation.T
@@ -206,36 +241,45 @@ def _sample_interior(body: BodySpec, n: int, rng: np.random.Generator) -> np.nda
 def _triangulation_points(tri: Triangulation, n: int, rng: np.random.Generator) -> np.ndarray:
     """n uniform points of the union of the simplices [a, f_1, ..., f_d].
 
-    The draw order is documented in the module docstring.
+    The draw order is documented in the module docstring.  The draws are
+    whole; the arithmetic then runs _BLOCK_ROWS points at a time: S in a
+    reused block buffer, the weights e_r / S in place, and each output column
+    summed in a contiguous block buffer and written into pts once.
     """
     k, d, _ = tri.edges.shape
     if k > 1:
         cum = np.cumsum(tri.volumes)
         which = np.searchsorted(cum[:-1] / cum[-1], rng.random(n), side="right")
     e = rng.standard_exponential((d + 1, n))
-    total = e[0] + e[1]
-    for r in range(2, d + 1):
-        total += e[r]
-    for r in range(1, d + 1):
-        e[r] /= total
     pts = np.empty((n, d))
-    term = np.empty(n)
-    for j in range(d):
-        col = pts[:, j]
-        col[...] = tri.apex[j]
-        for r in range(1, d + 1):
-            edge = tri.edges[0, r - 1, j] if k == 1 else tri.edges[:, r - 1, j][which]
-            np.multiply(e[r], edge, out=term)
-            col += term
+    rows = min(n, _BLOCK_ROWS)
+    total, acc, term = np.empty(rows), np.empty(rows), np.empty(rows)
+    for s in range(0, n, _BLOCK_ROWS):
+        t = min(s + _BLOCK_ROWS, n)
+        w, tot, col, buf = e[:, s:t], total[: t - s], acc[: t - s], term[: t - s]
+        np.add(w[0], w[1], out=tot)
+        for r in range(2, d + 1):
+            tot += w[r]
+        w[1:] /= tot
+        for j in range(d):
+            for r in range(1, d + 1):
+                # w_r E_rj, E_rj the edge entry of each point's simplex, into
+                # col for r = 1 (w_1 E_1j + a_j is the IEEE sum a_j + w_1 E_1j)
+                out = col if r == 1 else buf
+                if k == 1:
+                    np.multiply(w[r], tri.edges[0, r - 1, j], out=out)
+                else:
+                    np.take(tri.edges[:, r - 1, j], which[s:t], out=out)
+                    out *= w[r]
+                col += tri.apex[j] if r == 1 else buf
+            pts[s:t, j] = col
     return pts
 
 
 def _sample_boundary(body: BodySpec, n: int, rng: np.random.Generator) -> np.ndarray:
     d = body.dim
     if isinstance(body, Ball):
-        return _scale_shift_columns(
-            unit_directions(rng, n, d), [body.radius] * d, body.center
-        )
+        return _ball_draw(rng, n, d, False, body.radius, body.center)
     if isinstance(body, Ellipsoid):
         s = body.semi_axes
         s_min = float(np.min(s))

@@ -198,6 +198,41 @@ def test_check_class_fit_simplex_is_pinned(tmp_path):
     assert doc["report"]["verdict"] is True
 
 
+def test_check_class_fit_draws_each_probe_cloud_twice(tmp_path, monkeypatch):
+    # the fit pass and the membership pass each draw one n_mc cloud per probe
+    # direction; the benchmark's traced simplex_class_fit run counts these
+    # 2 x u_probes x n_mc points, so a change that shares or caches the
+    # clouds must change the benchmark too
+    from randhull import bounds
+    from randhull.sampling import derived_seed
+
+    calls = []
+    real = bounds.sample
+
+    def counted(body, mode, n, seed):
+        calls.append((mode, n, seed))
+        return real(body, mode, n, seed)
+
+    monkeypatch.setattr(bounds, "sample", counted)
+    body = tmp_path / "simplex3.json"
+    save_body(PolytopeV(vertices=np.vstack([np.zeros(3), np.eye(3)])), body)
+    argv = [
+        "check-class",
+        "--body", str(body),
+        "--mode", "interior",
+        "--family", "fit",
+        "--alpha", "3.0",
+        "--eps0", "0.5",
+        "--u-probes", "3",
+        "--n-mc", "20000",
+        "--seed", "7",
+        "--out", str(tmp_path / "fit.json"),
+    ]
+    main(argv)
+    probes = [("interior", 20000, derived_seed(7, j)) for j in range(3)]
+    assert calls == probes + probes
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 

@@ -534,3 +534,54 @@ def test_zero_norm_row_is_redrawn_as_in_reference(d):
     np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, atol=1e-12)
     got = unit_ball_points(_ZeroFirstRow(6), 50, d)
     assert np.array_equal(got, _reference_unit_ball_points(_ZeroFirstRow(6), 50, d))
+
+
+# ---------------------------------------------------------------------------
+# row blocks: the kernels do their arithmetic _BLOCK_ROWS rows at a time, so
+# clouds that end just before, on and just after a block edge, and one that
+# spans three blocks, must match the references bit for bit
+
+_B = sampling._BLOCK_ROWS
+BLOCK_EDGES = [_B - 1, _B, _B + 1, 2 * _B + 1]
+
+
+@pytest.mark.parametrize("name", ["simplex3", "simplex7", "hexagon", "random4"])
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_triangulation_matches_reference_across_block_edges(name, n):
+    # one simplex (simplex3, simplex7) and several (hexagon, random4)
+    body = TRIANGULATED[name]
+    got = sample(body, "interior", n, seed=31).points
+    np.testing.assert_array_equal(got, _reference_triangulation(body, n, 31))
+
+
+@pytest.mark.parametrize("d", [2, 3, 9])
+@pytest.mark.parametrize("mode", ["interior", "boundary"])
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_ball_matches_reference_across_block_edges(d, mode, n):
+    # d = 9 takes np.linalg.norm for its row norms
+    body = Ball(center=np.linspace(-1.5, 3.0, d), radius=2.5)
+    for seed in (0, 1):
+        got = sample(body, mode, n, seed).points
+        assert np.array_equal(got, _reference_sample(body, mode, n, seed))
+
+
+class _ZeroRowInThirdBlock(_ZeroFirstRow):
+    """_ZeroFirstRow with the all-zero row at the start of the third block."""
+
+    def standard_normal(self, size):
+        g = self._rng.standard_normal(size)
+        if not self.zeroed:
+            g[2 * _B] = 0.0
+            self.zeroed = True
+        return g
+
+
+@pytest.mark.parametrize("d", [1, 3, 9])
+@pytest.mark.parametrize("rng_type", [_ZeroFirstRow, _ZeroRowInThirdBlock])
+def test_zero_norm_row_is_redrawn_across_block_edges(d, rng_type):
+    n = 2 * _B + 1
+    got = unit_directions(rng_type(5), n, d)
+    assert np.array_equal(got, _reference_unit_directions(rng_type(5), n, d))
+    np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, atol=1e-12)
+    got = unit_ball_points(rng_type(6), n, d)
+    assert np.array_equal(got, _reference_unit_ball_points(rng_type(6), n, d))

@@ -184,8 +184,8 @@ def _prefilter_survivors(points: np.ndarray) -> np.ndarray | None:
 
     1. A probe of every _PREFILTER_PROBE_STRIDE-th point, against the octagon
        of its own extremes, decides whether the filter pays.
-    2. The points inside the disc inscribed in the probe's octagon go, at a
-       few array passes per point.
+    2. The points inside a disc inscribed in the probe's octagon, about the
+       centre _disc_centre picks, go, at a few array passes per point.
     3. The octagon through the survivors' extremes along x, x+y, y, y-x and
        their negatives cuts the rest.  No hull vertex lies in the disc, so
        these are the cloud's own extremes, coordinate-wise min and max

@@ -30,12 +30,16 @@ barycentric coordinates.  A polytope whose box acceptance vol(P) /
 vol(bounding box) is 1 (up to roundoff) keeps bounding-box rejection instead,
 bit for bit, since there a single round of box proposals is cheaper.
 
-The hot kernels work column by column, in place: a broadcast against a last
-axis of length d runs a d-element inner loop per row, which costs more than
-the arithmetic.  Each column operation is the IEEE operation the broadcast
-would do on the same operands, so every cloud is the one the broadcast form
-gives, bit for bit.  Row norms are summed column by column only up to d = 7;
-from d = 8 on numpy's own reduction sums in another order, so
+The hot kernels make each RNG draw whole, over all n points, then do the
+per-point arithmetic in blocks of _BLOCK_ROWS rows, column by column: a
+broadcast against a last axis of length d runs a d-element inner loop per
+row, which costs more than the arithmetic, and full-length passes over a
+large cloud spill the L2 cache.  Within a block each column is worked in a
+reused contiguous buffer and written into the output once.  Each operation
+is the IEEE operation the broadcast would do on the same operands, in the
+same order, so every cloud is the one the broadcast form gives, bit for bit,
+whatever the block size.  Row norms are summed column by column only up to
+d = 7; from d = 8 on numpy's own reduction sums in another order, so
 ``np.linalg.norm`` is called there.
 """
 

@@ -10,11 +10,11 @@ import argparse
 
 import numpy as np
 
+from randhull.estimators import pairwise_hausdorff_certified
 from randhull.experiments import (
     build_lower_bound_family,
     bump_volume_defect_exact,
     bump_volume_defect_mc,
-    pairwise_hausdorff_certified,
 )
 from randhull.nets import build_net
 

@@ -30,19 +30,15 @@ from .geometry import (
     contains,
     load_body,
     minkowski_functional,
-    polar_body,
-    polar_support_identity_check,
     save_body,
     sphere_area,
     support,
     support_batch,
-    width_function,
 )
 from .nets import (
     Decomposition,
     SphereNet,
     build_net,
-    certified_sup_deficit,
     decompose,
     load_net,
     save_net,
@@ -56,12 +52,10 @@ from .sampling import (
 )
 from .estimators import (
     DistanceResult,
-    HullSupport,
     d_l_estimate,
     functional_s,
     functional_t,
     hausdorff_to_body,
-    hull_support,
     lp_error,
 )
 from .bounds import (

@@ -20,20 +20,27 @@ pre-filter; Akl and Toussaint 1978): first those inside a disc inscribed in
 the octagon of a probe, then those inside the octagon through the extremes
 along eight fixed directions, and on a cloud with many survivors those inside
 the 16-gon through sixteen.  None of them can be a vertex, so Qhull returns
-the same points from about 3% of a disc cloud.  Hausdorff deficits over a
-net, L^p deficits and plug-in functionals use only support evaluations, so
-they work whether the "body" is an analytic spec or another cloud.
+the same points from about 3% of a disc cloud.
+
+HullMetric is the one reader of both paths: built once from a metric spec,
+a body and a direction source (a net, a net built on first need, or
+quadrature directions), it decides which path a cloud takes.  The public
+distances and errors below are its readings over the directions; the
+plug-in functionals T_p and S_p share its power mean and take a body or a
+cloud.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import re
+import threading
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Ball, BodySpec, support_batch
+from .geometry import Ball, BodySpec, canonical_center, support_batch
 from .nets import SphereNet, blocked_max_dot, sup_certificate
 from .sampling import SampleCloud, philox, unit_directions
 
@@ -281,48 +288,211 @@ def hull_points(cloud: SampleCloud, facets: bool = False) -> HullPoints:
     return HullPoints(points[hull[0]], True, qhull_input, hull[1])
 
 
-@dataclass
-class HullSupport:
-    """Support function of conv(cloud): a max of dot products over hull_points."""
 
-    cloud: SampleCloud
-    points: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.points = hull_points(self.cloud).points
-
-    def __call__(self, dirs: np.ndarray) -> np.ndarray:
-        return blocked_max_dot(dirs, self.points)
+# ---------------------------------------------------------------------------
+# metric naming and quadrature
 
 
-def hull_support_batch(cloud: SampleCloud, dirs: np.ndarray) -> np.ndarray:
-    return HullSupport(cloud)(dirs)
+@dataclass(frozen=True)
+class MetricSpec:
+    kind: str  # hausdorff | dl | lp | functional
+    p: float | None = None
+    which: str | None = None  # T or S for functionals
+
+    @property
+    def on_net(self) -> bool:
+        """Hausdorff and dl metrics read a net; the others quadrature directions."""
+        return self.kind in ("hausdorff", "dl")
+
+    @property
+    def drops_log(self) -> bool:
+        """Finite-p functional and L^p errors are fitted against log n.
+
+        p = inf recovers a sup-type metric, which keeps the log factor.
+        """
+        if self.p is None or math.isinf(self.p):
+            return False
+        return self.kind in ("lp", "functional")
 
 
-def hull_support(cloud: SampleCloud, u: np.ndarray) -> float:
-    u = np.asarray(u, dtype=float)
-    return float(hull_support_batch(cloud, u[None, :])[0])
+def parse_metric(text: str) -> MetricSpec:
+    s = text.strip()
+    if s == "hausdorff":
+        return MetricSpec("hausdorff")
+    if s == "dl":
+        return MetricSpec("dl")
+    m = re.fullmatch(r"lp\(\s*([^)\s]+)\s*\)", s)
+    if m:
+        p = float(m.group(1))
+        if p < 1:
+            raise ValueError("lp metric needs p >= 1")
+        return MetricSpec("lp", p=p)
+    m = re.fullmatch(r"functional\(\s*([TS])\s*,\s*([^)\s]+)\s*\)", s)
+    if m:
+        tok = m.group(2)
+        p = math.inf if tok in ("inf", "oo") else float(tok)
+        if p < 1:
+            raise ValueError("functional metric needs p >= 1")
+        return MetricSpec("functional", p=p, which=m.group(1))
+    raise ValueError(f"cannot parse metric {text!r}")
 
 
-def support_values(obj, dirs: np.ndarray) -> np.ndarray:
-    """Dispatch support evaluation over body specs, clouds and hull wrappers."""
-    if isinstance(obj, SampleCloud):
-        return hull_support_batch(obj, dirs)
-    if isinstance(obj, HullSupport):
-        return obj(dirs)
-    return support_batch(obj, dirs)
-
-
-def _dim_of(obj) -> int:
-    if isinstance(obj, SampleCloud):
-        return obj.dim
-    if isinstance(obj, HullSupport):
-        return obj.cloud.dim
-    return obj.dim
+def quadrature_directions(d: int, quad_n: int, seed: int) -> np.ndarray:
+    """quad_n seeded uniform directions, the nodes of L^p and functional metrics."""
+    if quad_n < 1:
+        raise ValueError("quad_n must be >= 1")
+    return unit_directions(philox(seed), quad_n, d)
 
 
 # ---------------------------------------------------------------------------
-# Hausdorff distance to the generating body
+# exact distances from the hull's facets
+
+
+def _facet_gaps(equations: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """b_i - a_i.c for the facets a_i.x <= b_i held as Qhull's rows [a_i, -b_i]."""
+    return -(equations[:, :-1] @ center + equations[:, -1])
+
+
+def ball_hausdorff_exact(ball: Ball, equations: np.ndarray) -> float | None:
+    """Hausdorff distance of a hull inside the ball, from the hull's facets.
+
+    R - min_i (b_i - a_i.c): the point of the ball farthest from the hull
+    lies on the ray from the center c through the facet nearest to it.  None
+    unless c lies strictly inside the hull, where the formula fails.
+    """
+    inradius = float(_facet_gaps(equations, ball.center).min())
+    if not inradius > 0:
+        return None
+    return ball.radius - inradius
+
+
+def _center_room(body_vals: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """h_body(u) - u.c on each direction: the denominators of d_L."""
+    room = body_vals - shift
+    if np.min(room) <= 0:
+        raise ValueError("center must lie in the interior of the body")
+    return room
+
+
+def d_l_exact(body: BodySpec, center: np.ndarray, equations: np.ndarray) -> float | None:
+    """d_L of a hull from its facets: 1 - min_i (b_i - a_i.c)/(h_body(a_i) - a_i.c).
+
+    The body shrunk about the center by a factor t fits inside the hull if
+    and only if it fits under every facet, so the largest such t is the
+    smallest facet ratio.  None unless the center lies strictly inside the
+    hull, where the facet normals need not reach the sup.
+    """
+    center = np.asarray(center, dtype=float)
+    gaps = _facet_gaps(equations, center)
+    if not float(gaps.min()) > 0:
+        return None
+    normals = equations[:, :-1]
+    room = _center_room(support_batch(body, normals), normals @ center)
+    return float(1.0 - (gaps / room).min())
+
+
+# ---------------------------------------------------------------------------
+# the hull metric
+
+
+def _power_mean(vals: np.ndarray, p: float) -> float:
+    if math.isinf(p):
+        return float(vals.max())
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    return float(np.mean(vals**p) ** (1.0 / p))
+
+
+def _functional(vals: np.ndarray, which: str, p: float, strict: bool = False) -> float:
+    """T_p of support values, or S_p of the widths h(u) + h(-u) when vals
+    stacks the values on u over those on -u.  Values below zero are clipped;
+    with strict, one below -1e-9 raises instead, as 0 must lie inside."""
+    if which == "S":
+        m = len(vals) // 2
+        vals = vals[:m] + vals[m:]
+    if strict and float(vals.min()) < -1e-9:
+        what = "width" if which == "S" else "support value"
+        raise ValueError(f"{what} is negative; the functional needs 0 inside")
+    return _power_mean(np.maximum(vals, 0.0), p)
+
+
+class HullMetric:
+    """One metric of the hull of a cloud against a body.
+
+    Hausdorff and dl metrics read a net: a SphereNet, or a callable that
+    builds one, called under a lock by the first cloud that needs it, so it
+    is built at most once at any thread count.  L^p and functional metrics
+    read the quadrature directions dirs.  A dl metric is taken about center,
+    by default the body's canonical center.
+
+    value(cloud) reads a Hausdorff metric on a Ball, and every dl metric,
+    from the hull's Qhull facets (ball_hausdorff_exact, d_l_exact); when the
+    hull has no facets (d >= 4, or Qhull rejects the cloud) or does not hold
+    the center strictly inside, and for every other metric, it returns
+    reading(hull points), the metric over the directions alone.
+    """
+
+    def __init__(self, spec: MetricSpec, body: BodySpec, net=None, dirs=None, center=None):
+        self.spec = spec
+        self.body = body
+        self.exact = spec.kind == "dl" or (spec.kind == "hausdorff" and isinstance(body, Ball))
+        if spec.kind == "dl":
+            self.center = np.asarray(canonical_center(body) if center is None else center, dtype=float)
+        self._net = net
+        self._lock = threading.Lock()
+        self.dirs: np.ndarray | None = None
+        if not spec.on_net:
+            if spec.which == "S":
+                dirs = np.vstack([dirs, -dirs])
+            self._set_dirs(dirs)
+            if spec.kind == "functional":
+                self._body_functional = _functional(self.body_vals, spec.which, spec.p)
+
+    def _set_dirs(self, dirs: np.ndarray) -> None:
+        self.body_vals = support_batch(self.body, dirs)
+        if self.spec.kind == "dl":
+            self.shift = dirs @ self.center
+            self.denom = _center_room(self.body_vals, self.shift)
+        self.dirs = dirs
+
+    def _directions(self) -> np.ndarray:
+        with self._lock:
+            if self.dirs is None:
+                net = self._net() if callable(self._net) else self._net
+                self._set_dirs(net.points)
+            return self.dirs
+
+    def facet_value(self, equations: np.ndarray) -> float | None:
+        """The metric from the hull's facets; None without the center inside."""
+        if self.spec.kind == "hausdorff":
+            return ball_hausdorff_exact(self.body, equations)
+        return d_l_exact(self.body, self.center, equations)
+
+    def reading(self, points: np.ndarray) -> float:
+        """The metric of conv(points) over the directions."""
+        hull_vals = blocked_max_dot(self._directions(), points)
+        kind = self.spec.kind
+        if kind == "hausdorff":
+            return float((self.body_vals - hull_vals).max())
+        if kind == "dl":
+            return float((1.0 - (hull_vals - self.shift) / self.denom).max())
+        if kind == "lp":
+            return _power_mean(np.maximum(self.body_vals - hull_vals, 0.0), self.spec.p)
+        return abs(self._body_functional - _functional(hull_vals, self.spec.which, self.spec.p))
+
+    def value(self, cloud: SampleCloud) -> tuple[float, HullPoints, bool]:
+        """The metric of conv(cloud), the hull points it was computed on, and
+        whether it was read from the facets."""
+        hull = hull_points(cloud, facets=self.exact)
+        if self.exact and hull.equations is not None:
+            exact = self.facet_value(hull.equations)
+            if exact is not None:
+                return exact, hull, True
+        return self.reading(hull.points), hull, False
+
+
+# ---------------------------------------------------------------------------
+# sup distances
 
 
 @dataclass
@@ -346,13 +516,12 @@ def hausdorff_to_body(body: BodySpec, cloud: SampleCloud, net: SphereNet) -> Dis
     (sup_certificate, at the larger of the body's radius bound and the
     largest point norm), or inf on an uncertified net.
     """
-    is_ball = isinstance(body, Ball)
-    hull = hull_points(cloud, facets=is_ball)
-    deficit = support_batch(body, net.points) - blocked_max_dot(net.points, hull.points)
-    net_value = float(deficit.max())
+    metric = HullMetric(MetricSpec("hausdorff"), body, net=net)
+    hull = hull_points(cloud, facets=metric.exact)
+    net_value = metric.reading(hull.points)
     certified = None
-    if is_ball and hull.equations is not None:
-        inner = ball_hausdorff_exact(body, hull.equations)
+    if metric.exact and hull.equations is not None:
+        inner = metric.facet_value(hull.equations)
         if inner is not None:
             reach = float(np.linalg.norm(cloud.points - body.center, axis=1).max())
             certified = max(inner, reach - body.radius)
@@ -360,42 +529,6 @@ def hausdorff_to_body(body: BodySpec, cloud: SampleCloud, net: SphereNet) -> Dis
         radius = max(body.max_norm_bound(), float(np.linalg.norm(cloud.points, axis=1).max()))
         certified = sup_certificate(net, net_value, radius)
     return DistanceResult(net_value=net_value, certified_upper=certified, net_delta=net.delta)
-
-
-def _facet_gaps(equations: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """b_i - a_i.c for the facets a_i.x <= b_i held as Qhull's rows [a_i, -b_i]."""
-    return -(equations[:, :-1] @ center + equations[:, -1])
-
-
-def ball_hausdorff_exact(ball: Ball, equations: np.ndarray) -> float | None:
-    """Hausdorff distance of a hull inside the ball, from the hull's facets.
-
-    R - min_i (b_i - a_i.c): the point of the ball farthest from the hull
-    lies on the ray from the center c through the facet nearest to it.  None
-    unless c lies strictly inside the hull, where the formula fails.
-    """
-    inradius = float(_facet_gaps(equations, ball.center).min())
-    if not inradius > 0:
-        return None
-    return ball.radius - inradius
-
-
-# ---------------------------------------------------------------------------
-# center-relative scaling distance
-
-
-def d_l_ratios(
-    body: BodySpec, center: np.ndarray, cloud: SampleCloud, dirs: np.ndarray
-) -> np.ndarray:
-    """1 - (h_hull - <c,u>)/(h_body - <c,u>) on each direction row."""
-    center = np.asarray(center, dtype=float)
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    shift = dirs @ center
-    denom = support_batch(body, dirs) - shift
-    if np.min(denom) <= 0:
-        raise ValueError("center must lie in the interior of the body")
-    numer = hull_support_batch(cloud, dirs) - shift
-    return 1.0 - numer / denom
 
 
 def d_l_estimate(
@@ -407,44 +540,31 @@ def d_l_estimate(
     center; unlike the Hausdorff distance the ratio at corresponding
     directions is invariant under invertible affine maps of the whole scene.
     """
-    return float(d_l_ratios(body, center, cloud, net.points).max())
+    metric = HullMetric(MetricSpec("dl"), body, net=net, center=center)
+    return metric.reading(hull_points(cloud).points)
 
 
-def d_l_exact(body: BodySpec, center: np.ndarray, equations: np.ndarray) -> float | None:
-    """d_L of a hull from its facets: 1 - min_i (b_i - a_i.c)/(h_body(a_i) - a_i.c).
+def pairwise_hausdorff_certified(
+    b1: BodySpec, b2: BodySpec, net: SphereNet, extra_dirs: np.ndarray | None = None
+) -> tuple[float, float]:
+    """(net value, certified upper bound) for sup |h_b1 - h_b2| over the sphere.
 
-    The body shrunk about the center by a factor t fits inside the hull if
-    and only if it fits under every facet, so the largest such t is the
-    smallest facet ratio.  None unless the center lies strictly inside the
-    hull, where the facet normals need not reach the sup.
+    extra_dirs are appended to the net evaluation (useful when the sup is
+    attained at known directions sharper than the net resolution); the
+    certificate stays valid because adding directions only tightens net_sup.
+    The certificate is sup_certificate at the bodies' larger radius bound.
     """
-    center = np.asarray(center, dtype=float)
-    gaps = _facet_gaps(equations, center)
-    if not float(gaps.min()) > 0:
-        return None
-    normals = equations[:, :-1]
-    denom = support_batch(body, normals) - normals @ center
-    if np.min(denom) <= 0:
-        raise ValueError("center must lie in the interior of the body")
-    return float(1.0 - (gaps / denom).min())
+    dirs = net.points
+    if extra_dirs is not None:
+        dirs = np.vstack([dirs, np.atleast_2d(extra_dirs)])
+    gap = np.abs(support_batch(b1, dirs) - support_batch(b2, dirs))
+    net_value = float(gap.max())
+    radius = max(b1.max_norm_bound(), b2.max_norm_bound())
+    return net_value, sup_certificate(net, net_value, radius)
 
 
 # ---------------------------------------------------------------------------
 # L^p deficits and plug-in functionals
-
-
-def _quad_dirs(d: int, quad_n: int, quad_seed: int) -> np.ndarray:
-    if quad_n < 1:
-        raise ValueError("quad_n must be >= 1")
-    return unit_directions(philox(quad_seed), quad_n, d)
-
-
-def _power_mean(vals: np.ndarray, p: float) -> float:
-    if math.isinf(p):
-        return float(vals.max())
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return float(np.mean(vals**p) ** (1.0 / p))
 
 
 def lp_error(
@@ -456,28 +576,28 @@ def lp_error(
     at zero: the hull of a cloud from the body never exceeds it, so negative
     values can only be roundoff.
     """
-    dirs = _quad_dirs(_dim_of(body), quad_n, quad_seed)
-    deficit = support_batch(body, dirs) - hull_support_batch(cloud, dirs)
-    return _power_mean(np.maximum(deficit, 0.0), p)
+    dirs = quadrature_directions(body.dim, quad_n, quad_seed)
+    metric = HullMetric(MetricSpec("lp", p=p), body, dirs=dirs)
+    return metric.reading(hull_points(cloud).points)
 
 
-def _nonnegative(vals: np.ndarray, what: str) -> np.ndarray:
-    if float(vals.min()) < -1e-9:
-        raise ValueError(f"{what} is negative; the functional needs 0 inside")
-    return np.maximum(vals, 0.0)
+def _plug_in(obj, which: str, p: float, quad_n: int, quad_seed: int) -> float:
+    """T_p or S_p of a body, or of the hull of a cloud, on quad_n seeded directions."""
+    dirs = quadrature_directions(obj.dim, quad_n, quad_seed)
+    signs = (dirs,) if which == "T" else (dirs, -dirs)
+    if isinstance(obj, SampleCloud):
+        points = hull_points(obj).points  # one reduction serves both direction sets
+        vals = [blocked_max_dot(u, points) for u in signs]
+    else:
+        vals = [support_batch(obj, u) for u in signs]
+    return _functional(np.concatenate(vals), which, p, strict=True)
 
 
 def functional_t(obj, p: float, quad_n: int, quad_seed: int) -> float:
     """T_p: L^p norm of the support function over the normalized sphere."""
-    dirs = _quad_dirs(_dim_of(obj), quad_n, quad_seed)
-    vals = _nonnegative(support_values(obj, dirs), "support value")
-    return _power_mean(vals, p)
+    return _plug_in(obj, "T", p, quad_n, quad_seed)
 
 
 def functional_s(obj, p: float, quad_n: int, quad_seed: int) -> float:
     """S_p: L^p norm of the width h(u) + h(-u) over the normalized sphere."""
-    dirs = _quad_dirs(_dim_of(obj), quad_n, quad_seed)
-    if isinstance(obj, SampleCloud):
-        obj = HullSupport(obj)  # one reduction serves both direction sets
-    widths = support_values(obj, dirs) + support_values(obj, -dirs)
-    return _power_mean(_nonnegative(widths, "width"), p)
+    return _plug_in(obj, "S", p, quad_n, quad_seed)

@@ -24,8 +24,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import re
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -39,70 +37,12 @@ from .bounds import (
     make_deviation_bound,
     rate_exponent,
 )
-from .geometry import (
-    Ball,
-    BodySpec,
-    BumpBall,
-    body_from_dict,
-    body_to_dict,
-    bump_profile_mass,
-    canonical_center,
-    support_batch,
-)
-from .estimators import (
-    HullPoints,
-    _power_mean,
-    ball_hausdorff_exact,
-    d_l_exact,
-    hull_points,
-)
-from .nets import SphereNet, blocked_max_dot, build_net, sup_certificate
-from .sampling import SampleCloud, derived_seed, philox, sample, unit_directions
+from .geometry import Ball, BodySpec, BumpBall, body_from_dict, body_to_dict, bump_profile_mass
+from .estimators import HullMetric, parse_metric, quadrature_directions
+from .nets import SphereNet, build_net
+from .sampling import derived_seed, philox, sample
 
 log = logging.getLogger("randhull")
-
-
-# ---------------------------------------------------------------------------
-# metric naming
-
-
-@dataclass(frozen=True)
-class MetricSpec:
-    kind: str  # hausdorff | dl | lp | functional
-    p: float | None = None
-    which: str | None = None  # T or S for functionals
-
-    @property
-    def drops_log(self) -> bool:
-        """Finite-p functional and L^p errors are fitted against log n.
-
-        p = inf recovers a sup-type metric, which keeps the log factor.
-        """
-        if self.p is None or math.isinf(self.p):
-            return False
-        return self.kind in ("lp", "functional")
-
-
-def parse_metric(text: str) -> MetricSpec:
-    s = text.strip()
-    if s == "hausdorff":
-        return MetricSpec("hausdorff")
-    if s == "dl":
-        return MetricSpec("dl")
-    m = re.fullmatch(r"lp\(\s*([^)\s]+)\s*\)", s)
-    if m:
-        p = float(m.group(1))
-        if p < 1:
-            raise ValueError("lp metric needs p >= 1")
-        return MetricSpec("lp", p=p)
-    m = re.fullmatch(r"functional\(\s*([TS])\s*,\s*([^)\s]+)\s*\)", s)
-    if m:
-        tok = m.group(2)
-        p = math.inf if tok in ("inf", "oo") else float(tok)
-        if p < 1:
-            raise ValueError("functional metric needs p >= 1")
-        return MetricSpec("functional", p=p, which=m.group(1))
-    raise ValueError(f"cannot parse metric {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -234,105 +174,40 @@ def replication_seed(master: int, n_index: int, rep: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# metric engine: per-replication evaluation against precomputed body data
+# the metric and its replications
 
 
-class _MetricEngine:
-    """Per-replication metric evaluation against precomputed body data.
+def _hull_metric(config: ExperimentConfig) -> tuple[HullMetric, float | None, int | None]:
+    """The experiment's metric, with its resolved net delta or quadrature size.
 
-    A Hausdorff metric on a Ball and a dl metric are read exactly from each
-    hull's Qhull facets (estimators.ball_hausdorff_exact, d_l_exact).  A
-    replication falls back to the net when there are no facets (d >= 4, or
-    Qhull rejects the cloud) or the body's center is not strictly inside the
-    hull; every other Hausdorff body always does.  The net is built, under a
-    lock, by the first replication that needs it, and from a seed derived
-    from the master seed, so it is the same net at any thread count.  L^p and
-    functional metrics evaluate on quadrature directions drawn up front.
+    A Hausdorff or dl metric gets a net built by the first replication that
+    falls back from the facets, from a seed derived from the master seed, so
+    it is the same net at any thread count; an L^p or functional metric gets
+    its quadrature directions up front.  The other resolved value is None.
     """
+    spec = parse_metric(config.metric)
+    body = config.body
+    if not spec.on_net:
+        quad_n = config.resolved_quad_n()
+        dirs = quadrature_directions(body.dim, quad_n, derived_seed(config.master_seed, _KEY_QUAD))
+        return HullMetric(spec, body, dirs=dirs), None, quad_n
+    net_delta = config.resolved_net_delta()
 
-    def __init__(self, config: ExperimentConfig):
-        self.spec = parse_metric(config.metric)
-        self.body = body = config.body
-        d = body.dim
-        self.net_delta: float | None = None
-        self.quad_n: int | None = None
-        self.dirs: np.ndarray | None = None
-        self.exact = self.spec.kind == "dl" or (
-            self.spec.kind == "hausdorff" and isinstance(body, Ball)
+    def build() -> SphereNet:
+        seed = derived_seed(config.master_seed, _KEY_NET)
+        net = build_net(body.dim, net_delta, seed, streak=config.net_streak)
+        log.debug(
+            "net: %d directions, cover radius %.6g, certified %s",
+            len(net),
+            net.cover_radius,
+            net.certified,
         )
-        if self.spec.kind == "dl":
-            self.center = canonical_center(body)
-        self._lock = threading.Lock()
-        if self.spec.kind in ("hausdorff", "dl"):
-            self.net_delta = config.resolved_net_delta()
-            self._net_seed = derived_seed(config.master_seed, _KEY_NET)
-            self._net_streak = config.net_streak
-            return
-        self.quad_n = config.resolved_quad_n()
-        dirs = unit_directions(
-            philox(derived_seed(config.master_seed, _KEY_QUAD)), self.quad_n, d
-        )
-        if self.spec.kind == "functional" and self.spec.which == "S":
-            dirs = np.vstack([dirs, -dirs])
-        self._set_dirs(dirs)
-        if self.spec.kind == "functional":
-            self.body_functional = self._functional(self.body_vals)
+        return net
 
-    def _set_dirs(self, dirs: np.ndarray) -> None:
-        self.body_vals = support_batch(self.body, dirs)
-        if self.spec.kind == "dl":
-            self.shift = dirs @ self.center
-            self.denom = self.body_vals - self.shift
-            if float(self.denom.min()) <= 0:
-                raise ValueError("body center is not interior; dl metric undefined")
-        self.dirs = dirs
-
-    def _directions(self) -> np.ndarray:
-        with self._lock:
-            if self.dirs is None:
-                net = build_net(
-                    self.body.dim, self.net_delta, self._net_seed, streak=self._net_streak
-                )
-                log.debug(
-                    "net: %d directions, cover radius %.6g, certified %s",
-                    len(net),
-                    net.cover_radius,
-                    net.certified,
-                )
-                self._set_dirs(net.points)
-            return self.dirs
-
-    def _functional(self, vals: np.ndarray) -> float:
-        if self.spec.which == "S":
-            m = len(vals) // 2
-            vals = vals[:m] + vals[m:]
-        return _power_mean(np.maximum(vals, 0.0), self.spec.p)
-
-    def value(self, cloud: SampleCloud) -> tuple[float, HullPoints, bool]:
-        """The metric of conv(cloud), the hull points it was computed on, and
-        whether it was read from the facets."""
-        hull = hull_points(cloud, facets=self.exact)
-        if self.exact and hull.equations is not None:
-            if self.spec.kind == "hausdorff":
-                exact = ball_hausdorff_exact(self.body, hull.equations)
-            else:
-                exact = d_l_exact(self.body, self.center, hull.equations)
-            if exact is not None:
-                return exact, hull, True
-        return self._metric(blocked_max_dot(self._directions(), hull.points)), hull, False
-
-    def _metric(self, hull_vals: np.ndarray) -> float:
-        if self.spec.kind == "hausdorff":
-            return float((self.body_vals - hull_vals).max())
-        if self.spec.kind == "dl":
-            return float((1.0 - (hull_vals - self.shift) / self.denom).max())
-        if self.spec.kind == "lp":
-            deficit = np.maximum(self.body_vals - hull_vals, 0.0)
-            return _power_mean(deficit, self.spec.p)
-        return abs(self.body_functional - self._functional(hull_vals))
+    return HullMetric(spec, body, net=build), net_delta, None
 
 
-def _run_replications(config: ExperimentConfig, engine: _MetricEngine, threads: int) -> np.ndarray:
+def _run_replications(config: ExperimentConfig, metric: HullMetric, threads: int) -> np.ndarray:
     """(len(n_grid), reps) array of raw metric values, slot-indexed by seed key."""
     out = np.empty((len(config.n_grid), config.reps))
     exact = np.zeros(out.shape, dtype=bool)
@@ -346,7 +221,7 @@ def _run_replications(config: ExperimentConfig, engine: _MetricEngine, threads: 
             config.n_grid[i_n],
             replication_seed(config.master_seed, i_n, rep),
         )
-        out[i_n, rep], hull, exact[i_n, rep] = engine.value(cloud)
+        out[i_n, rep], hull, exact[i_n, rep] = metric.value(cloud)
         reduced[i_n, rep], qhull_input[i_n, rep] = hull.reduced, hull.qhull_input
 
     jobs = [(i, r) for i in range(len(config.n_grid)) for r in range(config.reps)]
@@ -356,7 +231,7 @@ def _run_replications(config: ExperimentConfig, engine: _MetricEngine, threads: 
     else:
         for i, r in jobs:
             task(i, r)
-    if engine.spec.kind in ("hausdorff", "dl"):
+    if metric.spec.on_net:
         log.debug(
             "metric path: %d exact, %d net fallback",
             int(exact.sum()),
@@ -417,17 +292,16 @@ class RateReport:
 def run_rate_experiment(config: ExperimentConfig, threads: int = 1) -> RateReport:
     if len(config.n_grid) < 2:
         raise ValueError("need >= 2 grid points for slope")
-    engine = _MetricEngine(config)
-    raw = _run_replications(config, engine, threads)
+    metric, net_delta, quad_n = _hull_metric(config)
+    raw = _run_replications(config, metric, threads)
     powered = raw**config.q
     means = powered.mean(axis=1)
     stderrs = powered.std(axis=1, ddof=1) / math.sqrt(config.reps)
     if not np.all(np.isfinite(means)) or np.any(means <= 0):
         raise ValueError("metric means must be finite and positive to fit a log slope")
 
-    spec = parse_metric(config.metric)
     ns = np.asarray(config.n_grid, dtype=float)
-    if spec.drops_log:
+    if metric.spec.drops_log:
         x = np.log(ns)
         fit_kind = "log_n"
         sign = -1.0
@@ -450,8 +324,8 @@ def run_rate_experiment(config: ExperimentConfig, threads: int = 1) -> RateRepor
         expected_slope=float(sign * exponent),
         theoretical_exponent=float(exponent),
         fit_kind=fit_kind,
-        resolved_net_delta=engine.net_delta,
-        resolved_quad_n=engine.quad_n,
+        resolved_net_delta=net_delta,
+        resolved_quad_n=quad_n,
     )
 
 
@@ -507,8 +381,8 @@ def run_deviation_experiment(
     params = _family_params(config.family, config.body)
     bound = make_deviation_bound(params, config.body.dim, config.n_grid[0])
 
-    engine = _MetricEngine(config)
-    values = _run_replications(config, engine, threads)[0]
+    metric, net_delta, _ = _hull_metric(config)
+    values = _run_replications(config, metric, threads)[0]
 
     xs = np.asarray(x_grid)
     thresholds = bound.threshold(xs)
@@ -540,7 +414,7 @@ def run_deviation_experiment(
         tau1=float(bound.tau1),
         a_n=float(bound.a_n),
         b_n=float(bound.b_n),
-        resolved_net_delta=float(engine.net_delta),
+        resolved_net_delta=float(net_delta),
     )
 
 
@@ -576,25 +450,6 @@ def bump_volume_defect_mc(body: BumpBall, n_pts: int, seed: int) -> float:
     inside_defect = (s <= sphere) & (s > body.dent_height(t_norm))
     box_volume = (2.0 * half_w) ** (d - 1) * (R - s_min)
     return box_volume * float(inside_defect.mean())
-
-
-def pairwise_hausdorff_certified(
-    b1: BodySpec, b2: BodySpec, net: SphereNet, extra_dirs: np.ndarray | None = None
-) -> tuple[float, float]:
-    """(net value, certified upper bound) for sup |h_b1 - h_b2| over the sphere.
-
-    extra_dirs are appended to the net evaluation (useful when the sup is
-    attained at known directions sharper than the net resolution); the
-    certificate stays valid because adding directions only tightens net_sup.
-    The certificate is sup_certificate at the bodies' larger radius bound.
-    """
-    dirs = net.points
-    if extra_dirs is not None:
-        dirs = np.vstack([dirs, np.atleast_2d(extra_dirs)])
-    gap = np.abs(support_batch(b1, dirs) - support_batch(b2, dirs))
-    net_value = float(gap.max())
-    radius = max(b1.max_norm_bound(), b2.max_norm_bound())
-    return net_value, sup_certificate(net, net_value, radius)
 
 
 def build_lower_bound_family(

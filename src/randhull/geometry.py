@@ -405,21 +405,6 @@ def support(body: BodySpec, u: np.ndarray) -> float:
     return float(support_batch(body, u[None, :])[0])
 
 
-def width_function(body: BodySpec, u: np.ndarray) -> float:
-    """phi_body(u) = h(u) + h(-u)."""
-    u = require_unit(u)
-    return support(body, u) + support(body, -u)
-
-
-def support_homogeneous(body: BodySpec, x: np.ndarray) -> float:
-    """Positively homogeneous extension: |x| * h(x/|x|); 0 at the origin."""
-    x = np.asarray(x, dtype=float)
-    n = float(np.linalg.norm(x))
-    if n == 0.0:
-        return 0.0
-    return n * float(_support_rows(body, (x / n)[None, :])[0])
-
-
 # ---------------------------------------------------------------------------
 # membership
 
@@ -460,7 +445,7 @@ def contains(body: BodySpec, x: np.ndarray, tol: float = 1e-12) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Minkowski functional and polar identity
+# Minkowski functional
 
 
 def _origin_interior_margin(body: BodySpec) -> float:
@@ -518,25 +503,6 @@ def _gauge_shifted_ball(x: np.ndarray, c: np.ndarray, r: float) -> float:
     xc = float(x @ c)
     denom = r**2 - float(c @ c)
     return (-xc + math.sqrt(xc**2 + denom * float(x @ x))) / denom
-
-
-def polar_body(body: BodySpec) -> BodySpec:
-    """Closed-form polar for centered balls/ellipsoids (reciprocal radii)."""
-    if isinstance(body, Ball) and np.allclose(body.center, 0.0, atol=1e-12):
-        return Ball(np.zeros(body.dim), 1.0 / body.radius)
-    if isinstance(body, Ellipsoid) and np.allclose(body.center, 0.0, atol=1e-12):
-        return Ellipsoid(np.zeros(body.dim), 1.0 / body.semi_axes, body.rotation)
-    raise ValueError("closed-form polar exists only for centered balls/ellipsoids")
-
-
-def polar_support_identity_check(body: BodySpec, x: np.ndarray) -> tuple[float, float]:
-    """(h_body(x) by homogeneous extension, Minkowski functional of the polar at x).
-
-    The two agree for convex bodies with 0 interior; restricted to the families
-    with a closed-form polar so both routes are independent.
-    """
-    x = np.asarray(x, dtype=float)
-    return support_homogeneous(body, x), minkowski_functional(polar_body(body), x)
 
 
 # ---------------------------------------------------------------------------

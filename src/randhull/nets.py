@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import unit_directions
+from .sampling import philox, unit_directions
 
 log = logging.getLogger("randhull")
 
@@ -159,7 +159,7 @@ def build_net(
         raise ValueError("delta must be in (0, 1]")
     if streak is None:
         streak = default_streak(d, delta)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = philox(seed)
     thresh = 1.0 - delta**2 / 2.0  # dot > thresh  <=>  distance < delta
 
     store = np.empty((65536, d))
@@ -402,22 +402,6 @@ def sup_certificate(net: SphereNet, net_sup: float, radius: float = 1.0) -> floa
     if not net.certified or net.delta > 0.5:
         return math.inf
     return 2.0 * max(net_sup, 4.0 * max(1.0, radius) * net.delta)
-
-
-def certified_sup_deficit(net: SphereNet, h_big, h_small) -> tuple[float, float]:
-    """Bound sup over the sphere of (h_big - h_small) from net evaluations alone.
-
-    h_big and h_small map an (m, d) array of unit directions to (m,) support
-    values of convex bodies contained in the unit ball, with the small body
-    inside the big one.  Returns (net_sup, sup_certificate(net, net_sup)).
-    """
-    if net.delta > 0.5:
-        raise ValueError("certificate requires delta <= 1/2")
-    vals = np.asarray(h_big(net.points), dtype=float) - np.asarray(
-        h_small(net.points), dtype=float
-    )
-    net_sup = float(vals.max())
-    return net_sup, sup_certificate(net, net_sup)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from randhull.bounds import (
     class_params_boundary,
     class_params_smooth,
 )
-from randhull.estimators import hausdorff_to_body
+from randhull.estimators import hausdorff_to_body, pairwise_hausdorff_certified
 from randhull.geometry import Ball, PolytopeV, ball_volume, c_alpha, cap_volume_ball
 from randhull.nets import build_net, decompose
 from randhull.experiments import (
@@ -28,7 +28,6 @@ from randhull.experiments import (
     build_lower_bound_family,
     bump_volume_defect_exact,
     bump_volume_defect_mc,
-    pairwise_hausdorff_certified,
     report_to_csv,
     run_deviation_experiment,
     run_rate_experiment,

@@ -9,18 +9,17 @@ from scipy.spatial import ConvexHull, QhullError
 
 from randhull import estimators
 from randhull.estimators import (
-    HullSupport,
+    HullMetric,
+    MetricSpec,
     ball_hausdorff_exact,
     d_l_estimate,
     d_l_exact,
     functional_s,
     functional_t,
     hausdorff_to_body,
-    hull_support,
     hull_points,
-    hull_support_batch,
     lp_error,
-    support_values,
+    quadrature_directions,
 )
 from randhull.geometry import Ball, Ellipsoid, PolytopeV, canonical_center, support_batch
 from randhull.nets import blocked_max_dot, build_net, sup_certificate
@@ -47,18 +46,24 @@ def spaced_circle_cloud(m):
 # hull support
 
 
+def hull_support_batch(cloud, dirs):
+    """Support function of conv(cloud) on the direction rows, from its hull points."""
+    return blocked_max_dot(dirs, hull_points(cloud).points)
+
+
 def test_hull_support_is_max_of_dots():
     cloud = corner_cloud()
     s = math.sqrt(2.0) / 2.0
-    assert hull_support(cloud, np.array([1.0, 0.0])) == pytest.approx(s, abs=1e-12)
-    assert hull_support(cloud, np.array([s, s])) == pytest.approx(1.0, abs=1e-12)
+    h = hull_support_batch(cloud, np.array([[1.0, 0.0], [s, s]]))
+    assert h[0] == pytest.approx(s, abs=1e-12)
+    assert h[1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hull_support_batch_matches_single():
     cloud = sample(BALL2, "interior", 200, seed=31)
     dirs = np.array([[1.0, 0.0], [0.0, -1.0], [0.6, 0.8]])
     batch = hull_support_batch(cloud, dirs)
-    singles = [hull_support(cloud, u) for u in dirs]
+    singles = [hull_support_batch(cloud, u[None, :])[0] for u in dirs]
     np.testing.assert_allclose(batch, singles, atol=1e-14)
 
 
@@ -79,13 +84,25 @@ def test_hull_never_exceeds_body_support():
 
 
 def test_support_values_dispatch():
+    # the plug-in functionals take a cloud, read on its hull points, or a body
+    cloud = sample(BALL2, "interior", 500, seed=31)
+    hull = hull_points(cloud).points
+    reduced = SampleCloud(points=hull, body=BALL2, mode="boundary", seed=0, n=len(hull))
+    from_cloud = functional_t(cloud, math.inf, 64, quad_seed=15)
+    np.testing.assert_allclose(from_cloud, functional_t(reduced, math.inf, 64, 15), atol=1e-14)
+    from_body = [functional_t(BALL2, p, 64, quad_seed=15) for p in (1.0, math.inf)]
+    np.testing.assert_allclose(from_body, [1.0, 1.0], atol=1e-14)
+
+
+def test_metric_reads_the_body_and_the_hull_support():
     cloud = corner_cloud()
     dirs = np.array([[1.0, 0.0], [0.0, 1.0]])
-    from_cloud = support_values(cloud, dirs)
-    from_callable = support_values(HullSupport(cloud), dirs)
-    from_body = support_values(BALL2, dirs)
-    np.testing.assert_allclose(from_cloud, from_callable, atol=1e-14)
-    np.testing.assert_allclose(from_body, [1.0, 1.0], atol=1e-14)
+    metric = HullMetric(MetricSpec("lp", p=math.inf), BALL2, dirs=dirs)
+    from_cloud = metric.reading(cloud.points)
+    from_hull = metric.reading(hull_points(cloud).points)
+    np.testing.assert_allclose(from_cloud, from_hull, atol=1e-14)
+    assert from_hull == pytest.approx(1.0 - math.sqrt(2.0) / 2.0, abs=1e-14)
+    np.testing.assert_allclose(metric.body_vals, [1.0, 1.0], atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +522,25 @@ def test_dl_equals_hausdorff_for_centered_unit_ball():
 def test_dl_rejects_non_interior_center():
     net = build_net(2, 0.05, seed=4)
     cloud = sample(BALL2, "interior", 50, seed=34)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="center must lie in the interior of the body"):
         d_l_estimate(BALL2, np.array([1.5, 0.0]), cloud, net)
+
+
+@pytest.mark.parametrize("mode", ["interior", "boundary"])
+@pytest.mark.parametrize("body", [Ball(center=[0.3, -0.2], radius=1.5), REDUCIBLE["ellipsoid2"]])
+def test_public_distances_are_the_metric_reading(body, mode):
+    net = build_net(2, 0.05, seed=4)
+    center = canonical_center(body)
+    dirs = quadrature_directions(2, 512, 14)
+    for n, seed in ((40, 35), (3000, 36)):
+        cloud = sample(body, mode, n, seed=seed)
+        points = hull_points(cloud).points
+        hausdorff = HullMetric(MetricSpec("hausdorff"), body, net=net)
+        assert hausdorff_to_body(body, cloud, net).net_value == hausdorff.reading(points)
+        dl = HullMetric(MetricSpec("dl"), body, net=net, center=center)
+        assert d_l_estimate(body, center, cloud, net) == dl.reading(points)
+        lp = HullMetric(MetricSpec("lp", p=2.0), body, dirs=dirs)
+        assert lp_error(body, cloud, 2.0, quad_n=512, quad_seed=14) == lp.reading(points)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,11 +13,17 @@ from scipy.spatial import ConvexHull
 from randhull import experiments
 from randhull.geometry import Ball, PolytopeV, support_batch
 from randhull.nets import blocked_max_dot, build_net
-from randhull.estimators import hull_points
+from randhull.estimators import (
+    hull_points,
+    pairwise_hausdorff_certified,
+    parse_metric,
+    quadrature_directions,
+)
 from randhull.sampling import SampleCloud, derived_seed, sample
 from randhull.experiments import (
     _KEY_NET,
-    _MetricEngine,
+    _KEY_QUAD,
+    _hull_metric,
     _run_replications,
     DeviationReport,
     ExperimentConfig,
@@ -27,8 +34,6 @@ from randhull.experiments import (
     emit_report,
     load_experiment_config,
     load_report,
-    pairwise_hausdorff_certified,
-    parse_metric,
     replication_seed,
     report_to_csv,
     run_deviation_experiment,
@@ -277,10 +282,35 @@ def test_square_rate_report_is_pinned():
 # exact path and net fallback
 
 
+def _power_mean(vals, p):
+    return float(np.mean(vals**p) ** (1.0 / p))
+
+
 def _net_path_value(cfg, pts):
-    """The Hausdorff deficit of conv(pts) to the unit disc over the experiment's net."""
-    net = build_net(2, cfg.resolved_net_delta(), derived_seed(cfg.master_seed, _KEY_NET))
-    return float((support_batch(BALL2, net.points) - blocked_max_dot(net.points, pts)).max())
+    """The metric of conv(pts) to the unit disc over the experiment's directions.
+
+    The Hausdorff deficit over the experiment's net, which is also d_L about
+    the origin; otherwise over its quadrature directions, with the widths of
+    an S functional over u and -u.
+    """
+    spec = parse_metric(cfg.metric)
+    if spec.on_net:
+        net = build_net(2, cfg.resolved_net_delta(), derived_seed(cfg.master_seed, _KEY_NET))
+        return float((support_batch(BALL2, net.points) - blocked_max_dot(net.points, pts)).max())
+    seed = derived_seed(cfg.master_seed, _KEY_QUAD)
+    dirs = quadrature_directions(2, cfg.resolved_quad_n(), seed)
+    if spec.kind == "lp":
+        deficit = support_batch(BALL2, dirs) - blocked_max_dot(dirs, pts)
+        return _power_mean(np.maximum(deficit, 0.0), spec.p)
+    if spec.which == "S":
+        dirs = np.vstack([dirs, -dirs])
+
+    def functional(vals):
+        if spec.which == "S":
+            vals = vals[: len(vals) // 2] + vals[len(vals) // 2 :]
+        return _power_mean(np.maximum(vals, 0.0), spec.p)
+
+    return abs(functional(support_batch(BALL2, dirs)) - functional(blocked_max_dot(dirs, pts)))
 
 
 FALLBACK_CLOUDS = {
@@ -295,14 +325,11 @@ FALLBACK_CLOUDS = {
 def test_fallback_clouds_get_the_net_path_value(name):
     pts = np.asarray(FALLBACK_CLOUDS[name])
     cloud = SampleCloud(points=pts, body=BALL2, mode="interior", seed=0, n=len(pts))
-    cfg = tiny_config()
-    value, _, exact = _MetricEngine(cfg).value(cloud)
-    assert not exact
-    assert value == _net_path_value(cfg, pts)
-    # the same clouds under the dl metric on the unit disc about the origin
-    value, _, exact = _MetricEngine(tiny_config(metric="dl")).value(cloud)
-    assert not exact
-    assert value == _net_path_value(cfg, pts)
+    for metric in ("hausdorff", "dl", "lp(2)", "functional(T,2)", "functional(S,1)"):
+        cfg = tiny_config(metric=metric)
+        value, _, exact = _hull_metric(cfg)[0].value(cloud)
+        assert not exact
+        assert value == _net_path_value(cfg, pts)
 
 
 def _count_net_builds(monkeypatch):
@@ -312,13 +339,19 @@ def _count_net_builds(monkeypatch):
     return builds
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 8])
 def test_net_is_built_once_when_replications_fall_back(monkeypatch, caplog, threads):
     builds = _count_net_builds(monkeypatch)
     # n = 2 <= d: Qhull rejects every cloud at the first grid point
     cfg = tiny_config(n_grid=[2, 200])
-    with caplog.at_level(logging.DEBUG, logger="randhull"):
-        report = run_rate_experiment(cfg, threads=threads)
+    # more workers than cores, switching often, so fallbacks race for the net
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with caplog.at_level(logging.DEBUG, logger="randhull"):
+            report = run_rate_experiment(cfg, threads=threads)
+    finally:
+        sys.setswitchinterval(interval)
     assert len(builds) == 1
     messages = [r.getMessage() for r in caplog.records]
     assert "metric path: 8 exact, 8 net fallback" in messages
@@ -440,7 +473,7 @@ def test_deviation_experiment_logs_tightness(caplog):
     # capped at 1), so its distances, ten times larger, exceed small x
     for body, x_grid in ((BALL2, [0.0, 2.0, 1e6]), (Ball([0.0, 0.0], 10.0), [20.0, 0.5, 1e6])):
         cfg = tiny_config(body=body, n_grid=[400], reps=20)
-        largest = float(_run_replications(cfg, _MetricEngine(cfg), 1)[0].max())
+        largest = float(_run_replications(cfg, _hull_metric(cfg)[0], 1)[0].max())
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="randhull"):
             rep = run_deviation_experiment(cfg, x_grid)
@@ -457,7 +490,7 @@ def test_deviation_experiment_logs_tightness(caplog):
 
 def test_deviation_experiment_logs_quantiles(caplog):
     cfg = tiny_config(n_grid=[400], reps=20)
-    values = _run_replications(cfg, _MetricEngine(cfg), 1)[0]
+    values = _run_replications(cfg, _hull_metric(cfg)[0], 1)[0]
     with caplog.at_level(logging.DEBUG, logger="randhull"):
         rep = run_deviation_experiment(cfg, [0.0, 2.0])
     prefix = "deviation quantiles: d_H / a_n at 0.5, 0.9, 0.99: "

@@ -26,14 +26,10 @@ from randhull.geometry import (
     contains_batch,
     load_body,
     minkowski_functional,
-    polar_body,
-    polar_support_identity_check,
     save_body,
     sphere_area,
     support,
     support_batch,
-    support_homogeneous,
-    width_function,
 )
 
 BALL2 = Ball(center=[0.0, 0.0], radius=1.0)
@@ -43,6 +39,12 @@ SQUARE = PolytopeV(vertices=[[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]
 def unit(v):
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)
+
+
+def homogeneous_support(body, x):
+    """|x| * h(x/|x|), the positively homogeneous extension; 0 at the origin."""
+    n = float(np.linalg.norm(x))
+    return 0.0 if n == 0.0 else n * float(support_batch(body, (x / n)[None, :])[0])
 
 
 def units_strategy(d):
@@ -205,23 +207,16 @@ def test_support_batch_matches_single():
 
 @given(units_strategy(2), units_strategy(2))
 def test_support_subadditive_on_square(u, v):
-    huv = support_homogeneous(SQUARE, u + v)
+    huv = homogeneous_support(SQUARE, u + v)
     hu, hv = support_batch(SQUARE, np.array([u, v]))
     assert huv <= hu + hv + 1e-9
-
-
-@given(units_strategy(2))
-def test_width_is_symmetric(u):
-    for body in (BALL2, SQUARE):
-        assert width_function(body, u) == pytest.approx(
-            width_function(body, -u), abs=1e-10
-        )
 
 
 def test_ball_width_constant():
     b = Ball(center=[0.3, 0.1], radius=0.8)
     for u in (unit([1.0, 0.0]), unit([2.0, -1.0])):
-        assert width_function(b, u) == pytest.approx(1.6, abs=1e-12)
+        width = support_batch(b, np.array([u, -u])).sum()
+        assert width == pytest.approx(1.6, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -258,33 +253,20 @@ def test_gauge_is_positively_homogeneous():
         assert g2 == pytest.approx(2.5 * g1, rel=1e-9)
 
 
-def test_polar_of_centered_ball():
-    p = polar_body(Ball(center=[0.0, 0.0], radius=2.0))
-    assert isinstance(p, Ball)
-    assert p.radius == pytest.approx(0.5, abs=1e-12)
-
-
-def test_polar_of_centered_ellipsoid_swaps_axes():
-    e = Ellipsoid(center=[0.0, 0.0], semi_axes=[2.0, 0.5], rotation=np.eye(2))
-    p = polar_body(e)
-    np.testing.assert_allclose(np.sort(p.semi_axes), [0.5, 2.0], atol=1e-12)
-
-
-def test_polar_rejects_uncentered():
-    with pytest.raises(ValueError):
-        polar_body(Ball(center=[0.1, 0.0], radius=1.0))
-
-
 @given(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2).map(np.array))
 def test_support_equals_polar_gauge(x):
     if np.linalg.norm(x) < 1e-6:
         return
-    for body in (
-        Ball(center=[0.0, 0.0], radius=1.7),
-        Ellipsoid(center=[0.0, 0.0], semi_axes=[2.0, 0.5], rotation=np.eye(2)),
+    # each body and its polar, a centered ball or ellipsoid with reciprocal radii
+    for body, polar in (
+        (Ball(center=[0.0, 0.0], radius=1.7), Ball(center=[0.0, 0.0], radius=1.0 / 1.7)),
+        (
+            Ellipsoid(center=[0.0, 0.0], semi_axes=[2.0, 0.5], rotation=np.eye(2)),
+            Ellipsoid(center=[0.0, 0.0], semi_axes=[0.5, 2.0], rotation=np.eye(2)),
+        ),
     ):
-        h, g = polar_support_identity_check(body, x)
-        assert h == pytest.approx(g, rel=1e-9, abs=1e-12)
+        h = homogeneous_support(body, x)
+        assert h == pytest.approx(minkowski_functional(polar, x), rel=1e-9, abs=1e-12)
 
 
 def test_canonical_center_values():

@@ -10,14 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from randhull import nets
-from randhull.estimators import hausdorff_to_body
-from randhull.experiments import _KEY_NET, ExperimentConfig, pairwise_hausdorff_certified
-from randhull.geometry import Ball, PolytopeV
+from randhull.estimators import hausdorff_to_body, pairwise_hausdorff_certified
+from randhull.experiments import _KEY_NET, ExperimentConfig
+from randhull.geometry import Ball, PolytopeV, support_batch
 from randhull.nets import (
     blocked_argmax_dot,
     blocked_max_dot,
     build_net,
-    certified_sup_deficit,
     decompose,
     default_streak,
     load_net,
@@ -298,20 +297,14 @@ def test_decompose_of_net_point_is_exact():
 def test_certified_sup_dominates_true_gap():
     net = build_net(2, 0.05, seed=23)
     # nested balls: the support gap is exactly 0.3 in every direction
-    net_sup, certified = certified_sup_deficit(
-        net, lambda u: np.ones(len(u)), lambda u: 0.7 * np.ones(len(u))
+    gap = support_batch(Ball([0.0, 0.0], 1.0), net.points) - support_batch(
+        Ball([0.0, 0.0], 0.7), net.points
     )
+    net_sup = float(gap.max())
+    certified = sup_certificate(net, net_sup)
     assert net_sup == pytest.approx(0.3, abs=1e-12)
     assert certified >= 0.3
     assert certified <= 2.0 * max(0.3, 4 * 0.05) + 1e-12
-
-
-def test_certified_sup_requires_fine_net():
-    net = build_net(2, 0.8, seed=23)
-    with pytest.raises(ValueError):
-        certified_sup_deficit(
-            net, lambda u: np.ones(len(u)), lambda u: np.zeros(len(u))
-        )
 
 
 def test_certificate_scales_with_the_radius_of_the_bodies():

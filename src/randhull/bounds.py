@@ -291,7 +291,7 @@ def fit_class_l(
 # rate exponents
 
 
-_RATE_FAMILIES = ("smooth_interior", "polytope_interior", "smooth_boundary")
+RATE_FAMILIES = ("smooth_interior", "polytope_interior", "smooth_boundary")
 
 
 def rate_exponent(family: str, d: int) -> float:
@@ -304,4 +304,4 @@ def rate_exponent(family: str, d: int) -> float:
         return 1.0 / d
     if family == "smooth_boundary":
         return 2.0 / (d - 1)
-    raise ValueError(f"unknown family {family!r}; expected one of {_RATE_FAMILIES}")
+    raise ValueError(f"unknown family {family!r}; expected one of {RATE_FAMILIES}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -24,9 +23,10 @@ from .experiments import (
     bump_volume_defect_exact,
     emit_report,
     load_experiment_config,
-    report_to_csv,
     run_deviation_experiment,
     run_rate_experiment,
+    write_json,
+    write_text,
 )
 from .geometry import load_body
 from .nets import build_net, load_net, net_to_dict, save_net
@@ -41,30 +41,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="experiment config (YAML)")
 
 
-def _emit_text(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-
-
-def _strict(value):
-    """The document with every non-finite float replaced by None (JSON null)."""
-    if isinstance(value, dict):
-        return {k: _strict(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_strict(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
-def _emit_json(doc, out: str | None) -> None:
-    text = json.dumps(_strict(doc), sort_keys=True, indent=2, allow_nan=False)
-    _emit_text(text + "\n", out)
-
-
 def _seed_or(args, fallback: int = 0) -> int:
     return fallback if args.seed is None else args.seed
 
@@ -76,14 +52,14 @@ def _seed_or(args, fallback: int = 0) -> int:
 def _cmd_sample(args) -> int:
     body = load_body(args.body)
     cloud = sample(body, args.mode, args.n, _seed_or(args))
-    _emit_text(points_to_csv(cloud.points), args.out)
+    write_text(points_to_csv(cloud.points), args.out)
     return 0
 
 
 def _cmd_net_build(args) -> int:
     net = build_net(args.d, args.delta, _seed_or(args), streak=args.streak)
     if args.out is None:
-        _emit_json(net_to_dict(net), None)
+        write_json(net_to_dict(net), None)
     else:
         save_net(net, args.out)
     return 0
@@ -108,9 +84,9 @@ def _cmd_distance(args) -> int:
     if args.format == "csv":
         text = "net_value,certified_upper,net_delta\n"
         text += f"{res.net_value!r},{res.certified_upper!r},{res.net_delta!r}\n"
-        _emit_text(text, args.out)
+        write_text(text, args.out)
     else:
-        _emit_json(doc, args.out)
+        write_json(doc, args.out)
     return 0
 
 
@@ -120,9 +96,9 @@ def _cmd_bound(args) -> int:
     if args.format == "csv":
         text = "x,threshold,tail,a_n,b_n,tau1\n"
         text += f"{ev.x!r},{ev.threshold!r},{ev.tail!r},{ev.a_n!r},{ev.b_n!r},{ev.tau1!r}\n"
-        _emit_text(text, args.out)
+        write_text(text, args.out)
     else:
-        _emit_json(ev.to_dict(), args.out)
+        write_json(ev.to_dict(), args.out)
     return 0
 
 
@@ -139,14 +115,14 @@ def _cmd_check_class(args) -> int:
             raise SystemExit("--family fit needs --alpha and --eps0")
         params = fit_class_l(body, args.mode, args.alpha, args.eps0, **kw)
         report = check_class_membership(body, args.mode, params, **kw)
-        _emit_json({"fitted": params.to_dict(), "report": report.to_dict()}, args.out)
+        write_json({"fitted": params.to_dict(), "report": report.to_dict()}, args.out)
         return 0
     from .bounds import class_params_boundary, class_params_smooth
 
     maker = class_params_smooth if args.family == "smooth" else class_params_boundary
     params = maker(body.dim, args.r)
     report = check_class_membership(body, args.mode, params, **kw)
-    _emit_json(report.to_dict(), args.out)
+    write_json(report.to_dict(), args.out)
     return 0
 
 
@@ -159,29 +135,19 @@ def _load_config_with_overrides(args) -> ExperimentConfig:
     return config
 
 
-def _emit_report_like(report, args, default_fmt: str) -> int:
-    fmt = args.format or default_fmt
-    if args.out is None:
-        if fmt == "csv":
-            sys.stdout.write(report_to_csv(report))
-        else:
-            _emit_json(report.to_dict(), None)
-    else:
-        emit_report(report, args.out, fmt)
-    return 0
-
-
 def _cmd_rates(args) -> int:
     config = _load_config_with_overrides(args)
     report = run_rate_experiment(config, threads=args.threads)
-    return _emit_report_like(report, args, "csv")
+    emit_report(report, args.out, args.format or "csv")
+    return 0
 
 
 def _cmd_deviation(args) -> int:
     config = _load_config_with_overrides(args)
     x_grid = np.linspace(0.0, args.x_max, args.x_points)
     report = run_deviation_experiment(config, x_grid, threads=args.threads)
-    return _emit_report_like(report, args, "csv")
+    emit_report(report, args.out, args.format or "csv")
+    return 0
 
 
 def _cmd_lower_bound_family(args) -> int:
@@ -192,7 +158,7 @@ def _cmd_lower_bound_family(args) -> int:
         "pairwise_hausdorff": args.alpha_bump * args.delta**2,
         "volume_defect": bump_volume_defect_exact(bodies[1]),
     }
-    _emit_json(doc, args.out)
+    write_json(doc, args.out)
     return 0
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -31,6 +32,7 @@ import numpy as np
 import yaml
 
 from .bounds import (
+    RATE_FAMILIES,
     ClassParams,
     class_params_boundary,
     class_params_smooth,
@@ -47,13 +49,6 @@ log = logging.getLogger("randhull")
 
 # ---------------------------------------------------------------------------
 # configuration
-
-
-_FIT_ALPHA = {
-    "smooth_interior": lambda d: (d + 1) / 2.0,
-    "polytope_interior": lambda d: float(d),
-    "smooth_boundary": lambda d: (d - 1) / 2.0,
-}
 
 
 @dataclass
@@ -82,7 +77,7 @@ class ExperimentConfig:
             raise ValueError("net_streak must be >= 1")
         if self.mode not in ("interior", "boundary"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.family not in _FIT_ALPHA:
+        if self.family not in RATE_FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         parse_metric(self.metric)
 
@@ -134,8 +129,7 @@ class ExperimentConfig:
             params = _family_params(self.family, self.body)
             a_n = make_deviation_bound(params, self.body.dim, n_ref).a_n
         except (ValueError, AttributeError, TypeError):
-            alpha = _FIT_ALPHA[self.family](self.body.dim)
-            a_n = (math.log(n_ref) / n_ref) ** (1.0 / alpha)
+            a_n = (math.log(n_ref) / n_ref) ** rate_exponent(self.family, self.body.dim)
         return min(1e-2, 0.1 * a_n)
 
     def resolved_quad_n(self) -> int:
@@ -286,7 +280,10 @@ class RateReport:
     def from_dict(cls, doc: dict) -> "RateReport":
         if doc.get("kind") != "rate_report":
             raise ValueError("not a rate report")
-        return cls(**{k: v for k, v in doc.items() if k != "kind"})
+        fields = {k: v for k, v in doc.items() if k != "kind"}
+        if fields["ci_half"] is None:  # the inf of a two-point fit, written as null
+            fields["ci_half"] = math.inf
+        return cls(**fields)
 
 
 def run_rate_experiment(config: ExperimentConfig, threads: int = 1) -> RateReport:
@@ -488,20 +485,44 @@ def _csv_cell(v) -> str:
     return repr(float(v))
 
 
+def write_text(text: str, path) -> None:
+    """Write text to path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
+def _strict(value):
+    """The document with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def write_json(doc, path) -> None:
+    """Write doc as strict JSON, a non-finite float as null, to path or stdout."""
+    write_text(json.dumps(_strict(doc), sort_keys=True, indent=2, allow_nan=False) + "\n", path)
+
+
 def emit_report(report, path, fmt: str) -> None:
-    """Write a report; identical reports produce identical bytes."""
+    """Write a report to path, or to stdout when path is None.
+
+    Identical reports produce identical bytes.
+    """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
     if isinstance(report, DeviationReport) and len(report.x_grid) == 0:
         raise ValueError("refusing to emit an empty deviation report")
     if fmt == "json":
-        doc = report.to_dict() if hasattr(report, "to_dict") else dict(report)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        return
-    with open(path, "w") as fh:
-        fh.write(report_to_csv(report))
+        write_json(report.to_dict(), path)
+    else:
+        write_text(report_to_csv(report), path)
 
 
 def report_to_csv(report) -> str:

@@ -2,15 +2,17 @@
 
 A net at scale delta is a delta-packing (pairwise Euclidean distance > delta)
 that is also a delta-covering (every unit vector within delta of some net
-point).  Construction is greedy rejection sampling followed by a deterministic
-repair step that closes residual coverage gaps:
+point).
 
-* d = 2: sort by angle and subdivide any arc gap that is too wide.  Exact.
-* d = 3: insert spherical Voronoi circumcenters that sit farther than delta
-  from their generators, iterating until none remain.  Exact, because the
-  covering radius of a point set on the sphere is attained at a Voronoi vertex.
-* d >= 4 (or tiny degenerate nets): random probe passes until a full pass
-  inserts nothing.  Monte Carlo only, so the net is marked uncertified.
+* d = 2: the m equally spaced directions with the fewest m >= 3 that cover at
+  delta.  Closed form and exact.
+* d >= 3: greedy rejection sampling, then a deterministic repair step that
+  closes residual coverage gaps.  In d = 3 it inserts spherical Voronoi
+  circumcenters that sit farther than delta from their generators, iterating
+  until none remain; exact, because the covering radius of a point set on the
+  sphere is attained at a Voronoi vertex.  In d >= 4 (or for tiny degenerate
+  nets) it runs random probe passes until a full pass inserts nothing; Monte
+  Carlo only, so the net is marked uncertified.
 
 The greedy phase draws candidates 4096 at a time and screens them in blocks
 of 256, one block after another: a blocked max-dot against every point kept
@@ -66,24 +68,6 @@ def blocked_max_dot(dirs: np.ndarray, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def blocked_argmax_dot(dirs: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Argmax companion of blocked_max_dot: (indices into points, max dots)."""
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    best = np.full(len(dirs), -np.inf)
-    arg = np.zeros(len(dirs), dtype=np.int64)
-    step = max(1, _BLOCK_ELEMS // max(1, len(dirs)))
-    rows = np.arange(len(dirs))
-    for lo in range(0, len(points), step):
-        prod = dirs @ points[lo : lo + step].T
-        k = prod.argmax(axis=1)
-        val = prod[rows, k]
-        better = val > best
-        best[better] = val[better]
-        arg[better] = k[better] + lo
-    return arg, best
-
-
 # ---------------------------------------------------------------------------
 # the net object
 
@@ -106,9 +90,9 @@ class SphereNet:
 
     def nearest(self, v: np.ndarray) -> tuple[int, float]:
         """Index of the nearest net point to unit v and the Euclidean distance."""
-        v = np.asarray(v, dtype=float)
-        arg, dot = blocked_argmax_dot(v[None, :], self.points)
-        return int(arg[0]), math.sqrt(max(0.0, 2.0 - 2.0 * float(dot[0])))
+        dots = self.points @ np.asarray(v, dtype=float)
+        i = int(np.argmax(dots))
+        return i, math.sqrt(max(0.0, 2.0 - 2.0 * float(dots[i])))
 
     def coverage_distances(self, dirs: np.ndarray) -> np.ndarray:
         """Distance from each probe direction to the net."""
@@ -145,23 +129,82 @@ def build_net(
     streak: int | None = None,
     repair: bool = True,
 ) -> SphereNet:
-    """Greedy maximal-packing net with deterministic coverage repair.
+    """Certified delta-net: closed form in d = 2, greedy packing plus repair above.
 
-    The greedy phase draws i.i.d. uniform directions and keeps those farther
-    than delta from everything kept so far, stopping after `streak` consecutive
-    rejections.  A maximal delta-packing is automatically a delta-covering;
-    the random phase only approximates maximality, so the repair phase closes
-    the remaining gaps exactly (d <= 3) or by probing (d >= 4).
+    In d = 2 the net is the m directions at angles 2 pi k / m, k = 0 ... m - 1,
+    for the smallest m >= 3 with 2 sin(pi / (2m)) <= delta.  The farthest
+    direction from the net is a gap midpoint, so that chord is the exact
+    cover radius and the net is certified.  It packs: for m > 3, minimality
+    gives 2 sin(pi / (2(m - 1))) > delta, and pi / m > pi / (2(m - 1)) with
+    both angles in (0, pi / 2], so the pairwise distance 2 sin(pi / m) exceeds
+    delta; for m = 3 it is sqrt(3) > 1 >= delta.  There `seed`, `streak` and
+    `repair` have no effect, and the net records streak 0.
+
+    In d >= 3 the greedy phase draws i.i.d. uniform directions and keeps those
+    farther than delta from everything kept so far, stopping after `streak`
+    consecutive rejections.  A maximal delta-packing is automatically a
+    delta-covering; the random phase only approximates maximality, so the
+    repair phase closes the remaining gaps exactly (d = 3) or by probing
+    (d >= 4).
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must be in (0, 1]")
+    if d == 2:
+        # start one below the rounded count, so rounding cannot skip the least m
+        m = max(3, math.ceil(math.pi / (2.0 * math.asin(delta / 2.0))) - 1)
+        while 2.0 * math.sin(math.pi / (2 * m)) > delta:
+            m += 1
+        ang = 2.0 * math.pi * np.arange(m) / m
+        return SphereNet(
+            dim=2,
+            delta=float(delta),
+            points=np.column_stack([np.cos(ang), np.sin(ang)]),
+            seed=int(seed),
+            streak=0,
+            cover_radius=2.0 * math.sin(math.pi / (2 * m)),
+            certified=True,
+        )
     if streak is None:
         streak = default_streak(d, delta)
     rng = philox(seed)
-    thresh = 1.0 - delta**2 / 2.0  # dot > thresh  <=>  distance < delta
+    arr = _greedy(d, delta, rng, streak)
 
+    if not repair:
+        cover, certified = float("nan"), False
+    elif d == 3:
+        from scipy.spatial import QhullError
+
+        try:
+            arr, cover, certified = _repair_sphere(arr, delta)
+        except (QhullError, RuntimeError, ValueError) as exc:
+            # QhullError or ValueError from SphericalVoronoi, RuntimeError
+            # when the repair does not converge
+            log.warning(
+                "Voronoi repair of the d = 3 net failed (%s: %s); "
+                "falling back to the uncertified probe repair",
+                type(exc).__name__,
+                exc,
+            )
+            arr, cover, certified = _repair_probe(arr, delta, rng)
+    else:
+        arr, cover, certified = _repair_probe(arr, delta, rng)
+
+    return SphereNet(
+        dim=d,
+        delta=float(delta),
+        points=arr,
+        seed=int(seed),
+        streak=int(streak),
+        cover_radius=float(cover),
+        certified=bool(certified),
+    )
+
+
+def _greedy(d: int, delta: float, rng: np.random.Generator, streak: int) -> np.ndarray:
+    """The greedy packing phase: the points kept before `streak` straight misses."""
+    thresh = 1.0 - delta**2 / 2.0  # dot > thresh  <=>  distance < delta
     store = np.empty((65536, d))
     n_kept = 0
     misses = 0
@@ -207,57 +250,20 @@ def build_net(
                 break
     if n_kept == 0:
         raise RuntimeError("greedy phase kept no points; streak too small")
-    arr = store[:n_kept].copy()
-
-    if repair:
-        if d == 2:
-            arr, cover, certified = _repair_circle(arr, delta)
-        elif d == 3:
-            from scipy.spatial import QhullError
-
-            try:
-                arr, cover, certified = _repair_sphere(arr, delta)
-            except (QhullError, RuntimeError, ValueError) as exc:
-                # QhullError or ValueError from SphericalVoronoi, RuntimeError
-                # when the repair does not converge
-                log.warning(
-                    "Voronoi repair of the d = 3 net failed (%s: %s); "
-                    "falling back to the uncertified probe repair",
-                    type(exc).__name__,
-                    exc,
-                )
-                arr, cover, certified = _repair_probe(arr, delta, rng)
-        else:
-            arr, cover, certified = _repair_probe(arr, delta, rng)
-    else:
-        cover, certified = float("nan"), False
-
-    return SphereNet(
-        dim=d,
-        delta=float(delta),
-        points=arr,
-        seed=int(seed),
-        streak=int(streak),
-        cover_radius=float(cover),
-        certified=bool(certified),
-    )
+    return store[:n_kept].copy()
 
 
-def _repair_circle(pts: np.ndarray, delta: float) -> tuple[np.ndarray, float, bool]:
-    """Subdivide over-wide arc gaps; exact covering certificate on S^1."""
-    theta_c = 2.0 * math.asin(min(1.0, delta / 2.0))
-    ang = np.sort(np.arctan2(pts[:, 1], pts[:, 0]))
-    gaps = np.diff(np.append(ang, ang[0] + 2.0 * math.pi))
-    out_ang = [ang]
-    final_gaps = []
-    for a, g in zip(ang, gaps):
-        m = max(1, math.ceil(g / (2.0 * theta_c) - 1e-12))
-        if m > 1:
-            out_ang.append(a + g * np.arange(1, m) / m)
-        final_gaps.append(g / m)
-    full = np.sort(np.concatenate(out_ang))
-    cover = 2.0 * math.sin(max(final_gaps) / 4.0)
-    return np.column_stack([np.cos(full), np.sin(full)]), cover, True
+def _append_far(pts: np.ndarray, cand: np.ndarray, delta: float) -> np.ndarray:
+    """pts plus, in order, each candidate farther than delta from those appended before it."""
+    thresh = 1.0 - delta**2 / 2.0
+    buf = np.empty((len(cand), pts.shape[1]))
+    k = 0
+    for v in cand:
+        if k and float(np.max(buf[:k] @ v)) > thresh:
+            continue
+        buf[k] = v
+        k += 1
+    return np.vstack([pts, buf[:k]])
 
 
 def _voronoi_vertex_distances(pts: np.ndarray):
@@ -283,22 +289,13 @@ def _repair_sphere(
     pts: np.ndarray, delta: float, max_rounds: int = 60
 ) -> tuple[np.ndarray, float, bool]:
     """Insert uncovered Voronoi circumcenters until the covering is exact (S^2)."""
-    thresh = 1.0 - delta**2 / 2.0
     for _ in range(max_rounds):
         verts, dist = _voronoi_vertex_distances(pts)
         far = np.argsort(dist)[::-1]
         far = far[dist[far] > delta]
         if len(far) == 0:
             return pts, float(dist.max()), True
-        buf = np.empty((len(far), pts.shape[1]))
-        k = 0
-        for i in far:
-            v = verts[i]
-            if k and float(np.max(buf[:k] @ v)) > thresh:
-                continue
-            buf[k] = v
-            k += 1
-        pts = np.vstack([pts, buf[:k]])
+        pts = _append_far(pts, verts[far], delta)
     raise RuntimeError("coverage repair did not converge")
 
 
@@ -320,15 +317,7 @@ def _repair_probe(
         holes = np.flatnonzero(dots <= thresh)
         if len(holes) == 0:
             return pts, worst, False
-        buf = np.empty((len(holes), d))
-        k = 0
-        for i in holes:
-            v = cand[i]
-            if k and float(np.max(buf[:k] @ v)) > thresh:
-                continue
-            buf[k] = v
-            k += 1
-        pts = np.vstack([pts, buf[:k]])
+        pts = _append_far(pts, cand[holes], delta)
     raise RuntimeError("probe repair did not converge")
 
 

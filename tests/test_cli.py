@@ -288,6 +288,20 @@ def test_rates_json_and_seed_override(tmp_path, config_path):
     assert d1["means"] != d2["means"]
 
 
+def test_rates_json_is_strict_and_the_same_on_stdout_and_in_the_file(
+    tmp_path, config_path, capsys
+):
+    # two grid points leave the slope no degrees of freedom, so ci_half is inf
+    argv = ["rates", "--config", str(config_path), "--format", "json"]
+    main(argv)
+    printed = capsys.readouterr().out
+    out = tmp_path / "rates.json"
+    main(argv + ["--out", str(out)])
+    assert out.read_text() == printed
+    doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert doc["ci_half"] is None
+
+
 def test_deviation_csv_schema(tmp_path, ball_path):
     cfg = ExperimentConfig(
         body=Ball(center=[0.0, 0.0], radius=1.0),

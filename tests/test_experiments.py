@@ -248,8 +248,8 @@ def test_boundary_ball_experiment_hands_qhull_every_point(caplog):
 PINNED_DISC_MEANS = [0.04479717167738151, 0.010536692632247213]
 PINNED_SQUARE_CSV = (
     "n,mean_metric_q,stderr,reps\n"
-    "1000,0.04473629087736656,0.0020153054866131463,3\n"
-    "3000,0.03477725585914878,0.002267215487809239,3\n"
+    "1000,0.0447202588379955,0.002009554121503974,3\n"
+    "3000,0.03476547360048413,0.0023198814523740048,3\n"
 )
 
 

@@ -14,7 +14,6 @@ from randhull.estimators import hausdorff_to_body, pairwise_hausdorff_certified
 from randhull.experiments import _KEY_NET, ExperimentConfig
 from randhull.geometry import Ball, PolytopeV, support_batch
 from randhull.nets import (
-    blocked_argmax_dot,
     blocked_max_dot,
     build_net,
     decompose,
@@ -43,16 +42,6 @@ def test_blocked_max_dot_matches_dense(m, n, d):
     np.testing.assert_allclose(blocked_max_dot(dirs, pts), dense, atol=1e-12)
 
 
-def test_blocked_argmax_matches_dense():
-    rng = np.random.Generator(np.random.Philox(3))
-    dirs = rng.normal(size=(17, 3))
-    pts = rng.normal(size=(233, 3))
-    arg, best = blocked_argmax_dot(dirs, pts)
-    dense = dirs @ pts.T
-    np.testing.assert_array_equal(arg, dense.argmax(axis=1))
-    np.testing.assert_allclose(best, dense.max(axis=1), atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # construction invariants
 
@@ -72,6 +61,70 @@ def test_net_packing_covering_cardinality(d, delta):
     assert float(dist.max()) <= delta * (1.0 + 1e-12)
 
 
+def _circle_cover(m):
+    return 2.0 * math.sin(math.pi / (2 * m))
+
+
+def _closed_form_deltas():
+    # a dense grid up to delta = 1, plus the deltas at which
+    # pi / (2 asin(delta / 2)) lies within 1e-12 of an integer m, where its
+    # ceiling overshoots the least m (as next to m = 50) or undershoots it
+    # (as next to m = 131)
+    edges = []
+    for m in (3, 4, 5, 7, 16, 32, 50, 100, 131, 333, 1000):
+        c = _circle_cover(m)
+        edges += [np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)]
+    for x in edges:
+        ratio = math.pi / (2.0 * math.asin(x / 2.0))
+        assert abs(ratio - round(ratio)) < 1e-12
+    return [float(x) for x in np.concatenate([np.linspace(0.002, 1.0, 250), edges])]
+
+
+def test_circle_net_is_the_least_equally_spaced_cover():
+    rng = philox(41)
+    for delta in _closed_form_deltas():
+        net = build_net(2, delta, seed=3)
+        m = len(net)
+        assert m >= 3
+        assert _circle_cover(m) <= delta
+        assert m == 3 or _circle_cover(m - 1) > delta
+        assert net.certified and net.streak == 0
+        assert net.cover_radius == _circle_cover(m)
+        assert net.cover_radius <= delta * (1.0 + 1e-12)
+        assert net.min_pairwise_distance() > delta
+        np.testing.assert_allclose(np.linalg.norm(net.points, axis=1), 1.0, atol=1e-12)
+        # the gap midpoints are the farthest directions from the net
+        mid = (2.0 * np.arange(m) + 1.0) * math.pi / m
+        probes = np.vstack(
+            [np.column_stack([np.cos(mid), np.sin(mid)]), unit_directions(rng, 500, 2)]
+        )
+        # distances as vector norms: the 2 - 2 u.v form loses digits at small delta
+        near = net.points[np.argmax(probes @ net.points.T, axis=1)]
+        assert float(np.linalg.norm(probes - near, axis=1).max()) <= delta * (1.0 + 1e-12)
+        for u in probes[[0, m // 2, m, m + 1, m + 2]]:
+            for depth in (0, 1, 3):
+                bound = delta ** (depth + 1)
+                assert decompose(net, u, depth).error <= bound * (1.0 + 1e-9)
+
+
+def test_circle_net_ignores_seed_streak_and_repair():
+    net = build_net(2, 0.1, seed=5)
+    for other in (build_net(2, 0.1, seed=6, streak=3), build_net(2, 0.1, seed=5, repair=False)):
+        np.testing.assert_array_equal(other.points, net.points)
+        assert other.cover_radius == net.cover_radius
+        assert other.certified and other.streak == 0
+
+
+def test_greedy_nets_are_pinned():
+    # the greedy phase and the Voronoi and probe repairs of d >= 3
+    net = build_net(3, 0.1, 0)
+    assert len(net) == 881
+    assert net.cover_radius == 0.09990188875610798
+    net = build_net(4, 0.5, 2, streak=200)
+    assert len(net) == 109
+    assert net.cover_radius == 0.4992586692094606
+
+
 def test_circle_net_meets_covering_lower_bound():
     # every point covers an arc of at most 2*arcsin(delta/2) half-width, so a
     # covering needs at least pi / (2 arcsin(delta/2)) points
@@ -82,10 +135,10 @@ def test_circle_net_meets_covering_lower_bound():
 
 
 def test_build_net_deterministic():
-    a = build_net(2, 0.2, seed=5)
-    b = build_net(2, 0.2, seed=5)
+    a = build_net(3, 0.2, seed=5)
+    b = build_net(3, 0.2, seed=5)
     np.testing.assert_array_equal(a.points, b.points)
-    c = build_net(2, 0.2, seed=6)
+    c = build_net(3, 0.2, seed=6)
     assert len(c.points) != len(a.points) or not np.array_equal(c.points, a.points)
 
 
@@ -97,7 +150,7 @@ def test_short_streak_still_certified():
 
 
 def test_repair_disabled_is_uncertified():
-    net = build_net(2, 0.2, seed=5, repair=False)
+    net = build_net(3, 0.2, seed=5, repair=False)
     assert not net.certified
     assert math.isnan(net.cover_radius)
 
@@ -195,9 +248,10 @@ def reference_greedy(d, delta, seed, streak):
     "d, delta", [(2, 0.3), (2, 0.1), (2, 0.02), (3, 0.5), (3, 0.2), (4, 0.6)]
 )
 def test_greedy_matches_one_at_a_time_reference(d, delta, seed, streak):
-    got = build_net(d, delta, seed, streak=streak, repair=False)
-    want, _ = reference_greedy(d, delta, seed, streak or default_streak(d, delta))
-    np.testing.assert_array_equal(got.points, want)
+    streak = streak or default_streak(d, delta)
+    got = nets._greedy(d, delta, philox(seed), streak)
+    want, _ = reference_greedy(d, delta, seed, streak)
+    np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize(
@@ -232,8 +286,8 @@ def test_greedy_stopping_at_a_draw_boundary_draws_no_further(
         return unit_directions(rng, n, dim)
 
     monkeypatch.setattr(nets, "unit_directions", counted)
-    got = build_net(d, delta, seed, streak=streak, repair=False)
-    np.testing.assert_array_equal(got.points, want)
+    got = nets._greedy(d, delta, philox(seed), streak)
+    np.testing.assert_array_equal(got, want)
     assert draws == [4096] * (stop // 4096 + 1)
 
 
@@ -249,8 +303,8 @@ def test_rate_net_of_the_disc_configuration_is_pinned():
         master_seed=1005,
     )
     net = build_net(2, config.resolved_net_delta(), derived_seed(1005, _KEY_NET))
-    assert len(net) == 605
-    assert net.cover_radius == 0.007768902172080119
+    assert len(net) == 404
+    assert net.cover_radius == 0.00777619984689385
     assert net.certified
 
 
@@ -334,7 +388,7 @@ def test_certificate_of_uncertified_net_is_infinite():
     cloud = SampleCloud(points=0.5 * net.points, body=ball, mode="boundary", seed=0, n=len(net))
     assert hausdorff_to_body(ball, cloud, net).certified_upper == math.inf
     assert sup_certificate(net, 0.0) == math.inf
-    assert sup_certificate(build_net(2, 0.2, seed=5, repair=False), 0.0) == math.inf
+    assert sup_certificate(build_net(3, 0.2, seed=5, repair=False), 0.0) == math.inf
 
 
 def test_certificate_of_unit_bodies_is_the_chaining_bound():

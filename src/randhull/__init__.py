@@ -41,7 +41,6 @@ from .nets import (
     build_net,
     decompose,
     load_net,
-    save_net,
 )
 from .sampling import (
     SampleCloud,

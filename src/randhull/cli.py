@@ -29,7 +29,7 @@ from .experiments import (
     write_text,
 )
 from .geometry import load_body
-from .nets import build_net, load_net, net_to_dict, save_net
+from .nets import build_net, load_net, net_to_dict
 from .sampling import SampleCloud, load_points, points_to_csv, sample
 
 
@@ -58,10 +58,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_net_build(args) -> int:
     net = build_net(args.d, args.delta, _seed_or(args), streak=args.streak)
-    if args.out is None:
-        write_json(net_to_dict(net), None)
-    else:
-        save_net(net, args.out)
+    write_json(net_to_dict(net), args.out)
     return 0
 
 

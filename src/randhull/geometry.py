@@ -61,12 +61,17 @@ def c_alpha(alpha: float) -> float:
 
 
 def unit(v: np.ndarray) -> np.ndarray:
-    """Normalize a nonzero vector to the unit sphere."""
+    """Normalize a nonzero vector to the unit sphere.
+
+    v is divided by its largest absolute entry first, so that its norm
+    neither underflows nor overflows.
+    """
     v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
+    scale = float(np.max(np.abs(v)))
+    if scale == 0.0:
         raise ValueError("cannot normalize the zero vector")
-    return v / n
+    v = v / scale
+    return v / float(np.linalg.norm(v))
 
 
 def require_unit(u: np.ndarray, tol: float = _UNIT_TOL) -> np.ndarray:
@@ -169,12 +174,26 @@ class PolytopeV:
             raise ValueError("need at least d+1 vertices")
         if np.linalg.matrix_rank(self.vertices[1:] - self.vertices[0]) < d:
             raise ValueError("vertices are not full-dimensional")
+        self._hull = None
         self._facets = None
         self._triangulation = None
 
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]
+
+    def _qhull(self):
+        """Qhull's hull of the vertices, built on first use and cached.
+
+        The one Qhull call behind the facet inequalities and the
+        triangulation.  Two threads may both build it; they build the same
+        arrays.
+        """
+        if self._hull is None:
+            from scipy.spatial import ConvexHull
+
+            self._hull = ConvexHull(self.vertices)
+        return self._hull
 
     def facet_inequalities(self) -> np.ndarray:
         """Rows [a, b] with the body = {x : a.x + b <= 0}.
@@ -183,9 +202,7 @@ class PolytopeV:
         goes through here.
         """
         if self._facets is None:
-            from scipy.spatial import ConvexHull
-
-            self._facets = np.unique(ConvexHull(self.vertices).equations, axis=0)
+            self._facets = np.unique(self._qhull().equations, axis=0)
         return self._facets
 
     def triangulation(self) -> Triangulation:
@@ -194,16 +211,10 @@ class PolytopeV:
         One simplex [a, F] for each of Qhull's simplicial facets F whose
         hyperplane misses a, with volume |det(F - a)| / d!.  The cones from a
         over the facets it does not lie on tile the polytope, so a simplex
-        gives one simplex and the volumes sum to the polytope's.  The facet
-        inequalities come from the same Qhull call.  Two threads sampling the
-        body at once may both build it; they build the same arrays.
+        gives one simplex and the volumes sum to the polytope's.
         """
         if self._triangulation is None:
-            from scipy.spatial import ConvexHull
-
-            hull = ConvexHull(self.vertices)
-            if self._facets is None:
-                self._facets = np.unique(hull.equations, axis=0)
+            hull = self._qhull()
             apex = self.vertices[hull.vertices[0]]
             # Qhull's rows [n, b], |n| = 1, hold the inside as n.x + b <= 0
             depth = -(hull.equations[:, :-1] @ apex + hull.equations[:, -1])
@@ -418,20 +429,7 @@ def contains_batch(body: BodySpec, points: np.ndarray, tol: float = 1e-12) -> np
         return np.linalg.norm(z, axis=1) <= 1.0 + tol
     if isinstance(body, PolytopeV):
         eqs = body.facet_inequalities()
-        # The rejection sampler's accept decisions rest on the rounding of
-        # this one full-batch (n, d) @ (d, k) product: blocking it, or
-        # computing eqs @ points.T instead, rounds differently and changes
-        # clouds.  After it, one column test per facet into buffers made
-        # once; a NaN row fails every test, as it fails max(...) <= tol.
-        v = points @ eqs[:, :-1].T
-        col = np.empty(len(v))
-        test = np.empty(len(v), dtype=bool)
-        inside = np.ones(len(v), dtype=bool)
-        for j, b in enumerate(eqs[:, -1]):
-            np.add(v[:, j], b, out=col)
-            np.less_equal(col, tol, out=test)
-            inside &= test
-        return inside
+        return np.all(points @ eqs[:, :-1].T + eqs[:, -1] <= tol, axis=1)
     if isinstance(body, BumpBall):
         r2 = np.einsum("ij,ij->i", points, points)
         s = points @ body.direction

@@ -127,7 +127,6 @@ def build_net(
     seed: int,
     *,
     streak: int | None = None,
-    repair: bool = True,
 ) -> SphereNet:
     """Certified delta-net: closed form in d = 2, greedy packing plus repair above.
 
@@ -137,8 +136,8 @@ def build_net(
     cover radius and the net is certified.  It packs: for m > 3, minimality
     gives 2 sin(pi / (2(m - 1))) > delta, and pi / m > pi / (2(m - 1)) with
     both angles in (0, pi / 2], so the pairwise distance 2 sin(pi / m) exceeds
-    delta; for m = 3 it is sqrt(3) > 1 >= delta.  There `seed`, `streak` and
-    `repair` have no effect, and the net records streak 0.
+    delta; for m = 3 it is sqrt(3) > 1 >= delta.  There `seed` and `streak`
+    have no effect, and the net records streak 0.
 
     In d >= 3 the greedy phase draws i.i.d. uniform directions and keeps those
     farther than delta from everything kept so far, stopping after `streak`
@@ -171,9 +170,7 @@ def build_net(
     rng = philox(seed)
     arr = _greedy(d, delta, rng, streak)
 
-    if not repair:
-        cover, certified = float("nan"), False
-    elif d == 3:
+    if d == 3:
         from scipy.spatial import QhullError
 
         try:
@@ -419,12 +416,6 @@ def net_from_dict(doc: dict) -> SphereNet:
         cover_radius=float(doc["cover_radius"]),
         certified=bool(doc["certified"]),
     )
-
-
-def save_net(net: SphereNet, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(net_to_dict(net), fh)
-        fh.write("\n")
 
 
 def load_net(path) -> SphereNet:

@@ -7,15 +7,18 @@ affine image of the unit-ball draw with the same stream; that identity is load
 bearing (tests rely on it), so do not reorder the draws.
 
 Interior modes: ball by radial scaling, ellipsoid by affine pushforward,
-polytope by its triangulation (or, when it fills its bounding box, by
-bounding-box rejection), dented ball by rejection from its enclosing ball.
+polytope by a direct draw when it is its bounding box and by its
+triangulation otherwise, dented ball by rejection from its enclosing ball.
 Boundary modes: ball via normalized Gaussians, ellipsoid via
 Jacobian-reweighted rejection off the sphere (exact area uniformity, no mesh).
 
-A polytope's interior draw is exact (Devroye 1986, Non-Uniform Random Variate
-Generation, ch. XI).  Its pulling triangulation (PolytopeV.triangulation)
-tiles it with simplices [a, f_1, ..., f_d] of volumes V_1..V_k.  On the
-interior stream the sampler draws, in this order:
+A polytope's interior draw is exact and rejects nothing.  When its vertices
+include all 2^d corners of their bounding box [lo, hi] (compared exactly), it
+is that box, and the sampler draws an (n, d) block of uniforms U on the
+interior stream and returns lo + (hi - lo) * U.  Otherwise (Devroye 1986,
+Non-Uniform Random Variate Generation, ch. XI) its pulling triangulation
+(PolytopeV.triangulation) tiles it with simplices [a, f_1, ..., f_d] of
+volumes V_1..V_k.  On the interior stream the sampler draws, in this order:
 
 1. when k > 1, n uniforms u; point i goes to the simplex m with
    c_(m-1) <= u_i < c_m, where c_0 = 0 and
@@ -26,9 +29,7 @@ interior stream the sampler draws, in this order:
 With S = e_0 + e_1 + ... + e_d, added in that order, the point is
 x_j = a_j + (e_1 / S)(f_1 - a)_j + ... + (e_d / S)(f_d - a)_j, the terms
 added in that order: the Dirichlet(1, ..., 1) weights e / S are uniform
-barycentric coordinates.  A polytope whose box acceptance vol(P) /
-vol(bounding box) is 1 (up to roundoff) keeps bounding-box rejection instead,
-bit for bit, since there a single round of box proposals is cheaper.
+barycentric coordinates.
 
 The hot kernels make each RNG draw whole, over all n points, then do the
 per-point arithmetic in blocks of _BLOCK_ROWS rows, column by column: a
@@ -65,13 +66,6 @@ log = logging.getLogger("randhull")
 
 _MODE_KEYS = {"interior": 0, "boundary": 1}
 _MAX_REJECTION_ROUNDS = 500
-# smallest box acceptance vol(P) / vol(bounding box) at which a polytope keeps
-# bounding-box rejection.  Rejection draws whole batches of max(1024, n), so
-# below acceptance 1 it pays a second round, and from n = 1e4 on the
-# triangulation is faster at every acceptance measured below 1, 0.9987 the
-# highest (BENCH_triangulation_sampler.json).  So only a polytope that fills
-# its box, up to the roundoff of the volume sum, keeps the box.
-_BOX_MIN_ACCEPTANCE = 1.0 - 1e-9
 # rows of the per-point sampler arithmetic done at a time, so that a block's
 # weights, norms and output columns stay in the L2 cache (measured sweep in
 # BENCH_sampler_blocks.json)
@@ -216,30 +210,35 @@ def _sample_interior(body: BodySpec, n: int, rng: np.random.Generator) -> np.nda
         return body.center + (z * body.semi_axes) @ body.rotation.T
     if isinstance(body, PolytopeV):
         lo = body.vertices.min(axis=0)
-        width = body.vertices.max(axis=0) - lo
+        hi = body.vertices.max(axis=0)
+        if _is_box(body.vertices, lo, hi):
+            log.debug("polytope sampler: box path")
+            return _scale_shift_columns(rng.random((n, d)), hi - lo, lo)
         tri = body.triangulation()
-        acceptance = float(tri.volumes.sum() / np.prod(width))
-        box = acceptance >= _BOX_MIN_ACCEPTANCE
-        log.debug(
-            "polytope sampler: %s path, simplices %d, box acceptance %.4g",
-            "box" if box else "triangulation",
-            len(tri.volumes),
-            acceptance,
-        )
-        if not box:
-            return _triangulation_points(tri, n, rng)
-        return _rejection_loop(
-            n,
-            lambda m: _scale_shift_columns(rng.random((m, d)), width, lo),
-            lambda pts: contains_batch(body, pts),
-        )
+        log.debug("polytope sampler: triangulation path, simplices %d", len(tri.volumes))
+        return _triangulation_points(tri, n, rng)
     if isinstance(body, BumpBall):
-        return _rejection_loop(
-            n,
-            lambda m: body.radius * unit_ball_points(rng, m, d),
-            lambda pts: contains_batch(body, pts),
-        )
+
+        def propose(m: int) -> np.ndarray:
+            pts = body.radius * unit_ball_points(rng, m, d)
+            return np.compress(contains_batch(body, pts), pts, axis=0)
+
+        return _collect(n, propose)
     raise TypeError(f"unknown body kind {type(body).__name__}")
+
+
+def _is_box(vertices: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether the vertices include all 2^d corners of the box [lo, hi].
+
+    The comparisons are exact.  Every vertex lies in [lo, hi], so when they
+    include its corners their hull is that box.
+    """
+    m, d = vertices.shape
+    if m < 2**d:
+        return False
+    at_lo, at_hi = vertices == lo, vertices == hi
+    corners = at_hi[np.all(at_lo | at_hi, axis=1)]
+    return len(np.unique(corners, axis=0)) == 2**d
 
 
 def _triangulation_points(tri: Triangulation, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -299,14 +298,6 @@ def _sample_boundary(body: BodySpec, n: int, rng: np.random.Generator) -> np.nda
     raise ValueError(
         f"boundary sampling is not supported for {type(body).__name__}"
     )
-
-
-def _rejection_loop(n: int, propose, accept) -> np.ndarray:
-    def propose_accepted(m: int) -> np.ndarray:
-        pts = propose(m)
-        return np.compress(accept(pts), pts, axis=0)
-
-    return _collect(n, propose_accepted)
 
 
 def _collect(n: int, propose_accepted) -> np.ndarray:

@@ -73,6 +73,19 @@ def test_net_build_writes_certified_net(tmp_path):
     assert net.cover_radius <= 0.2
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_net_build_writes_the_same_strict_json_to_out_and_stdout(tmp_path, capsys, d):
+    argv = ["net", "build", "--d", str(d), "--delta", "0.5", "--seed", "3"]
+    main(argv)
+    printed = capsys.readouterr().out
+    out = tmp_path / "net.json"
+    main(argv + ["--out", str(out)])
+    assert out.read_bytes() == printed.encode()
+    doc = json.loads(printed, parse_constant=_reject_constant)
+    assert doc["dim"] == d and doc["certified"]
+    np.testing.assert_array_equal(load_net(out).points, np.asarray(doc["points"]))
+
+
 def test_distance_reports_deficit(tmp_path, ball_path):
     pts = tmp_path / "points.csv"
     main(["sample", "--body", str(ball_path), "--n", "200", "--seed", "7", "--out", str(pts)])

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from randhull.experiments import ExperimentConfig, save_experiment_config
-from randhull.geometry import Ball, save_body
+from randhull.geometry import Ball, PolytopeV, save_body
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -63,6 +63,17 @@ def test_light_commands_load_no_heavy_scipy(tmp_path, command):
     loaded = _fresh(code, *argv).decode().split()
     assert out.stat().st_size > 0
     assert [m for m in loaded if m.startswith(HEAVY)] == []
+
+
+def test_sample_on_the_unit_square_loads_no_scipy(tmp_path):
+    # a box draws its points directly: no Qhull, no triangulation
+    body = tmp_path / "square.json"
+    save_body(PolytopeV(vertices=[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), body)
+    out = tmp_path / "out.csv"
+    argv = ["sample", "--body", str(body), "--mode", "interior", "--n", "1000", "--out", str(out)]
+    code = "import sys\nfrom randhull.cli import main\nmain(sys.argv[1:])" + SCIPY_MODULES
+    assert _fresh(code, *argv).split() == []
+    assert out.stat().st_size > 0
 
 
 def test_rates_bytes_do_not_depend_on_threads_in_a_fresh_interpreter(tmp_path):

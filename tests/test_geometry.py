@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from randhull.geometry import (
@@ -30,21 +30,23 @@ from randhull.geometry import (
     sphere_area,
     support,
     support_batch,
+    unit,
 )
 
 BALL2 = Ball(center=[0.0, 0.0], radius=1.0)
 SQUARE = PolytopeV(vertices=[[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
 
-def unit(v):
-    v = np.asarray(v, dtype=float)
-    return v / np.linalg.norm(v)
-
-
 def homogeneous_support(body, x):
-    """|x| * h(x/|x|), the positively homogeneous extension; 0 at the origin."""
-    n = float(np.linalg.norm(x))
-    return 0.0 if n == 0.0 else n * float(support_batch(body, (x / n)[None, :])[0])
+    """|x| * h(x/|x|), the positively homogeneous extension; 0 at the origin.
+
+    |x| is taken as max|x_i| * |x / max|x_i||, so that it does not underflow.
+    """
+    scale = float(np.max(np.abs(x)))
+    if scale == 0.0:
+        return 0.0
+    norm = scale * float(np.linalg.norm(x / scale))
+    return norm * float(support_batch(body, unit(x)[None, :])[0])
 
 
 def units_strategy(d):
@@ -54,6 +56,20 @@ def units_strategy(d):
         .filter(lambda v: np.linalg.norm(v) > 1e-3)
         .map(unit)
     )
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1e200])
+def test_unit_is_unit_at_every_scale(scale):
+    # the squared norm of the smallest vector underflows, that of the
+    # largest overflows
+    u = unit(scale * np.array([3.0, -4.0]))
+    np.testing.assert_allclose(u, [0.6, -0.8], rtol=1e-15)
+    assert abs(float(np.linalg.norm(u)) - 1.0) <= 1e-15
+
+
+def test_unit_rejects_the_zero_vector():
+    with pytest.raises(ValueError, match="zero vector"):
+        unit([0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +222,8 @@ def test_support_batch_matches_single():
 
 
 @given(units_strategy(2), units_strategy(2))
+# u + v = [1.3e-158, 0], whose squared norm underflows
+@example(u=np.array([0.0, 1.0]), v=np.array([1.3373889e-158, -1.0]))
 def test_support_subadditive_on_square(u, v):
     huv = homogeneous_support(SQUARE, u + v)
     hu, hv = support_batch(SQUARE, np.array([u, v]))
@@ -534,9 +552,34 @@ def test_triangulation_is_built_once_on_first_use(tmp_path):
     path = tmp_path / "cube.json"
     save_body(CUBE, path)
     body = load_body(path)
-    assert body._triangulation is None and body._facets is None
+    assert body._hull is None and body._triangulation is None and body._facets is None
     tri = body.triangulation()
     assert body.triangulation() is tri
-    # the facet inequalities come from the same Qhull call
-    assert body._facets is not None
     np.testing.assert_array_equal(body.facet_inequalities(), CUBE.facet_inequalities())
+
+
+@pytest.mark.parametrize("name", sorted(TRIANGULATED))
+@pytest.mark.parametrize("first", ["facets", "triangulation"])
+def test_facets_and_triangulation_share_one_qhull_call(monkeypatch, name, first):
+    import scipy.spatial
+
+    vertices = TRIANGULATED[name].vertices
+    # the arrays as built from two separate Qhull calls
+    facets = np.unique(scipy.spatial.ConvexHull(vertices).equations, axis=0)
+    tri = PolytopeV(vertices=vertices).triangulation()
+    hull_class = scipy.spatial.ConvexHull
+    calls = []
+
+    def counted(points):
+        calls.append(len(points))
+        return hull_class(points)
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", counted)
+    body = PolytopeV(vertices=vertices)
+    if first == "facets":
+        body.facet_inequalities()
+    got_tri, got_facets = body.triangulation(), body.facet_inequalities()
+    assert calls == [len(vertices)]
+    assert got_facets.tobytes() == facets.tobytes()
+    for want, got in zip(tri, got_tri):
+        assert got.tobytes() == want.tobytes()

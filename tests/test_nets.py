@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from randhull import nets
 from randhull.estimators import hausdorff_to_body, pairwise_hausdorff_certified
-from randhull.experiments import _KEY_NET, ExperimentConfig
+from randhull.experiments import _KEY_NET, ExperimentConfig, write_json
 from randhull.geometry import Ball, PolytopeV, support_batch
 from randhull.nets import (
     blocked_max_dot,
@@ -19,7 +19,7 @@ from randhull.nets import (
     decompose,
     default_streak,
     load_net,
-    save_net,
+    net_to_dict,
     sup_certificate,
 )
 from randhull.sampling import SampleCloud, derived_seed, philox, unit_directions
@@ -107,12 +107,12 @@ def test_circle_net_is_the_least_equally_spaced_cover():
                 assert decompose(net, u, depth).error <= bound * (1.0 + 1e-9)
 
 
-def test_circle_net_ignores_seed_streak_and_repair():
+def test_circle_net_ignores_seed_and_streak():
     net = build_net(2, 0.1, seed=5)
-    for other in (build_net(2, 0.1, seed=6, streak=3), build_net(2, 0.1, seed=5, repair=False)):
-        np.testing.assert_array_equal(other.points, net.points)
-        assert other.cover_radius == net.cover_radius
-        assert other.certified and other.streak == 0
+    other = build_net(2, 0.1, seed=6, streak=3)
+    np.testing.assert_array_equal(other.points, net.points)
+    assert other.cover_radius == net.cover_radius
+    assert other.certified and other.streak == 0
 
 
 def test_greedy_nets_are_pinned():
@@ -147,12 +147,6 @@ def test_short_streak_still_certified():
     assert net.certified
     assert net.cover_radius <= 0.15 * (1.0 + 1e-12)
     assert net.min_pairwise_distance() >= 0.15 * (1.0 - 1e-12)
-
-
-def test_repair_disabled_is_uncertified():
-    net = build_net(3, 0.2, seed=5, repair=False)
-    assert not net.certified
-    assert math.isnan(net.cover_radius)
 
 
 def test_default_streak_values():
@@ -264,8 +258,7 @@ def test_greedy_stops_on_the_candidate_the_reference_stops_on(d, delta, seed, st
     want, at = reference_greedy(d, delta, seed, streak)
     assert at == stop
     assert len(reference_greedy(d, delta, seed, streak + 1)[0]) > len(want)
-    got = build_net(d, delta, seed, streak=streak, repair=False)
-    np.testing.assert_array_equal(got.points, want)
+    np.testing.assert_array_equal(nets._greedy(d, delta, philox(seed), streak), want)
 
 
 @pytest.mark.parametrize(
@@ -388,7 +381,6 @@ def test_certificate_of_uncertified_net_is_infinite():
     cloud = SampleCloud(points=0.5 * net.points, body=ball, mode="boundary", seed=0, n=len(net))
     assert hausdorff_to_body(ball, cloud, net).certified_upper == math.inf
     assert sup_certificate(net, 0.0) == math.inf
-    assert sup_certificate(build_net(3, 0.2, seed=5, repair=False), 0.0) == math.inf
 
 
 def test_certificate_of_unit_bodies_is_the_chaining_bound():
@@ -405,7 +397,7 @@ def test_certificate_of_unit_bodies_is_the_chaining_bound():
 def test_net_save_load_round_trip(tmp_path):
     net = build_net(3, 0.25, seed=29)
     path = tmp_path / "net.json"
-    save_net(net, path)
+    write_json(net_to_dict(net), path)
     back = load_net(path)
     assert back.dim == net.dim
     assert back.delta == net.delta

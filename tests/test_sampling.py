@@ -173,54 +173,91 @@ def _simplex(d, shift=0.0):
     return PolytopeV(vertices=np.vstack([np.zeros(d), np.eye(d)]) + shift)
 
 
-def _box_acceptance(body):
-    return float(body.triangulation().volumes.sum() / np.prod(np.ptp(body.vertices, axis=0)))
+def _is_box(body):
+    return sampling._is_box(body.vertices, body.vertices.min(axis=0), body.vertices.max(axis=0))
 
 
-HEXAGON = _ngon(6)  # box acceptance 3/4
+def _box_corners(lo, hi):
+    return np.array(np.meshgrid(*zip(lo, hi), indexing="ij")).reshape(len(lo), -1).T
+
+
+HEXAGON = _ngon(6)
 CUBE = PolytopeV(vertices=[[a, b, c] for a in (0.0, 1.0) for b in (0.0, 1.0) for c in (0.0, 1.0)])
-TRIANGLE = PolytopeV(vertices=[[0.0, 0.0], [1.0, 0.1], [0.3, 0.9]])  # box acceptance 0.48
+TRIANGLE = PolytopeV(vertices=[[0.0, 0.0], [1.0, 0.1], [0.3, 0.9]])
 SIMPLEX3 = _simplex(3)
 RANDOM4 = PolytopeV(vertices=np.random.default_rng(17).standard_normal((14, 4)))
+BOXES = {
+    "square": SQUARE,
+    "centred_square": PolytopeV(vertices=_box_corners([-1.0, -1.0], [1.0, 1.0])),
+    "cube": CUBE,
+    # corners plus points on the edges and inside, which are no vertices
+    "box_with_extra_points": PolytopeV(
+        vertices=np.vstack(
+            [_box_corners([0.0, -1.0], [2.0, 3.0]), [[1.0, -1.0], [2.0, 0.5], [0.5, 0.5]]]
+        )
+    ),
+    "far_box": PolytopeV(vertices=_box_corners([1e3, 1e3 + 0.1], [1e3 + 1.0, 1e3 + 0.7])),
+    "box4": PolytopeV(vertices=_box_corners([0.0, -1.0, 2.0, 0.5], [1.0, 1.0, 3.0, 0.75])),
+}
+# a square with one corner cut by 1e-6: box acceptance 1 - 5e-13, yet no box
+CUT_SQUARE = PolytopeV(
+    vertices=[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0 - 1e-6], [1.0 - 1e-6, 1.0], [0.0, 1.0]]
+)
 
 
-def test_rejection_sampler_logs_its_acceptance(caplog, monkeypatch):
-    # bounding-box rejection on the regular hexagon, forced, accepts 3/4 of
-    # the proposals
-    monkeypatch.setattr(sampling, "_BOX_MIN_ACCEPTANCE", 0.0)
+def test_polytopes_sample_without_containment_tests(monkeypatch):
+    def no_containment(*args, **kwargs):
+        raise AssertionError("contains_batch called")
+
+    monkeypatch.setattr(sampling, "contains_batch", no_containment)
+    for body in [*BOXES.values(), CUT_SQUARE, *TRIANGULATED.values()]:
+        assert sample(body, "interior", 2000, seed=5).points.shape == (2000, body.dim)
+    # the dented ball still rejects through it
+    with pytest.raises(AssertionError, match="contains_batch called"):
+        sample(BUMP, "interior", 10, seed=5)
+
+
+# a deep dent, so that the dented ball rejects about one proposal in nine
+DEEP_BUMP = BumpBall(radius=1.0, bump_scale=1.0, amplitude=0.9, direction=[0.0, 1.0])
+
+
+def test_rejection_sampler_logs_its_acceptance(caplog):
+    from randhull.experiments import bump_volume_defect_exact
+
+    acceptance = 1.0 - bump_volume_defect_exact(DEEP_BUMP) / ball_volume(2)
+    assert 0.85 < acceptance < 0.95
     with caplog.at_level(logging.DEBUG, logger="randhull"):
-        sample(HEXAGON, "interior", 20000, seed=4)
+        sample(DEEP_BUMP, "interior", 20000, seed=4)
     lines = [r.getMessage() for r in caplog.records if "rejection sampler" in r.getMessage()]
     assert len(lines) == 1
     accepted, proposed = (int(tok) for tok in lines[0].split() if tok.isdigit())
     assert accepted >= 20000
     assert proposed % 20000 == 0
-    assert accepted / proposed == pytest.approx(0.75, abs=0.01)
+    assert accepted / proposed == pytest.approx(acceptance, abs=0.01)
 
 
 @pytest.mark.parametrize(
-    "body, path, simplices, acceptance",
+    "body, line",
     [
-        (CUBE, "box", 6, 1.0),
-        (HEXAGON, "triangulation", 4, 0.75),
-        (SIMPLEX3, "triangulation", 1, 1.0 / 6.0),
-    ],
-    ids=["cube", "hexagon", "simplex3"],
+        (HEXAGON, "polytope sampler: triangulation path, simplices 4"),
+        (SIMPLEX3, "polytope sampler: triangulation path, simplices 1"),
+        (CUT_SQUARE, "polytope sampler: triangulation path, simplices 3"),
+    ]
+    + [(BOXES[name], "polytope sampler: box path") for name in sorted(BOXES)],
+    ids=["hexagon", "simplex3", "cut_square", *sorted(BOXES)],
 )
-def test_polytope_sampler_logs_its_path(caplog, body, path, simplices, acceptance):
+def test_polytope_sampler_logs_its_path(caplog, body, line):
+    assert _is_box(body) == line.endswith("box path")
     with caplog.at_level(logging.DEBUG, logger="randhull"):
         sample(body, "interior", 100, seed=4)
     lines = [r.getMessage() for r in caplog.records if "polytope sampler" in r.getMessage()]
-    assert lines == [
-        f"polytope sampler: {path} path, simplices {simplices}, box acceptance {acceptance:.4g}"
-    ]
-    rejection = [r for r in caplog.records if "rejection sampler" in r.getMessage()]
-    assert len(rejection) == (path == "box")
+    assert lines == [line]
+    assert not [r for r in caplog.records if "rejection sampler" in r.getMessage()]
 
 
 # The bounding-box rejection sampler as first written: out-of-place proposals
-# and a single max over the facet values.  Polytopes that fill their box must
-# match it bit for bit.
+# and a single max over the facet values.  A box takes every proposal, so the
+# direct draw must match it bit for bit.
 def _reference_box_rejection(body, n, seed):
     rng = philox(seed, 0)
     eqs = body.facet_inequalities()
@@ -268,7 +305,7 @@ def _reference_triangulation(body, n, seed):
     return out
 
 
-POLYTOPE_PATHS = {"square": (SQUARE, "box"), "cube": (CUBE, "box")}
+POLYTOPE_PATHS = {name: (body, "box") for name, body in BOXES.items()}
 POLYTOPE_PATHS.update(
     hexagon=(HEXAGON, "triangulation"),
     simplex3=(SIMPLEX3, "triangulation"),
@@ -281,7 +318,7 @@ POLYTOPE_PATHS.update(
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_polytope_sampler_matches_reference_bitwise(name, n, seed):
     body, path = POLYTOPE_PATHS[name]
-    assert (_box_acceptance(body) >= sampling._BOX_MIN_ACCEPTANCE) == (path == "box")
+    assert _is_box(body) == (path == "box")
     reference = _reference_box_rejection if path == "box" else _reference_triangulation
     got = sample(body, "interior", n, seed).points
     assert got.shape == (n, body.dim)
@@ -307,7 +344,7 @@ TRIANGULATED = {
 def test_triangulation_samples_are_members(name):
     # box rejection raised RuntimeError on the 6- and 7-simplex
     body = TRIANGULATED[name]
-    assert _box_acceptance(body) < sampling._BOX_MIN_ACCEPTANCE
+    assert not _is_box(body)
     cloud = sample(body, "interior", 20000, seed=22)
     assert cloud.points.shape == (20000, body.dim)
     assert bool(contains_batch(body, cloud.points).all())
@@ -361,15 +398,12 @@ def test_simplex3_mean_is_its_centroid():
     assert np.abs(pts.mean(axis=0) - 0.25).max() < 4.0 * se
 
 
-def test_random4_moments_match_box_rejection(monkeypatch):
+def test_random4_moments_match_box_rejection():
     n = 1_000_000
     tri_pts = sample(RANDOM4, "interior", n, seed=26).points
-    # box rejection, forced, in ten clouds so that no facet product holds
-    # 1e6 rows at once
-    monkeypatch.setattr(sampling, "_BOX_MIN_ACCEPTANCE", 0.0)
-    box_pts = np.vstack(
-        [sample(RANDOM4, "interior", n // 10, seed=100 + s).points for s in range(10)]
-    )
+    # box rejection, in ten clouds so that no facet product holds 1e6 rows
+    # at once
+    box_pts = np.vstack([_reference_box_rejection(RANDOM4, n // 10, 100 + s) for s in range(10)])
 
     def moments(pts):
         """Means and covariances, each with its standard error."""

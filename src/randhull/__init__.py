@@ -6,10 +6,12 @@ over sphere nets, center-relative scaling distances, L^p deficits, plug-in
 functionals, finite-sample deviation bounds, and the dented-ball family that
 shows the rates are tight.
 
-Importing the package loads numpy, PyYAML and the standard library only.
-Each scipy submodule is imported inside the function that calls it:
-scipy.integrate with the first quadrature, scipy.stats with the slope fit of
-a rate experiment, and scipy.spatial with the first Qhull or Voronoi call.
+Importing the package loads numpy and the standard library only.  PyYAML is
+imported with the first experiment config read or written, the thread pool
+with the first experiment run on more than one thread, and each scipy
+submodule inside the function that calls it: scipy.integrate with the first
+quadrature, scipy.stats with the slope fit of a rate experiment, and
+scipy.spatial with the first Qhull or Voronoi call.
 """
 
 from .geometry import (

@@ -19,7 +19,7 @@ analytically for balls and by seeded Monte Carlo otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -127,14 +127,7 @@ class BoundEvaluation:
     tail: float
 
     def to_dict(self) -> dict:
-        return {
-            "tau1": self.tau1,
-            "a_n": self.a_n,
-            "b_n": self.b_n,
-            "x": self.x,
-            "threshold": self.threshold,
-            "tail": self.tail,
-        }
+        return asdict(self)
 
 
 def deviation_bound(params: ClassParams, d: int, n: int, x: float) -> BoundEvaluation:

@@ -1,9 +1,10 @@
 """Command-line entry points.
 
 Subcommands: sample, net build, distance, bound, check-class, rates,
-deviation, lower-bound-family.  Shared flags (--seed, --threads, --out,
---format, --config) attach to every subcommand.  Results go to --out when
-given, otherwise to stdout; CSV schemas match the report writers.
+deviation, lower-bound-family.  Each subcommand takes only those of the
+shared flags (--seed, --threads, --out, --format, --config) that its handler
+reads, so any other one is a usage error.  Results go to --out when given,
+otherwise to stdout; CSV schemas match the report writers.
 """
 
 from __future__ import annotations
@@ -33,12 +34,24 @@ from .nets import build_net, load_net, net_to_dict
 from .sampling import SampleCloud, load_points, points_to_csv, sample
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="master seed override")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--config", default=None, help="experiment config (YAML)")
+def _at_least_one(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
+_SHARED_FLAGS = {
+    "seed": dict(type=int, default=None, help="master seed override"),
+    "threads": dict(type=_at_least_one, default=1, help="worker threads (>= 1)"),
+    "out": dict(default=None, help="output path (default: stdout)"),
+    "format": dict(choices=("csv", "json"), default=None),
+    "config": dict(required=True, help="experiment config (YAML)"),
+}
+
+
+def _shared_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(f"--{name}", **_SHARED_FLAGS[name])
 
 
 def _seed_or(args, fallback: int = 0) -> int:
@@ -124,8 +137,6 @@ def _cmd_check_class(args) -> int:
 
 
 def _load_config_with_overrides(args) -> ExperimentConfig:
-    if args.config is None:
-        raise SystemExit("this subcommand needs --config")
     config = load_experiment_config(args.config)
     if args.seed is not None:
         config.master_seed = args.seed
@@ -172,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw a seeded cloud and write points CSV")
-    _common_flags(p)
+    _shared_flags(p, "seed", "out")
     p.add_argument("--body", required=True, help="body spec JSON")
     p.add_argument("--mode", choices=("interior", "boundary"), default="interior")
     p.add_argument("--n", type=int, required=True)
@@ -181,14 +192,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_net = sub.add_parser("net", help="sphere net operations")
     net_sub = p_net.add_subparsers(dest="net_command", required=True)
     p = net_sub.add_parser("build", help="build a packing/covering net")
-    _common_flags(p)
+    _shared_flags(p, "seed", "out")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--streak", type=int, default=None)
     p.set_defaults(func=_cmd_net_build)
 
     p = sub.add_parser("distance", help="Hausdorff deficit of a cloud's hull")
-    _common_flags(p)
+    _shared_flags(p, "seed", "out", "format")
     p.add_argument("--body", required=True)
     p.add_argument("--points", required=True, help="points CSV")
     p.add_argument("--net", default=None, help="net JSON (else built on the fly)")
@@ -197,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_distance)
 
     p = sub.add_parser("bound", help="deviation-bound threshold and tail")
-    _common_flags(p)
+    _shared_flags(p, "out", "format")
     p.add_argument("--params", required=True, help='JSON {"alpha":..,"L":..,"eps0":..}')
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -205,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("check-class", help="probe the cap-mass class condition")
-    _common_flags(p)
+    _shared_flags(p, "seed", "out")
     p.add_argument("--body", required=True)
     p.add_argument("--mode", choices=("interior", "boundary"), default="interior")
     p.add_argument("--family", choices=("smooth", "boundary", "fit"), required=True)
@@ -218,17 +229,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_class)
 
     p = sub.add_parser("rates", help="convergence-rate experiment from a config")
-    _common_flags(p)
+    _shared_flags(p, "seed", "threads", "out", "format", "config")
     p.set_defaults(func=_cmd_rates)
 
     p = sub.add_parser("deviation", help="tail-domination experiment from a config")
-    _common_flags(p)
+    _shared_flags(p, "seed", "threads", "out", "format", "config")
     p.add_argument("--x-max", type=float, default=30.0)
     p.add_argument("--x-points", type=int, default=61)
     p.set_defaults(func=_cmd_deviation)
 
     p = sub.add_parser("lower-bound-family", help="dented-ball minimax family")
-    _common_flags(p)
+    _shared_flags(p, "out")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--R", dest="big_r", type=float, default=1.0)
     p.add_argument("--delta", type=float, required=True)

@@ -25,11 +25,9 @@ import json
 import logging
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
-import yaml
 
 from .bounds import (
     RATE_FAMILIES,
@@ -148,11 +146,15 @@ def _family_params(family: str, body: BodySpec) -> ClassParams:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
+    import yaml
+
     with open(path) as fh:
         return ExperimentConfig.from_dict(yaml.safe_load(fh))
 
 
 def save_experiment_config(config: ExperimentConfig, path) -> None:
+    import yaml
+
     with open(path, "w") as fh:
         yaml.safe_dump(config.to_dict(), fh, sort_keys=True)
 
@@ -203,6 +205,8 @@ def _hull_metric(config: ExperimentConfig) -> tuple[HullMetric, float | None, in
 
 def _run_replications(config: ExperimentConfig, metric: HullMetric, threads: int) -> np.ndarray:
     """(len(n_grid), reps) array of raw metric values, slot-indexed by seed key."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     out = np.empty((len(config.n_grid), config.reps))
     exact = np.zeros(out.shape, dtype=bool)
     reduced = np.zeros(out.shape, dtype=bool)
@@ -220,6 +224,8 @@ def _run_replications(config: ExperimentConfig, metric: HullMetric, threads: int
 
     jobs = [(i, r) for i in range(len(config.n_grid)) for r in range(config.reps)]
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(lambda ir: task(*ir), jobs))
     else:
@@ -262,19 +268,7 @@ class RateReport:
     resolved_quad_n: int | None
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "rate_report",
-            "config": self.config,
-            "means": self.means,
-            "stderrs": self.stderrs,
-            "slope": self.slope,
-            "ci_half": self.ci_half,
-            "expected_slope": self.expected_slope,
-            "theoretical_exponent": self.theoretical_exponent,
-            "fit_kind": self.fit_kind,
-            "resolved_net_delta": self.resolved_net_delta,
-            "resolved_quad_n": self.resolved_quad_n,
-        }
+        return {"kind": "rate_report", **asdict(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RateReport":
@@ -344,19 +338,7 @@ class DeviationReport:
     resolved_net_delta: float
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "deviation_report",
-            "config": self.config,
-            "x_grid": self.x_grid,
-            "thresholds": self.thresholds,
-            "empirical": self.empirical,
-            "theoretical": self.theoretical,
-            "violations": self.violations,
-            "tau1": self.tau1,
-            "a_n": self.a_n,
-            "b_n": self.b_n,
-            "resolved_net_delta": self.resolved_net_delta,
-        }
+        return {"kind": "deviation_report", **asdict(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DeviationReport":

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from randhull.cli import main
+from randhull.cli import build_parser, main
 from randhull.geometry import Ball, PolytopeV, save_body
 from randhull.nets import load_net
 from randhull.sampling import load_points
@@ -176,7 +176,6 @@ def test_check_class_smooth_ball(tmp_path, ball_path):
             "--mode", "interior",
             "--family", "smooth",
             "--r", "1.0",
-            "--format", "json",
             "--out", str(out),
         ]
     )
@@ -352,8 +351,6 @@ def test_lower_bound_family_json(tmp_path):
             "--R", "1.0",
             "--delta", "0.2",
             "--alpha-bump", "0.02",
-            "--seed", "4",
-            "--format", "json",
             "--out", str(out),
         ]
     )
@@ -367,3 +364,63 @@ def test_lower_bound_family_json(tmp_path):
 def test_missing_required_flag_exits_nonzero(ball_path):
     with pytest.raises(SystemExit):
         main(["sample", "--n", "10"])
+
+
+# Each subcommand's required flags, enough to parse: no file is opened.
+REQUIRED = {
+    "sample": ["sample", "--body", "b.json", "--n", "10"],
+    "net build": ["net", "build", "--d", "2", "--delta", "0.5"],
+    "distance": ["distance", "--body", "b.json", "--points", "p.csv"],
+    "bound": ["bound", "--params", "{}", "--d", "2", "--n", "10", "--x", "1"],
+    "check-class": ["check-class", "--body", "b.json", "--family", "smooth"],
+    "rates": ["rates", "--config", "c.yaml"],
+    "deviation": ["deviation", "--config", "c.yaml"],
+    "lower-bound-family": ["lower-bound-family", "--d", "2", "--delta", "0.2"],
+}
+
+SHARED = {"--seed": "3", "--threads": "2", "--out": "o", "--format": "json", "--config": "c.yaml"}
+
+READS = {
+    "sample": ("--seed", "--out"),
+    "net build": ("--seed", "--out"),
+    "check-class": ("--seed", "--out"),
+    "distance": ("--seed", "--format", "--out"),
+    "bound": ("--format", "--out"),
+    "rates": tuple(SHARED),
+    "deviation": tuple(SHARED),
+    "lower-bound-family": ("--out",),
+}
+
+KEPT = [(cmd, flag) for cmd, flags in READS.items() for flag in flags]
+UNREAD = [(cmd, flag) for cmd, flags in READS.items() for flag in SHARED if flag not in flags]
+
+
+@pytest.mark.parametrize("command, flag", KEPT)
+def test_a_flag_the_handler_reads_parses(command, flag):
+    args = build_parser().parse_args(REQUIRED[command] + [flag, SHARED[flag]])
+    value = getattr(args, flag[2:])
+    assert str(value) == SHARED[flag]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD)
+def test_a_flag_the_handler_does_not_read_is_a_usage_error(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(REQUIRED[command] + [flag, SHARED[flag]])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["rates", "deviation"])
+def test_rates_and_deviation_need_config(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", "1.5", "two"])
+def test_threads_below_one_or_not_an_integer_is_a_usage_error(capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["rates", "--config", "c.yaml", "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err

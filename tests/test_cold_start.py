@@ -39,8 +39,40 @@ def _fresh(code, *args):
     return proc.stdout
 
 
+LAZY_MODULES = """
+import sys
+print(*sorted(m for m in sys.modules if m == "yaml" or m.startswith("concurrent")))
+"""
+
+
 def test_import_loads_no_scipy():
     assert _fresh("import randhull, randhull.cli" + SCIPY_MODULES).split() == []
+
+
+def test_import_loads_neither_pyyaml_nor_the_thread_pool():
+    assert _fresh("import randhull, randhull.cli" + LAZY_MODULES).split() == []
+
+
+def test_check_class_fit_loads_neither_pyyaml_nor_the_thread_pool(tmp_path):
+    body = tmp_path / "simplex3.json"
+    save_body(PolytopeV(vertices=[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]), body)
+    out = tmp_path / "fit.json"
+    argv = [
+        "check-class",
+        "--body", str(body),
+        "--family", "fit",
+        "--alpha", "3.0",
+        "--eps0", "0.5",
+        "--u-probes", "2",
+        "--n-mc", "2000",
+        "--out", str(out),
+    ]
+    code = "import sys\nfrom randhull.cli import main\nmain(sys.argv[1:])" + LAZY_MODULES
+    loaded = _fresh(code, *argv).decode().split()
+    assert out.stat().st_size > 0
+    # the simplex's Qhull call loads scipy.spatial, which imports numpy.testing
+    # and with it the concurrent.futures package, but not its thread pool
+    assert [m for m in loaded if m in ("yaml", "concurrent.futures.thread")] == []
 
 
 @pytest.mark.parametrize("command", ["sample", "bound"])
@@ -77,8 +109,9 @@ def test_sample_on_the_unit_square_loads_no_scipy(tmp_path):
 
 
 def test_rates_bytes_do_not_depend_on_threads_in_a_fresh_interpreter(tmp_path):
-    # With --threads 2 the first scipy.spatial import happens inside the
-    # worker threads that run Qhull, two of them at once.
+    # With --threads 2 the thread pool is imported on first use, and the
+    # first scipy.spatial import happens inside the worker threads that run
+    # Qhull, two of them at once.
     cfg = ExperimentConfig(
         body=Ball(center=[0.0, 0.0], radius=1.0),
         mode="interior",

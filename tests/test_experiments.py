@@ -412,6 +412,14 @@ def test_rate_experiment_needs_two_grid_points():
         run_rate_experiment(tiny_config(n_grid=[500]))
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_experiments_reject_a_thread_count_below_one(threads):
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        run_rate_experiment(tiny_config(), threads=threads)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        run_deviation_experiment(tiny_config(n_grid=[400]), [0.0, 1.0], threads=threads)
+
+
 def test_rate_report_round_trip():
     rep = run_rate_experiment(tiny_config())
     back = RateReport.from_dict(rep.to_dict())

@@ -119,15 +119,12 @@ def make_deviation_bound(params: ClassParams, d: int, n: int) -> DeviationBound:
 
 @dataclass
 class BoundEvaluation:
-    tau1: float
-    a_n: float
-    b_n: float
     x: float
     threshold: float
     tail: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+    a_n: float
+    b_n: float
+    tau1: float
 
 
 def deviation_bound(params: ClassParams, d: int, n: int, x: float) -> BoundEvaluation:
@@ -159,16 +156,7 @@ class MembershipReport:
     mode: str
 
     def to_dict(self) -> dict:
-        return {
-            "worst_ratio": self.worst_ratio,
-            "verdict": self.verdict,
-            "grid": self.grid,
-            "slack": self.slack,
-            "analytic": self.analytic,
-            "argmin_eps": self.argmin_eps,
-            "params": self.params.to_dict(),
-            "mode": self.mode,
-        }
+        return {**asdict(self), "params": self.params.to_dict()}
 
 
 def _cap_mass_ball_analytic(body: Ball, mode: str, eps: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -85,34 +86,20 @@ def _cmd_distance(args) -> int:
         net = load_net(args.net)
     else:
         net = build_net(body.dim, args.net_delta, _seed_or(args))
-    res = hausdorff_to_body(body, cloud, net)
-    doc = {
-        "net_value": res.net_value,
-        "certified_upper": res.certified_upper,
-        "net_delta": res.net_delta,
-    }
-    if args.format == "csv":
-        text = "net_value,certified_upper,net_delta\n"
-        text += f"{res.net_value!r},{res.certified_upper!r},{res.net_delta!r}\n"
-        write_text(text, args.out)
-    else:
-        write_json(doc, args.out)
+    emit_report(asdict(hausdorff_to_body(body, cloud, net)), args.out, args.format or "json")
     return 0
 
 
 def _cmd_bound(args) -> int:
     params = ClassParams.from_dict(json.loads(args.params))
     ev = deviation_bound(params, args.d, args.n, args.x)
-    if args.format == "csv":
-        text = "x,threshold,tail,a_n,b_n,tau1\n"
-        text += f"{ev.x!r},{ev.threshold!r},{ev.tail!r},{ev.a_n!r},{ev.b_n!r},{ev.tau1!r}\n"
-        write_text(text, args.out)
-    else:
-        write_json(ev.to_dict(), args.out)
+    emit_report(asdict(ev), args.out, args.format or "json")
     return 0
 
 
 def _cmd_check_class(args) -> int:
+    if args.family == "fit" and (args.alpha is None or args.eps0 is None):
+        args.usage_error("--family fit needs --alpha and --eps0")
     body = load_body(args.body)
     kw = dict(
         u_probes=args.u_probes,
@@ -121,8 +108,6 @@ def _cmd_check_class(args) -> int:
         seed=_seed_or(args),
     )
     if args.family == "fit":
-        if args.alpha is None or args.eps0 is None:
-            raise SystemExit("--family fit needs --alpha and --eps0")
         params = fit_class_l(body, args.mode, args.alpha, args.eps0, **kw)
         report = check_class_membership(body, args.mode, params, **kw)
         write_json({"fitted": params.to_dict(), "report": report.to_dict()}, args.out)
@@ -226,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u-probes", type=int, default=64)
     p.add_argument("--eps-grid", type=int, default=64)
     p.add_argument("--n-mc", type=int, default=100_000)
-    p.set_defaults(func=_cmd_check_class)
+    p.set_defaults(func=_cmd_check_class, usage_error=p.error)
 
     p = sub.add_parser("rates", help="convergence-rate experiment from a config")
     _shared_flags(p, "seed", "threads", "out", "format", "config")

@@ -10,7 +10,8 @@ deviation arguments, and compares it pointwise with the theoretical tail.
 
 Everything is replayable: replication seeds are derived from the master seed
 by index (never by execution order), nets and quadrature directions get their
-own derived streams, and reports serialize to byte-stable CSV/JSON.
+own derived streams, and configs and reports serialize from their dataclass
+fields to byte-stable CSV/JSON, every CSV through `csv_text`.
 
 The lower-bound family generator produces the dented-ball collection used to
 show the rates are tight: one reference ball plus one dent per direction of a
@@ -25,7 +26,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -65,6 +66,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.n_grid = [int(n) for n in self.n_grid]
+        self.reps = int(self.reps)
+        self.q = float(self.q)
+        self.master_seed = int(self.master_seed)
+        if self.net_delta is not None:
+            self.net_delta = float(self.net_delta)
+        if self.net_streak is not None:
+            self.net_streak = int(self.net_streak)
+        if self.quad_n is not None:
+            self.quad_n = int(self.quad_n)
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
         if self.reps < 2:
@@ -80,35 +90,14 @@ class ExperimentConfig:
         parse_metric(self.metric)
 
     def to_dict(self) -> dict:
-        return {
-            "body": body_to_dict(self.body),
-            "mode": self.mode,
-            "family": self.family,
-            "n_grid": list(self.n_grid),
-            "reps": self.reps,
-            "q": self.q,
-            "metric": self.metric,
-            "net_delta": self.net_delta,
-            "net_streak": self.net_streak,
-            "quad_n": self.quad_n,
-            "master_seed": self.master_seed,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**doc, "body": body_to_dict(self.body), "n_grid": list(self.n_grid)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        return cls(
-            body=body_from_dict(doc["body"]),
-            mode=doc["mode"],
-            family=doc["family"],
-            n_grid=list(doc["n_grid"]),
-            reps=int(doc["reps"]),
-            q=float(doc.get("q", 1.0)),
-            metric=doc.get("metric", "hausdorff"),
-            net_delta=None if doc.get("net_delta") is None else float(doc["net_delta"]),
-            net_streak=None if doc.get("net_streak") is None else int(doc["net_streak"]),
-            quad_n=None if doc.get("quad_n") is None else int(doc["quad_n"]),
-            master_seed=int(doc.get("master_seed", 0)),
-        )
+        """A missing optional key takes its default; extra keys are ignored."""
+        kw = {f.name: doc[f.name] for f in fields(cls) if f.name in doc or f.default is MISSING}
+        return cls(**{**kw, "body": body_from_dict(doc["body"])})
 
     def resolved_net_delta(self) -> float:
         """Explicit value, or min(1e-2, 0.1 * a_n at the smallest grid n).
@@ -120,7 +109,7 @@ class ExperimentConfig:
         a_n falls back to (ln n / n)^(1/alpha) with tau1 = 1.
         """
         if self.net_delta is not None:
-            return float(self.net_delta)
+            return self.net_delta
         n_ref = self.n_grid[0]
         a_n = None
         try:
@@ -131,7 +120,7 @@ class ExperimentConfig:
         return min(1e-2, 0.1 * a_n)
 
     def resolved_quad_n(self) -> int:
-        return 2048 if self.quad_n is None else int(self.quad_n)
+        return 2048 if self.quad_n is None else self.quad_n
 
 
 def _family_params(family: str, body: BodySpec) -> ClassParams:
@@ -274,10 +263,10 @@ class RateReport:
     def from_dict(cls, doc: dict) -> "RateReport":
         if doc.get("kind") != "rate_report":
             raise ValueError("not a rate report")
-        fields = {k: v for k, v in doc.items() if k != "kind"}
-        if fields["ci_half"] is None:  # the inf of a two-point fit, written as null
-            fields["ci_half"] = math.inf
-        return cls(**fields)
+        kw = {k: v for k, v in doc.items() if k != "kind"}
+        if kw["ci_half"] is None:  # the inf of a two-point fit, written as null
+            kw["ci_half"] = math.inf
+        return cls(**kw)
 
 
 def run_rate_experiment(config: ExperimentConfig, threads: int = 1) -> RateReport:
@@ -493,7 +482,7 @@ def write_json(doc, path) -> None:
 
 
 def emit_report(report, path, fmt: str) -> None:
-    """Write a report to path, or to stdout when path is None.
+    """Write a report, or a dict of one row of scalars, to path or stdout (None).
 
     Identical reports produce identical bytes.
     """
@@ -502,27 +491,32 @@ def emit_report(report, path, fmt: str) -> None:
     if isinstance(report, DeviationReport) and len(report.x_grid) == 0:
         raise ValueError("refusing to emit an empty deviation report")
     if fmt == "json":
-        write_json(report.to_dict(), path)
+        write_json(report if isinstance(report, dict) else report.to_dict(), path)
     else:
         write_text(report_to_csv(report), path)
 
 
+def csv_text(header, rows) -> str:
+    """A header line of column names, then one line of _csv_cell cells per row."""
+    lines = [",".join(header)] + [",".join(_csv_cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def report_to_csv(report) -> str:
+    if isinstance(report, dict):
+        return csv_text(report, [report.values()])
     if isinstance(report, RateReport):
-        lines = ["n,mean_metric_q,stderr,reps"]
-        reps = report.config["reps"]
-        for n, mean, err in zip(report.config["n_grid"], report.means, report.stderrs):
-            lines.append(f"{int(n)},{_csv_cell(mean)},{_csv_cell(err)},{int(reps)}")
-        return "\n".join(lines) + "\n"
+        reps = int(report.config["reps"])
+        rows = zip(report.config["n_grid"], report.means, report.stderrs)
+        return csv_text(
+            ("n", "mean_metric_q", "stderr", "reps"),
+            [(int(n), mean, err, reps) for n, mean, err in rows],
+        )
     if isinstance(report, DeviationReport):
-        lines = ["x,threshold,empirical_survival,theoretical_tail"]
-        for x, thr, emp, theo in zip(
-            report.x_grid, report.thresholds, report.empirical, report.theoretical
-        ):
-            lines.append(
-                f"{_csv_cell(x)},{_csv_cell(thr)},{_csv_cell(emp)},{_csv_cell(theo)}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(
+            ("x", "threshold", "empirical_survival", "theoretical_tail"),
+            zip(report.x_grid, report.thresholds, report.empirical, report.theoretical),
+        )
     raise TypeError(f"no CSV schema for {type(report).__name__}")
 
 

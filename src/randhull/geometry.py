@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -571,49 +571,29 @@ def cap_area_sphere(d: int, r: float, eps: float) -> float:
 # JSON (de)serialization of body specs
 
 
+_BODY_KINDS = {"ball": Ball, "ellipsoid": Ellipsoid, "polytope_v": PolytopeV, "bump_ball": BumpBall}
+
+
+def plain_fields(record) -> dict:
+    """A dataclass record's fields by name, with arrays as nested lists."""
+    doc = {f.name: getattr(record, f.name) for f in fields(record)}
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
+
+
 def body_to_dict(body: BodySpec) -> dict:
-    if isinstance(body, Ball):
-        return {"kind": "ball", "center": body.center.tolist(), "radius": body.radius}
-    if isinstance(body, Ellipsoid):
-        return {
-            "kind": "ellipsoid",
-            "center": body.center.tolist(),
-            "semi_axes": body.semi_axes.tolist(),
-            "rotation": body.rotation.tolist(),
-        }
-    if isinstance(body, PolytopeV):
-        return {"kind": "polytope_v", "vertices": body.vertices.tolist()}
-    if isinstance(body, BumpBall):
-        return {
-            "kind": "bump_ball",
-            "radius": body.radius,
-            "bump_scale": body.bump_scale,
-            "amplitude": body.amplitude,
-            "direction": body.direction.tolist(),
-        }
+    for kind, cls in _BODY_KINDS.items():
+        if isinstance(body, cls):
+            return {"kind": kind, **plain_fields(body)}
     raise TypeError(f"unknown body kind {type(body).__name__}")
 
 
 def body_from_dict(doc: dict) -> BodySpec:
+    """The body that a dict in body_to_dict's form describes; extra keys are ignored."""
     kind = doc.get("kind")
-    if kind == "ball":
-        return Ball(np.asarray(doc["center"], dtype=float), float(doc["radius"]))
-    if kind == "ellipsoid":
-        return Ellipsoid(
-            np.asarray(doc["center"], dtype=float),
-            np.asarray(doc["semi_axes"], dtype=float),
-            np.asarray(doc["rotation"], dtype=float),
-        )
-    if kind == "polytope_v":
-        return PolytopeV(np.asarray(doc["vertices"], dtype=float))
-    if kind == "bump_ball":
-        return BumpBall(
-            float(doc["radius"]),
-            float(doc["bump_scale"]),
-            float(doc["amplitude"]),
-            np.asarray(doc["direction"], dtype=float),
-        )
-    raise ValueError(f"unknown body kind {kind!r}")
+    cls = _BODY_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown body kind {kind!r}")
+    return cls(**{f.name: doc[f.name] for f in fields(cls)})
 
 
 def save_body(body: BodySpec, path) -> None:

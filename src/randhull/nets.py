@@ -23,7 +23,8 @@ checks every candidate against everything kept before it.
 
 Neighbor queries against large point sets go through blocked matrix products,
 so no step holds more than _BLOCK_ELEMS products, or one block's gram, at a
-time and peak memory stays flat.
+time and peak memory stays flat.  A net serializes to JSON from its dataclass
+fields, which `SphereNet.__post_init__` casts to Python types.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .geometry import plain_fields
 from .sampling import philox, unit_directions
 
 log = logging.getLogger("randhull")
@@ -83,7 +85,13 @@ class SphereNet:
     certified: bool
 
     def __post_init__(self):
+        self.dim = int(self.dim)
+        self.delta = float(self.delta)
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
+        self.seed = int(self.seed)
+        self.streak = int(self.streak)
+        self.cover_radius = float(self.cover_radius)
+        self.certified = bool(self.certified)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -158,9 +166,9 @@ def build_net(
         ang = 2.0 * math.pi * np.arange(m) / m
         return SphereNet(
             dim=2,
-            delta=float(delta),
+            delta=delta,
             points=np.column_stack([np.cos(ang), np.sin(ang)]),
-            seed=int(seed),
+            seed=seed,
             streak=0,
             cover_radius=2.0 * math.sin(math.pi / (2 * m)),
             certified=True,
@@ -190,12 +198,12 @@ def build_net(
 
     return SphereNet(
         dim=d,
-        delta=float(delta),
+        delta=delta,
         points=arr,
-        seed=int(seed),
-        streak=int(streak),
-        cover_radius=float(cover),
-        certified=bool(certified),
+        seed=seed,
+        streak=streak,
+        cover_radius=cover,
+        certified=certified,
     )
 
 
@@ -395,27 +403,11 @@ def sup_certificate(net: SphereNet, net_sup: float, radius: float = 1.0) -> floa
 
 
 def net_to_dict(net: SphereNet) -> dict:
-    return {
-        "dim": net.dim,
-        "delta": net.delta,
-        "seed": net.seed,
-        "streak": net.streak,
-        "cover_radius": net.cover_radius,
-        "certified": net.certified,
-        "points": net.points.tolist(),
-    }
+    return plain_fields(net)
 
 
 def net_from_dict(doc: dict) -> SphereNet:
-    return SphereNet(
-        dim=int(doc["dim"]),
-        delta=float(doc["delta"]),
-        points=np.asarray(doc["points"], dtype=float),
-        seed=int(doc["seed"]),
-        streak=int(doc["streak"]),
-        cover_radius=float(doc["cover_radius"]),
-        certified=bool(doc["certified"]),
-    )
+    return SphereNet(**{f.name: doc[f.name] for f in fields(SphereNet)})
 
 
 def load_net(path) -> SphereNet:

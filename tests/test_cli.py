@@ -273,6 +273,58 @@ def test_distance_writes_null_for_missing_certificate(tmp_path):
     assert doc["net_delta"] == 0.5
 
 
+def _write_both_formats(tmp_path, argv):
+    """The CSV text and the parsed JSON that argv writes under each --format."""
+    texts = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"record.{fmt}"
+        main(argv + ["--format", fmt, "--out", str(out)])
+        texts[fmt] = out.read_text()
+    return texts["csv"], json.loads(texts["json"], parse_constant=_reject_constant)
+
+
+def _assert_csv_cells_are_json_reprs(csv, doc):
+    """Each CSV cell is the repr of its JSON value, and inf where the JSON has null."""
+    header, row = csv.splitlines()
+    cells = dict(zip(header.split(","), row.split(","), strict=True))
+    assert cells == {k: "inf" if v is None else repr(v) for k, v in doc.items()}
+
+
+@pytest.mark.parametrize(
+    "dim, net_delta, prebuilt",
+    [(2, "0.05", False), (2, "0.1", True), (4, "0.5", False)],
+    ids=["built-net", "loaded-net", "uncertified"],
+)
+def test_distance_csv_agrees_with_its_json(tmp_path, dim, net_delta, prebuilt):
+    body = tmp_path / "ball.json"
+    save_body(Ball(center=np.zeros(dim), radius=1.0), body)
+    pts = tmp_path / "points.csv"
+    main(["sample", "--body", str(body), "--n", "200", "--seed", "7", "--out", str(pts)])
+    argv = ["distance", "--body", str(body), "--points", str(pts), "--seed", "1"]
+    if prebuilt:
+        net = tmp_path / "net.json"
+        main(["net", "build", "--d", str(dim), "--delta", net_delta, "--out", str(net)])
+        argv += ["--net", str(net)]
+    else:
+        argv += ["--net-delta", net_delta]
+    csv, doc = _write_both_formats(tmp_path, argv)
+    _assert_csv_cells_are_json_reprs(csv, doc)
+    # a d = 4 net is never certified: inf in the CSV, null in the JSON
+    assert (doc["certified_upper"] is None) == (dim == 4)
+
+
+def test_bound_csv_is_pinned_and_agrees_with_its_json(tmp_path):
+    argv = ["bound", "--params", '{"alpha": 1.5, "L": 0.4244, "eps0": 1.0}']
+    argv += ["--d", "2", "--n", "10000", "--x", "20.0"]
+    csv, doc = _write_both_formats(tmp_path, argv)
+    _assert_csv_cells_are_json_reprs(csv, doc)
+    assert csv == (
+        "x,threshold,tail,a_n,b_n,tau1\n"
+        "20.0,0.1267895415004814,4.707230394607498e-15,"
+        "0.020306076949603017,0.0021544346900318843,3.1416902293433866\n"
+    )
+
+
 def test_rates_csv_schema(tmp_path, config_path):
     out = tmp_path / "rates.csv"
     main(["rates", "--config", str(config_path), "--out", str(out)])
@@ -416,6 +468,14 @@ def test_rates_and_deviation_need_config(capsys, command):
         main([command])
     assert exc.value.code == 2
     assert "--config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("given", [[], ["--alpha", "3"], ["--eps0", "0.5"]])
+def test_check_class_fit_without_alpha_or_eps0_is_a_usage_error(capsys, given):
+    with pytest.raises(SystemExit) as exc:
+        main(REQUIRED["check-class"][:-1] + ["fit"] + given)
+    assert exc.value.code == 2
+    assert "--family fit needs --alpha and --eps0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("threads", ["0", "-3", "1.5", "two"])

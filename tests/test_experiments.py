@@ -12,7 +12,7 @@ from scipy.spatial import ConvexHull
 
 from randhull import experiments
 from randhull.geometry import Ball, PolytopeV, support_batch
-from randhull.nets import blocked_max_dot, build_net
+from randhull.nets import SphereNet, blocked_max_dot, build_net, load_net, net_to_dict
 from randhull.estimators import (
     hull_points,
     pairwise_hausdorff_certified,
@@ -39,6 +39,7 @@ from randhull.experiments import (
     run_deviation_experiment,
     run_rate_experiment,
     save_experiment_config,
+    write_json,
 )
 
 BALL2 = Ball(center=[0.0, 0.0], radius=1.0)
@@ -118,6 +119,49 @@ def test_config_yaml_round_trip(tmp_path):
     save_experiment_config(cfg, path)
     back = load_experiment_config(path)
     assert back.to_dict() == cfg.to_dict()
+
+
+def test_a_config_built_in_python_serializes_like_a_loaded_one(tmp_path):
+    cfg = tiny_config(q=1, reps=np.int64(3), master_seed=np.int64(5))
+    doc = cfg.to_dict()
+    assert doc == ExperimentConfig.from_dict(doc).to_dict()
+    assert [type(doc[k]) for k in ("q", "reps", "master_seed")] == [float, int, int]
+
+    yaml_path = tmp_path / "config.yaml"
+    save_experiment_config(cfg, yaml_path)
+    direct, loaded = tmp_path / "direct.json", tmp_path / "loaded.json"
+    write_json(doc, direct)
+    write_json(load_experiment_config(yaml_path).to_dict(), loaded)
+    assert direct.read_bytes() == loaded.read_bytes()
+
+
+def test_net_json_with_an_integer_delta_loads_a_float(tmp_path):
+    doc = net_to_dict(build_net(2, 1.0, seed=3))
+    doc["delta"] = 1
+    path = tmp_path / "net.json"
+    write_json(doc, path)
+    back = load_net(path)
+    assert type(back.delta) is float and back.delta == 1.0
+
+
+def test_a_net_built_from_numpy_scalars_round_trips_through_json(tmp_path):
+    ref = build_net(3, 0.5, seed=3)
+    net = SphereNet(
+        dim=np.int64(ref.dim),
+        delta=np.float64(ref.delta),
+        points=ref.points,
+        seed=np.int64(ref.seed),
+        streak=np.int64(ref.streak),
+        cover_radius=np.float64(ref.cover_radius),
+        certified=np.bool_(ref.certified),
+    )
+    path, ref_path = tmp_path / "net.json", tmp_path / "ref.json"
+    write_json(net_to_dict(net), path)
+    write_json(net_to_dict(ref), ref_path)
+    assert path.read_bytes() == ref_path.read_bytes()
+    back = load_net(path)
+    assert net_to_dict(back) == net_to_dict(ref)
+    assert [type(v) for v in (back.dim, back.delta, back.certified)] == [int, float, bool]
 
 
 def test_resolved_net_delta_explicit_wins():

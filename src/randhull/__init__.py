@@ -9,9 +9,10 @@ shows the rates are tight.
 Importing the package loads numpy and the standard library only.  PyYAML is
 imported with the first experiment config read or written, the thread pool
 with the first experiment run on more than one thread, and each scipy
-submodule inside the function that calls it: scipy.integrate with the first
-quadrature, scipy.stats with the slope fit of a rate experiment, and
-scipy.spatial with the first Qhull or Voronoi call.
+submodule inside the function that calls it: scipy.special with the first
+cap share, scipy.integrate with the dented ball's profile mass, scipy.stats
+with the slope fit of a rate experiment, and scipy.spatial with the first
+Qhull or Voronoi call.
 """
 
 from .geometry import (

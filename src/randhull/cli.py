@@ -100,6 +100,9 @@ def _cmd_bound(args) -> int:
 def _cmd_check_class(args) -> int:
     if args.family == "fit" and (args.alpha is None or args.eps0 is None):
         args.usage_error("--family fit needs --alpha and --eps0")
+    needs = {"smooth": "interior", "boundary": "boundary"}.get(args.family, args.mode)
+    if args.mode != needs:
+        args.usage_error(f"--family {args.family} needs --mode {needs}")
     body = load_body(args.body)
     kw = dict(
         u_probes=args.u_probes,

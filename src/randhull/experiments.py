@@ -65,16 +65,16 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        self.n_grid = [int(n) for n in self.n_grid]
-        self.reps = int(self.reps)
+        self.n_grid = [_integral("n_grid", n) for n in self.n_grid]
+        self.reps = _integral("reps", self.reps)
         self.q = float(self.q)
-        self.master_seed = int(self.master_seed)
+        self.master_seed = _integral("master_seed", self.master_seed)
         if self.net_delta is not None:
             self.net_delta = float(self.net_delta)
         if self.net_streak is not None:
-            self.net_streak = int(self.net_streak)
+            self.net_streak = _integral("net_streak", self.net_streak)
         if self.quad_n is not None:
-            self.quad_n = int(self.quad_n)
+            self.quad_n = _integral("quad_n", self.quad_n)
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
         if self.reps < 2:
@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.family not in RATE_FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        if (self.family == "smooth_boundary") != (self.mode == "boundary"):
+            raise ValueError(f"family {self.family!r} does not sample in mode {self.mode!r}")
         parse_metric(self.metric)
 
     def to_dict(self) -> dict:
@@ -115,12 +117,23 @@ class ExperimentConfig:
         try:
             params = _family_params(self.family, self.body)
             a_n = make_deviation_bound(params, self.body.dim, n_ref).a_n
-        except (ValueError, AttributeError, TypeError):
+        except ValueError:
             a_n = (math.log(n_ref) / n_ref) ** rate_exponent(self.family, self.body.dim)
         return min(1e-2, 0.1 * a_n)
 
     def resolved_quad_n(self) -> int:
         return 2048 if self.quad_n is None else self.quad_n
+
+
+def _integral(name: str, value) -> int:
+    """value as an int, or a ValueError naming the field if int() would change it."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return n
 
 
 def _family_params(family: str, body: BodySpec) -> ClassParams:

@@ -504,67 +504,37 @@ def _gauge_shifted_ball(x: np.ndarray, c: np.ndarray, r: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# cap integrals
+# cap measures
+
+
+def cap_share(a: float, r: float, eps):
+    """Share of a radius-r ball's volume (a = (d+1)/2) or sphere's area (a = (d-1)/2)
+    in the cap of height eps: (1/2) I_x(a, 1/2) with x = eps(2r - eps)/r^2 and
+    I the regularized incomplete beta function (Li 2011).
+
+    Past the hemisphere eps and 2r - eps give the same x, so the share there
+    is one minus it.  Vectorized over eps.
+    """
+    eps = np.asarray(eps, dtype=float)
+    if a <= 0:
+        raise ValueError("a must be positive")
+    if not np.all((0.0 <= eps) & (eps <= 2.0 * r)):
+        raise ValueError("cap height must lie in [0, 2r]")
+    from scipy.special import betainc
+
+    half = 0.5 * betainc(a, 0.5, eps * (2.0 * r - eps) / r**2)
+    out = np.where(eps > r, 1.0 - half, half)
+    return out if out.ndim else float(out)
 
 
 def cap_volume_ball(d: int, r: float, eps: float) -> float:
-    """d-volume of a ball cap of height eps: integral of beta_{d-1} (x(2r-x))^((d-1)/2).
-
-    Adaptive quadrature, absolute tolerance 1e-10 (requested 1e-12).
-    """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if not (0.0 <= eps <= 2.0 * r):
-        raise ValueError("cap height must lie in [0, 2r]")
-    if eps == 0.0:
-        return 0.0
-    from scipy import integrate
-
-    beta = ball_volume(d - 1) if d > 1 else 1.0
-    val, _ = integrate.quad(
-        lambda x: beta * (x * (2.0 * r - x)) ** ((d - 1) / 2.0),
-        0.0,
-        eps,
-        epsabs=1e-12,
-        limit=200,
-        points=[r] if eps > r else None,
-    )
-    return val
+    """d-volume of the cap of height eps in a radius-r ball in R^d."""
+    return ball_volume(d) * r**d * cap_share((d + 1) / 2.0, r, eps)
 
 
 def cap_area_sphere(d: int, r: float, eps: float) -> float:
-    """Surface area of a spherical cap of height eps on the radius-r sphere in R^d.
-
-    (1/2) * A_{d-1} * r^(d-1) * integral over [0, T] of t^((d-3)/2) (1-t)^(-1/2) dt
-    with T = eps(2r - eps)/r^2.  Substituting t = T sin^2(phi) removes both
-    endpoint singularities; the square root is rewritten as
-    sqrt(cos^2 + (1-T) sin^2) to stay stable at T = 1.  Heights past the
-    hemisphere (r < eps <= 2r) are folded onto the complementary cap.
-    """
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
-    if not (0.0 <= eps <= 2.0 * r):
-        raise ValueError("cap height must lie in [0, 2r]")
-    if eps > r:
-        return sphere_area(d) * r ** (d - 1) - cap_area_sphere(d, r, 2.0 * r - eps)
-    if eps == 0.0:
-        return 0.0
-    T = eps * (2.0 * r - eps) / r**2
-
-    def integrand(phi):
-        sn, cs = math.sin(phi), math.cos(phi)
-        return (
-            2.0
-            * T ** ((d - 1) / 2.0)
-            * sn ** (d - 2)
-            * cs
-            / math.sqrt(cs**2 + (1.0 - T) * sn**2)
-        )
-
-    from scipy import integrate
-
-    val, _ = integrate.quad(integrand, 0.0, math.pi / 2.0, epsabs=1e-12, limit=200)
-    return 0.5 * sphere_area(d - 1) * r ** (d - 1) * val if d > 2 else r * val
+    """Surface area of a spherical cap of height eps on the radius-r sphere in R^d."""
+    return sphere_area(d) * r ** (d - 1) * cap_share((d - 1) / 2.0, r, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Class constants, deviation tails, and cap-mass membership checks."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from randhull.bounds import (
     ClassParams,
+    MembershipReport,
     check_class_membership,
     class_params_boundary,
     class_params_smooth,
@@ -15,7 +17,8 @@ from randhull.bounds import (
     make_deviation_bound,
     rate_exponent,
 )
-from randhull.geometry import Ball, Ellipsoid, PolytopeV
+from randhull.geometry import Ball, Ellipsoid, PolytopeV, support
+from randhull.sampling import derived_seed, philox, sample, unit_directions
 
 SMOOTH2 = class_params_smooth(2, 1.0)
 
@@ -172,6 +175,13 @@ def test_small_circle_boundary_membership_analytic():
     assert rep.worst_ratio == pytest.approx(expected, rel=1e-10)
 
 
+def test_ball_narrower_than_the_widest_probed_cap_is_rejected():
+    with pytest.raises(ValueError, match="cap height"):
+        check_class_membership(
+            Ball(center=[0.0, 0.0], radius=0.25), "interior", ClassParams(1.5, 1.0, 1.0)
+        )
+
+
 def test_unit_circle_boundary_falls_short_of_nominal_constant():
     # the stated constant r^((d-1)/2) = 1 is not met by the unit circle at
     # small widths: arc mass / sqrt(eps) tends to sqrt(2)/pi < 1/2
@@ -191,6 +201,74 @@ def test_monte_carlo_membership_for_ellipsoid():
     assert not rep.analytic
     assert rep.slack > 0.0
     assert rep.verdict
+
+
+def per_probe_membership(body, mode, params, u_probes, eps_grid, n_mc, seed):
+    """The Monte Carlo check one probe at a time, each row reduced on its own."""
+    eps = np.geomspace(1e-3 * params.eps0, params.eps0, eps_grid)
+    floor = params.big_l * eps**params.alpha
+    measurable = floor * n_mc >= 30.0
+    eps, floor = eps[measurable], floor[measurable]
+    worst, slack, argmin_eps = math.inf, 0.0, float("nan")
+    for j, u in enumerate(unit_directions(philox(seed, 101), u_probes, body.dim)):
+        proj = np.sort(sample(body, mode, n_mc, derived_seed(seed, j)).points @ u)
+        counts = n_mc - np.searchsorted(proj, support(body, u) - eps, side="left")
+        p_hat = counts / n_mc
+        ratios = p_hat / floor
+        k = int(np.argmin(ratios))
+        if ratios[k] < worst:
+            worst = float(ratios[k])
+            sd = math.sqrt(max(0.0, p_hat[k] * (1.0 - p_hat[k]) / n_mc))
+            slack = 3.0 * sd / floor[k]
+            argmin_eps = float(eps[k])
+    grid = (
+        f"{u_probes} directions x {len(eps)} measurable widths "
+        f"log-spaced in [{eps[0]:g}, {eps[-1]:g}]"
+    )
+    return MembershipReport(
+        worst_ratio=worst,
+        verdict=bool(worst >= 1.0 - slack),
+        grid=grid,
+        slack=slack,
+        analytic=False,
+        argmin_eps=argmin_eps,
+        params=params,
+        mode=mode,
+    )
+
+
+ELLIPSE = Ellipsoid(center=[0.0, 0.0], semi_axes=[1.0, 0.8], rotation=np.eye(2))
+
+MONTE_CARLO_CASES = {
+    "ellipse": (ELLIPSE, "interior", class_params_smooth(2, ELLIPSE.rolling_radius)),
+    "square": (
+        PolytopeV(vertices=[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+        "interior",
+        ClassParams(alpha=2.0, big_l=0.5, eps0=1.0),
+    ),
+    "simplex3": (
+        PolytopeV(vertices=np.vstack([np.zeros(3), np.eye(3)])),
+        "interior",
+        ClassParams(alpha=3.0, big_l=0.5, eps0=0.5),
+    ),
+    "ellipse_boundary": (ELLIPSE, "boundary", ClassParams(alpha=0.5, big_l=0.25, eps0=0.64)),
+    "ellipse_inflated_l": (
+        ELLIPSE,
+        "interior",
+        ClassParams(alpha=1.5, big_l=10.0 * class_params_smooth(2, 0.64).big_l, eps0=0.64),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MONTE_CARLO_CASES))
+def test_monte_carlo_table_matches_the_per_probe_reduction(case):
+    body, mode, params = MONTE_CARLO_CASES[case]
+    args = (body, mode, params, 6, 48, 20000, 13)
+    rep = check_class_membership(*args)
+    ref = per_probe_membership(*args)
+    for f in fields(MembershipReport):
+        assert getattr(rep, f.name) == getattr(ref, f.name), f.name
+    assert rep.verdict is (case != "ellipse_inflated_l")
 
 
 def test_fitted_constant_normalizes_worst_ratio():

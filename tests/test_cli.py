@@ -478,6 +478,25 @@ def test_check_class_fit_without_alpha_or_eps0_is_a_usage_error(capsys, given):
     assert "--family fit needs --alpha and --eps0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "family, mode, needs",
+    [("smooth", "boundary", "interior"), ("boundary", "interior", "boundary")],
+)
+def test_check_class_family_that_contradicts_the_mode_is_a_usage_error(capsys, family, mode, needs):
+    # b.json does not exist: the usage error comes before the body is read
+    with pytest.raises(SystemExit) as exc:
+        main(["check-class", "--body", "b.json", "--family", family, "--mode", mode])
+    assert exc.value.code == 2
+    assert f"--family {family} needs --mode {needs}" in capsys.readouterr().err
+
+
+def test_check_class_boundary_family_without_mode_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-class", "--body", "b.json", "--family", "boundary", "--r", "0.5"])
+    assert exc.value.code == 2
+    assert "--family boundary needs --mode boundary" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("threads", ["0", "-3", "1.5", "two"])
 def test_threads_below_one_or_not_an_integer_is_a_usage_error(capsys, threads):
     with pytest.raises(SystemExit) as exc:

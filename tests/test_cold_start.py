@@ -97,6 +97,19 @@ def test_light_commands_load_no_heavy_scipy(tmp_path, command):
     assert [m for m in loaded if m.startswith(HEAVY)] == []
 
 
+def test_check_class_smooth_on_a_ball_loads_only_scipy_special(tmp_path):
+    # a ball's cap shares are closed forms in the incomplete beta function
+    body = tmp_path / "ball.json"
+    save_body(Ball(center=[0.0, 0.0, 0.0], radius=1.0), body)
+    out = tmp_path / "class.json"
+    argv = ["check-class", "--body", str(body), "--family", "smooth", "--out", str(out)]
+    code = "import sys\nfrom randhull.cli import main\nmain(sys.argv[1:])" + SCIPY_MODULES
+    loaded = _fresh(code, *argv).decode().split()
+    assert out.stat().st_size > 0
+    assert "scipy.special" in loaded
+    assert [m for m in loaded if m.startswith(HEAVY)] == []
+
+
 def test_sample_on_the_unit_square_loads_no_scipy(tmp_path):
     # a box draws its points directly: no Qhull, no triangulation
     body = tmp_path / "square.json"

@@ -113,6 +113,56 @@ def test_config_validation():
         tiny_config(net_streak=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("reps", 2.9),
+        ("master_seed", 7.5),
+        ("n_grid", [1000.7, 3000.2]),
+        ("quad_n", 10.5),
+        ("net_streak", 3.9),
+        ("reps", "3"),
+        ("master_seed", None),
+        ("reps", math.inf),
+    ],
+)
+def test_a_fractional_integer_field_is_rejected_by_name(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        tiny_config(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value, loaded",
+    [
+        ("reps", 3.0, 3),
+        ("master_seed", np.int64(7), 7),
+        ("n_grid", [np.float64(1000.0), 3000.0], [1000, 3000]),
+        ("quad_n", np.int32(10), 10),
+        ("net_streak", 4.0, 4),
+    ],
+)
+def test_an_integral_value_loads_as_an_int(field, value, loaded):
+    got = getattr(tiny_config(**{field: value}), field)
+    assert got == loaded
+    assert all(type(v) is int for v in (got if isinstance(got, list) else [got]))
+
+
+@pytest.mark.parametrize(
+    "mode, family",
+    [
+        ("interior", "smooth_boundary"),
+        ("boundary", "smooth_interior"),
+        ("boundary", "polytope_interior"),
+    ],
+)
+def test_a_family_that_contradicts_the_mode_is_rejected(mode, family):
+    with pytest.raises(ValueError, match=f"family {family!r} does not sample in mode {mode!r}"):
+        tiny_config(mode=mode, family=family)
+    doc = {**tiny_config().to_dict(), "mode": mode, "family": family}
+    with pytest.raises(ValueError, match="does not sample in mode"):
+        ExperimentConfig.from_dict(doc)
+
+
 def test_config_yaml_round_trip(tmp_path):
     cfg = tiny_config(metric="lp(2)", q=2.0, net_streak=500)
     path = tmp_path / "config.yaml"

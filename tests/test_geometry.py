@@ -21,6 +21,7 @@ from randhull.geometry import (
     c_alpha,
     canonical_center,
     cap_area_sphere,
+    cap_share,
     cap_volume_ball,
     contains,
     contains_batch,
@@ -140,6 +141,44 @@ def test_cap_rejects_bad_widths():
         cap_volume_ball(2, 1.0, -0.1)
     with pytest.raises(ValueError):
         cap_volume_ball(2, 1.0, 2.5)
+    with pytest.raises(ValueError, match="cap height"):
+        cap_area_sphere(3, 1.0, 2.5)
+    with pytest.raises(ValueError, match="cap height"):
+        cap_volume_ball(2, 1.0, math.nan)
+    with pytest.raises(ValueError, match="cap height"):
+        cap_share(1.5, 0.25, np.array([0.1, 0.6]))
+    with pytest.raises(ValueError, match="dimension must be >= 2"):
+        cap_area_sphere(1, 1.0, 0.5)
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        cap_volume_ball(0, 1.0, 0.5)
+
+
+# mpmath at 50 digits, where the quadrature of beta_{d-1} (x(2r - x))^((d-1)/2)
+# and the incomplete beta function agree to 1e-51
+@pytest.mark.parametrize(
+    "d, r, eps, ref",
+    [
+        (4, 0.3, 1e-3, 2.4580997855867814199e-8),
+        (4, 1.0, 1e-3, 1.4978243847115795966e-7),
+        (6, 1.0, 2e-3, 3.0378451919682080451e-9),
+    ],
+)
+def test_cap_volume_matches_high_precision_references(d, r, eps, ref):
+    assert cap_volume_ball(d, r, eps) == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.5])
+@pytest.mark.parametrize("r", [1.0, 0.35, 2.0])
+def test_cap_shares_of_complementary_heights_sum_to_one(a, r):
+    eps = np.linspace(0.0, 2.0 * r, 41)
+    assert cap_share(a, r, eps) + cap_share(a, r, 2.0 * r - eps) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_cap_share_array_call_equals_its_scalar_calls():
+    eps = np.geomspace(1e-4, 1.9, 57)
+    shares = cap_share(1.5, 0.95, eps)
+    assert shares.tolist() == [cap_share(1.5, 0.95, e) for e in eps]
+    assert type(cap_share(1.5, 0.95, 0.3)) is float
 
 
 # ---------------------------------------------------------------------------

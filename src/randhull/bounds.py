@@ -177,6 +177,8 @@ def check_class_membership(
     worst ratio is the table's first minimum in row-major order, and the
     verdict allows 3 binomial standard deviations of slack there.
     """
+    if mode not in ("interior", "boundary"):
+        raise ValueError(f"unknown mode {mode!r}")
     if u_probes < 1 or eps_grid < 1:
         raise ValueError("probe counts must be >= 1")
     eps = np.geomspace(1e-3 * params.eps0, params.eps0, eps_grid)

@@ -71,7 +71,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_net_build(args) -> int:
-    net = build_net(args.d, args.delta, _seed_or(args), streak=args.streak)
+    net = build_net(args.d, args.delta, _seed_or(args))
     write_json(net_to_dict(net), args.out)
     return 0
 
@@ -183,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     _shared_flags(p, "seed", "out")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--streak", type=int, default=None)
     p.set_defaults(func=_cmd_net_build)
 
     p = sub.add_parser("distance", help="Hausdorff deficit of a cloud's hull")

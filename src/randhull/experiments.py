@@ -60,7 +60,6 @@ class ExperimentConfig:
     q: float = 1.0
     metric: str = "hausdorff"
     net_delta: float | None = None
-    net_streak: int | None = None
     quad_n: int | None = None
     master_seed: int = 0
 
@@ -71,8 +70,6 @@ class ExperimentConfig:
         self.master_seed = _integral("master_seed", self.master_seed)
         if self.net_delta is not None:
             self.net_delta = float(self.net_delta)
-        if self.net_streak is not None:
-            self.net_streak = _integral("net_streak", self.net_streak)
         if self.quad_n is not None:
             self.quad_n = _integral("quad_n", self.quad_n)
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
@@ -81,8 +78,6 @@ class ExperimentConfig:
             raise ValueError("reps must be >= 2")
         if self.q < 1:
             raise ValueError("q must be >= 1")
-        if self.net_streak is not None and self.net_streak < 1:
-            raise ValueError("net_streak must be >= 1")
         if self.mode not in ("interior", "boundary"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.family not in RATE_FAMILIES:
@@ -193,7 +188,7 @@ def _hull_metric(config: ExperimentConfig) -> tuple[HullMetric, float | None, in
 
     def build() -> SphereNet:
         seed = derived_seed(config.master_seed, _KEY_NET)
-        net = build_net(body.dim, net_delta, seed, streak=config.net_streak)
+        net = build_net(body.dim, net_delta, seed)
         log.debug(
             "net: %d directions, cover radius %.6g, certified %s",
             len(net),

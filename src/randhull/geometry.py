@@ -92,6 +92,12 @@ def _require_unit_rows(dirs: np.ndarray, tol: float = _UNIT_TOL) -> np.ndarray:
 # body specs
 
 
+def _require_finite(body, *names: str) -> None:
+    for name in names:
+        if not np.all(np.isfinite(getattr(body, name))):
+            raise ValueError(f"{type(body).__name__} {name} must be finite")
+
+
 @dataclass
 class Ball:
     center: np.ndarray
@@ -100,6 +106,7 @@ class Ball:
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
         self.radius = float(self.radius)
+        _require_finite(self, "center", "radius")
         if self.radius <= 0:
             raise ValueError("ball radius must be positive")
 
@@ -127,6 +134,7 @@ class Ellipsoid:
         self.center = np.asarray(self.center, dtype=float)
         self.semi_axes = np.asarray(self.semi_axes, dtype=float)
         self.rotation = np.asarray(self.rotation, dtype=float)
+        _require_finite(self, "center", "semi_axes", "rotation")
         d = self.center.size
         if self.semi_axes.shape != (d,) or self.rotation.shape != (d, d):
             raise ValueError("inconsistent ellipsoid dimensions")
@@ -169,6 +177,7 @@ class PolytopeV:
 
     def __post_init__(self):
         self.vertices = np.atleast_2d(np.asarray(self.vertices, dtype=float))
+        _require_finite(self, "vertices")
         m, d = self.vertices.shape
         if m < d + 1:
             raise ValueError("need at least d+1 vertices")
@@ -246,7 +255,9 @@ class BumpBall:
         self.radius = float(self.radius)
         self.bump_scale = float(self.bump_scale)
         self.amplitude = float(self.amplitude)
-        self.direction = require_unit(np.asarray(self.direction, dtype=float), 1e-9)
+        self.direction = np.asarray(self.direction, dtype=float)
+        _require_finite(self, "radius", "bump_scale", "amplitude", "direction")
+        self.direction = require_unit(self.direction, 1e-9)
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         if self.bump_scale <= 0 or self.amplitude <= 0:

@@ -6,25 +6,19 @@ point).
 
 * d = 2: the m equally spaced directions with the fewest m >= 3 that cover at
   delta.  Closed form and exact.
-* d >= 3: greedy rejection sampling, then a deterministic repair step that
-  closes residual coverage gaps.  In d = 3 it inserts spherical Voronoi
+* d >= 3: a repair that grows the net from the cross-polytope +-e_i, a
+  delta-packing at every delta <= 1, and admits only points farther than
+  delta from everything already kept.  In d = 3 it inserts spherical Voronoi
   circumcenters that sit farther than delta from their generators, iterating
-  until none remain; exact, because the covering radius of a point set on the
-  sphere is attained at a Voronoi vertex.  In d >= 4 (or for tiny degenerate
-  nets) it runs random probe passes until a full pass inserts nothing; Monte
-  Carlo only, so the net is marked uncertified.
-
-The greedy phase draws candidates 4096 at a time and screens them in blocks
-of 256, one block after another: a blocked max-dot against every point kept
-so far (those kept from earlier blocks of the same draw included) clears most
-candidates at once, and the one-at-a-time check of a block's survivors reads
-their small within-block gram.  The kept points are those of a greedy that
-checks every candidate against everything kept before it.
+  until none remain; exact and deterministic, because the covering radius of
+  a point set on the sphere is attained at a Voronoi vertex.  In d >= 4, or
+  when the Voronoi repair fails, it runs random probe passes until a full
+  pass inserts nothing; Monte Carlo only, so the net is marked uncertified.
 
 Neighbor queries against large point sets go through blocked matrix products,
-so no step holds more than _BLOCK_ELEMS products, or one block's gram, at a
-time and peak memory stays flat.  A net serializes to JSON from its dataclass
-fields, which `SphereNet.__post_init__` casts to Python types.
+so no step holds more than _BLOCK_ELEMS products at a time and peak memory
+stays flat.  A net serializes to JSON from its dataclass fields, which
+`SphereNet.__post_init__` casts to Python types.
 """
 
 from __future__ import annotations
@@ -42,10 +36,6 @@ from .sampling import philox, unit_directions
 log = logging.getLogger("randhull")
 
 _BLOCK_ELEMS = 4_000_000
-# the greedy phase draws candidates _DRAW at a time and screens them
-# _SCREEN_BLOCK at a time, so its within-block gram stays small
-_DRAW = 4096
-_SCREEN_BLOCK = 256
 
 
 def blocked_max_dot(dirs: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -80,7 +70,6 @@ class SphereNet:
     delta: float
     points: np.ndarray
     seed: int
-    streak: int
     cover_radius: float
     certified: bool
 
@@ -89,7 +78,6 @@ class SphereNet:
         self.delta = float(self.delta)
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         self.seed = int(self.seed)
-        self.streak = int(self.streak)
         self.cover_radius = float(self.cover_radius)
         self.certified = bool(self.certified)
 
@@ -120,23 +108,12 @@ class SphereNet:
         return math.sqrt(max(0.0, 2.0 - 2.0 * min(1.0, best)))
 
 
-def default_streak(d: int, delta: float) -> int:
-    """Stopping patience for the greedy phase: 50 / delta^(d-1) misses."""
-    return int(math.ceil(50.0 / delta ** (d - 1)))
-
-
 # ---------------------------------------------------------------------------
 # construction
 
 
-def build_net(
-    d: int,
-    delta: float,
-    seed: int,
-    *,
-    streak: int | None = None,
-) -> SphereNet:
-    """Certified delta-net: closed form in d = 2, greedy packing plus repair above.
+def build_net(d: int, delta: float, seed: int) -> SphereNet:
+    """Certified delta-net: closed form in d = 2, grown from the cross-polytope above.
 
     In d = 2 the net is the m directions at angles 2 pi k / m, k = 0 ... m - 1,
     for the smallest m >= 3 with 2 sin(pi / (2m)) <= delta.  The farthest
@@ -144,15 +121,15 @@ def build_net(
     cover radius and the net is certified.  It packs: for m > 3, minimality
     gives 2 sin(pi / (2(m - 1))) > delta, and pi / m > pi / (2(m - 1)) with
     both angles in (0, pi / 2], so the pairwise distance 2 sin(pi / m) exceeds
-    delta; for m = 3 it is sqrt(3) > 1 >= delta.  There `seed` and `streak`
-    have no effect, and the net records streak 0.
+    delta; for m = 3 it is sqrt(3) > 1 >= delta.  There `seed` has no effect.
 
-    In d >= 3 the greedy phase draws i.i.d. uniform directions and keeps those
-    farther than delta from everything kept so far, stopping after `streak`
-    consecutive rejections.  A maximal delta-packing is automatically a
-    delta-covering; the random phase only approximates maximality, so the
-    repair phase closes the remaining gaps exactly (d = 3) or by probing
-    (d >= 4).
+    In d >= 3 the net starts from the 2d points +-e_i, which lie sqrt(2) or 2
+    apart and so pack at every delta <= 1.  The repair inserts only points
+    farther than delta from everything kept, so the net stays a packing while
+    the repair closes every coverage gap.  In d = 3 it reads the gaps from the
+    Voronoi vertices, exactly, and `seed` has no effect.  In d >= 4, and in
+    d = 3 after a failed Voronoi repair, it finds them with seeded random
+    probes, and the net is uncertified.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
@@ -169,15 +146,11 @@ def build_net(
             delta=delta,
             points=np.column_stack([np.cos(ang), np.sin(ang)]),
             seed=seed,
-            streak=0,
             cover_radius=2.0 * math.sin(math.pi / (2 * m)),
             certified=True,
         )
-    if streak is None:
-        streak = default_streak(d, delta)
     rng = philox(seed)
-    arr = _greedy(d, delta, rng, streak)
-
+    arr = np.vstack([np.eye(d), -np.eye(d)])
     if d == 3:
         from scipy.spatial import QhullError
 
@@ -201,61 +174,9 @@ def build_net(
         delta=delta,
         points=arr,
         seed=seed,
-        streak=streak,
         cover_radius=cover,
         certified=certified,
     )
-
-
-def _greedy(d: int, delta: float, rng: np.random.Generator, streak: int) -> np.ndarray:
-    """The greedy packing phase: the points kept before `streak` straight misses."""
-    thresh = 1.0 - delta**2 / 2.0  # dot > thresh  <=>  distance < delta
-    store = np.empty((65536, d))
-    n_kept = 0
-    misses = 0
-    keep_ptr = np.empty(_SCREEN_BLOCK, dtype=np.int64)
-    while misses < streak:
-        cand = unit_directions(rng, _DRAW, d)
-        for lo in range(0, _DRAW, _SCREEN_BLOCK):
-            block = cand[lo : lo + _SCREEN_BLOCK]
-            if n_kept:
-                idx = np.flatnonzero(blocked_max_dot(block, store[:n_kept]) <= thresh)
-            else:
-                idx = np.arange(len(block))
-            # walk only the pre-cleared candidates; runs of rejected ones in
-            # between just advance the miss counter, exactly as a one-at-a-time
-            # greedy over the full block would
-            k = 0
-            prev = -1
-            if len(idx):
-                sub = np.ascontiguousarray(block[idx])
-                gram = sub @ sub.T
-                for ptr in range(len(idx)):
-                    i = int(idx[ptr])
-                    misses += i - prev - 1
-                    prev = i
-                    if misses >= streak:
-                        break
-                    if k and float(np.max(gram[ptr, keep_ptr[:k]])) > thresh:
-                        misses += 1
-                        if misses >= streak:
-                            break
-                        continue
-                    if n_kept == len(store):
-                        store = np.concatenate([store, np.empty_like(store)])
-                    store[n_kept] = sub[ptr]
-                    n_kept += 1
-                    keep_ptr[k] = ptr
-                    k += 1
-                    misses = 0
-            # the trailing rejections; after a stop inside the block this
-            # only adds to a count that already ended the greedy phase
-            misses += len(block) - 1 - prev
-            if misses >= streak:
-                break
-    if n_kept == 0:
-        raise RuntimeError("greedy phase kept no points; streak too small")
-    return store[:n_kept].copy()
 
 
 def _append_far(pts: np.ndarray, cand: np.ndarray, delta: float) -> np.ndarray:

@@ -228,7 +228,6 @@ def test_boundary_rates():
             q=1.0,
             metric="hausdorff",
             net_delta=1.5e-2,
-            net_streak=100,
             master_seed=1073,
         )
     )

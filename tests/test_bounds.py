@@ -175,6 +175,16 @@ def test_small_circle_boundary_membership_analytic():
     assert rep.worst_ratio == pytest.approx(expected, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "body",
+    [Ball(center=[0.0, 0.0], radius=1.0), PolytopeV([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])],
+    ids=["ball", "polytope"],
+)
+def test_unknown_mode_is_rejected_on_either_path(body):
+    with pytest.raises(ValueError, match="unknown mode 'edge'"):
+        check_class_membership(body, "edge", class_params_boundary(2, 0.25))
+
+
 def test_ball_narrower_than_the_widest_probed_cap_is_rejected():
     with pytest.raises(ValueError, match="cap height"):
         check_class_membership(

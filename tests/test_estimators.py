@@ -612,7 +612,7 @@ def _chaining(body, cloud, net):
 def test_four_dimensional_ball_keeps_the_chaining_certificate(monkeypatch):
     _forbid_qhull(monkeypatch)
     body = Ball(center=np.zeros(4), radius=1.0)
-    net = build_net(4, 0.5, seed=2, streak=200)
+    net = build_net(4, 0.5, seed=2)
     cloud = sample(body, "interior", 500, seed=88)
     res = hausdorff_to_body(body, cloud, net)
     assert res.certified_upper == _chaining(body, cloud, net) == math.inf

@@ -109,8 +109,6 @@ def test_config_validation():
         tiny_config(mode="edge")
     with pytest.raises(ValueError):
         tiny_config(family="unknown")
-    with pytest.raises(ValueError):
-        tiny_config(net_streak=0)
 
 
 @pytest.mark.parametrize(
@@ -120,7 +118,6 @@ def test_config_validation():
         ("master_seed", 7.5),
         ("n_grid", [1000.7, 3000.2]),
         ("quad_n", 10.5),
-        ("net_streak", 3.9),
         ("reps", "3"),
         ("master_seed", None),
         ("reps", math.inf),
@@ -138,7 +135,6 @@ def test_a_fractional_integer_field_is_rejected_by_name(field, value):
         ("master_seed", np.int64(7), 7),
         ("n_grid", [np.float64(1000.0), 3000.0], [1000, 3000]),
         ("quad_n", np.int32(10), 10),
-        ("net_streak", 4.0, 4),
     ],
 )
 def test_an_integral_value_loads_as_an_int(field, value, loaded):
@@ -164,9 +160,19 @@ def test_a_family_that_contradicts_the_mode_is_rejected(mode, family):
 
 
 def test_config_yaml_round_trip(tmp_path):
-    cfg = tiny_config(metric="lp(2)", q=2.0, net_streak=500)
+    cfg = tiny_config(metric="lp(2)", q=2.0, quad_n=64)
     path = tmp_path / "config.yaml"
     save_experiment_config(cfg, path)
+    back = load_experiment_config(path)
+    assert back.to_dict() == cfg.to_dict()
+
+
+def test_a_config_that_still_holds_net_streak_loads(tmp_path):
+    # the key of a removed option is ignored, like any extra key
+    cfg = tiny_config()
+    path = tmp_path / "config.yaml"
+    save_experiment_config(cfg, path)
+    path.write_text(path.read_text() + "net_streak: 50\n")
     back = load_experiment_config(path)
     assert back.to_dict() == cfg.to_dict()
 
@@ -194,6 +200,13 @@ def test_net_json_with_an_integer_delta_loads_a_float(tmp_path):
     assert type(back.delta) is float and back.delta == 1.0
 
 
+def test_a_net_file_that_still_holds_streak_loads(tmp_path):
+    ref = build_net(3, 0.5, seed=3)
+    path = tmp_path / "net.json"
+    write_json({**net_to_dict(ref), "streak": 100}, path)
+    assert net_to_dict(load_net(path)) == net_to_dict(ref)
+
+
 def test_a_net_built_from_numpy_scalars_round_trips_through_json(tmp_path):
     ref = build_net(3, 0.5, seed=3)
     net = SphereNet(
@@ -201,7 +214,6 @@ def test_a_net_built_from_numpy_scalars_round_trips_through_json(tmp_path):
         delta=np.float64(ref.delta),
         points=ref.points,
         seed=np.int64(ref.seed),
-        streak=np.int64(ref.streak),
         cover_radius=np.float64(ref.cover_radius),
         certified=np.bool_(ref.certified),
     )

@@ -1,5 +1,6 @@
 """Geometry layer: support functions, gauges, caps, and the dented ball."""
 
+import json
 import math
 
 import numpy as np
@@ -440,6 +441,34 @@ def test_body_dict_round_trip(body, tmp_path):
 def test_body_from_dict_rejects_unknown_kind():
     with pytest.raises(ValueError):
         body_from_dict({"kind": "torus"})
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"kind": "ball", "center": [0.0, 0.0], "radius": NaN}', "radius"),
+        ('{"kind": "ball", "center": [0.0, Infinity], "radius": 1.0}', "center"),
+        (
+            '{"kind": "ellipsoid", "center": [0.0, 0.0], "semi_axes": [1.0, NaN],'
+            ' "rotation": [[1.0, 0.0], [0.0, 1.0]]}',
+            "semi_axes",
+        ),
+        (
+            '{"kind": "polytope_v", "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, NaN]]}',
+            "vertices",
+        ),
+        (
+            '{"kind": "bump_ball", "radius": 1.0, "bump_scale": 0.1, "amplitude": 0.02,'
+            ' "direction": [NaN, 1.0]}',
+            "direction",
+        ),
+    ],
+    ids=["ball-radius", "ball-center", "ellipsoid", "polytope", "bump"],
+)
+def test_body_from_dict_rejects_non_finite_parameters(text, field):
+    # Python's json reads the NaN and Infinity tokens
+    with pytest.raises(ValueError, match=f" {field} must be finite"):
+        body_from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from randhull.nets import (
     blocked_max_dot,
     build_net,
     decompose,
-    default_streak,
     load_net,
     net_to_dict,
     sup_certificate,
@@ -47,7 +46,7 @@ def test_blocked_max_dot_matches_dense(m, n, d):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("delta", [0.3, 0.1])
+@pytest.mark.parametrize("delta", [0.3, 0.1, 0.05])
 def test_net_packing_covering_cardinality(d, delta):
     net = build_net(d, delta, seed=42)
     assert net.certified
@@ -57,7 +56,7 @@ def test_net_packing_covering_cardinality(d, delta):
     np.testing.assert_allclose(
         np.linalg.norm(net.points, axis=1), 1.0, atol=1e-12
     )
-    dist = net.coverage_distances(probe_dirs(20000, d))
+    dist = net.coverage_distances(probe_dirs(100_000, d))
     assert float(dist.max()) <= delta * (1.0 + 1e-12)
 
 
@@ -88,7 +87,7 @@ def test_circle_net_is_the_least_equally_spaced_cover():
         assert m >= 3
         assert _circle_cover(m) <= delta
         assert m == 3 or _circle_cover(m - 1) > delta
-        assert net.certified and net.streak == 0
+        assert net.certified
         assert net.cover_radius == _circle_cover(m)
         assert net.cover_radius <= delta * (1.0 + 1e-12)
         assert net.min_pairwise_distance() > delta
@@ -107,22 +106,25 @@ def test_circle_net_is_the_least_equally_spaced_cover():
                 assert decompose(net, u, depth).error <= bound * (1.0 + 1e-9)
 
 
-def test_circle_net_ignores_seed_and_streak():
+def test_circle_net_ignores_seed():
     net = build_net(2, 0.1, seed=5)
-    other = build_net(2, 0.1, seed=6, streak=3)
+    other = build_net(2, 0.1, seed=6)
     np.testing.assert_array_equal(other.points, net.points)
     assert other.cover_radius == net.cover_radius
-    assert other.certified and other.streak == 0
+    assert other.certified
 
 
-def test_greedy_nets_are_pinned():
-    # the greedy phase and the Voronoi and probe repairs of d >= 3
+def test_repaired_nets_are_pinned():
+    # the Voronoi repair of d = 3 and the probe repair of d = 4, each grown
+    # from the cross-polytope
     net = build_net(3, 0.1, 0)
-    assert len(net) == 881
-    assert net.cover_radius == 0.09990188875610798
-    net = build_net(4, 0.5, 2, streak=200)
-    assert len(net) == 109
-    assert net.cover_radius == 0.4992586692094606
+    assert len(net) == 812
+    assert net.cover_radius == 0.09975658257512623
+    assert net.certified
+    net = build_net(4, 0.5, 2)
+    assert len(net) == 111
+    assert net.cover_radius == 0.4984934368965263
+    assert not net.certified
 
 
 def test_circle_net_meets_covering_lower_bound():
@@ -135,23 +137,18 @@ def test_circle_net_meets_covering_lower_bound():
 
 
 def test_build_net_deterministic():
-    a = build_net(3, 0.2, seed=5)
-    b = build_net(3, 0.2, seed=5)
+    # d = 3 nets come from the Voronoi repair alone; d = 4 nets from seeded probes
+    for delta in (0.2, 0.05):
+        a = build_net(3, delta, seed=5)
+        for seed in (6, 12345):
+            b = build_net(3, delta, seed=seed)
+            np.testing.assert_array_equal(a.points, b.points)
+            assert b.cover_radius == a.cover_radius
+    a = build_net(4, 0.5, seed=5)
+    b = build_net(4, 0.5, seed=5)
     np.testing.assert_array_equal(a.points, b.points)
-    c = build_net(3, 0.2, seed=6)
+    c = build_net(4, 0.5, seed=6)
     assert len(c.points) != len(a.points) or not np.array_equal(c.points, a.points)
-
-
-def test_short_streak_still_certified():
-    net = build_net(3, 0.15, seed=1, streak=50)
-    assert net.certified
-    assert net.cover_radius <= 0.15 * (1.0 + 1e-12)
-    assert net.min_pairwise_distance() >= 0.15 * (1.0 - 1e-12)
-
-
-def test_default_streak_values():
-    assert default_streak(2, 0.1) == 500
-    assert default_streak(3, 0.1) == 5000
 
 
 def test_build_net_rejects_bad_arguments():
@@ -164,10 +161,48 @@ def test_build_net_rejects_bad_arguments():
 
 
 def test_higher_dimension_probe_repair():
-    net = build_net(4, 0.5, seed=2, streak=200)
+    net = build_net(4, 0.5, seed=2)
+    assert not net.certified
     dist = net.coverage_distances(probe_dirs(20000, 4))
     assert float(dist.max()) <= 0.5
     assert net.min_pairwise_distance() >= 0.5 * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("d, delta", [(3, 0.3), (3, 0.1), (4, 0.5)])
+def test_nets_grow_from_the_cross_polytope(d, delta):
+    net = build_net(d, delta, seed=1)
+    np.testing.assert_array_equal(net.points[: 2 * d], np.vstack([np.eye(d), -np.eye(d)]))
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.1, 0.05])
+def test_sphere_net_cover_radius_is_its_voronoi_radius(delta):
+    # the covering radius of a point set on the sphere is attained at a
+    # Voronoi vertex: read it against every net point, not just the generators
+    net = build_net(3, delta, seed=0)
+    sv = scipy.spatial.SphericalVoronoi(net.points, radius=1.0, threshold=1e-10)
+    verts = sv.vertices / np.linalg.norm(sv.vertices, axis=1)[:, None]
+    voronoi_cover = float(net.coverage_distances(verts).max())
+    assert voronoi_cover <= delta * (1.0 + 1e-12)
+    assert voronoi_cover == pytest.approx(net.cover_radius, abs=1e-7)
+
+
+def test_fine_sphere_net_is_certified():
+    net = build_net(3, 0.03, seed=0)
+    assert net.certified
+    assert net.cover_radius <= 0.03
+
+
+def test_probe_net_packs_and_covers_uncertified():
+    delta = 0.4
+    net = build_net(4, delta, seed=3)
+    assert not net.certified
+    assert net.cover_radius <= delta
+    assert net.min_pairwise_distance() >= delta
+    # the repair stops after one clean pass of 100k probes, so fresh probes
+    # may still land in a sliver of a hole: bound its share and its depth
+    dist = net.coverage_distances(probe_dirs(100_000, 4))
+    assert np.count_nonzero(dist > delta) <= 10
+    assert float(dist.max()) <= 1.02 * delta
 
 
 def test_failed_voronoi_repair_warns_and_falls_back(monkeypatch, caplog):
@@ -176,7 +211,7 @@ def test_failed_voronoi_repair_warns_and_falls_back(monkeypatch, caplog):
 
     monkeypatch.setattr(nets, "_repair_sphere", fail)
     with caplog.at_level(logging.WARNING, logger="randhull"):
-        net = build_net(3, 0.3, seed=5, streak=100)
+        net = build_net(3, 0.3, seed=5)
     assert not net.certified
     assert any(
         r.levelno == logging.WARNING and "probe repair" in r.getMessage() for r in caplog.records
@@ -189,7 +224,7 @@ def test_qhull_error_in_voronoi_repair_warns_and_falls_back(monkeypatch, caplog)
 
     monkeypatch.setattr(nets, "_repair_sphere", fail)
     with caplog.at_level(logging.WARNING, logger="randhull"):
-        net = build_net(3, 0.3, seed=5, streak=100)
+        net = build_net(3, 0.3, seed=5)
     assert not net.certified
     assert any(
         r.levelno == logging.WARNING and "probe repair" in r.getMessage() for r in caplog.records
@@ -202,86 +237,7 @@ def test_unexpected_voronoi_repair_error_propagates(monkeypatch):
 
     monkeypatch.setattr(nets, "_repair_sphere", broken)
     with pytest.raises(TypeError):
-        build_net(3, 0.3, seed=5, streak=100)
-
-
-# ---------------------------------------------------------------------------
-# the greedy phase against a one-at-a-time reference
-
-
-def reference_greedy(d, delta, seed, streak):
-    """The greedy phase one candidate at a time.
-
-    Candidates come from the stream build_net uses, 4096 per draw; each is
-    kept when it lies farther than delta from everything kept before it.
-    Returns the kept points and the position of the candidate that ended the
-    streak, counted from 0 across draws.
-    """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    thresh = 1.0 - delta**2 / 2.0
-    kept = np.empty((65536, d))
-    k = 0
-    misses = 0
-    pos = 0
-    while True:
-        for v in unit_directions(rng, 4096, d):
-            if k and float(np.max(kept[:k] @ v)) > thresh:
-                misses += 1
-                if misses >= streak:
-                    return kept[:k].copy(), pos
-            else:
-                kept[k] = v
-                k += 1
-                misses = 0
-            pos += 1
-
-
-@pytest.mark.parametrize("streak", [1, 7, 300, None])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize(
-    "d, delta", [(2, 0.3), (2, 0.1), (2, 0.02), (3, 0.5), (3, 0.2), (4, 0.6)]
-)
-def test_greedy_matches_one_at_a_time_reference(d, delta, seed, streak):
-    streak = streak or default_streak(d, delta)
-    got = nets._greedy(d, delta, philox(seed), streak)
-    want, _ = reference_greedy(d, delta, seed, streak)
-    np.testing.assert_array_equal(got, want)
-
-
-@pytest.mark.parametrize(
-    "d, delta, seed, streak, stop",
-    [(3, 0.3, 2, 27, 255), (4, 0.6, 0, 1653, 4138), (4, 0.5, 1, 258, 1938)],
-)
-def test_greedy_stops_on_the_candidate_the_reference_stops_on(d, delta, seed, streak, stop):
-    # the candidate right after the stop would be kept, so a greedy that
-    # miscounts its misses across screening blocks and stops late differs
-    want, at = reference_greedy(d, delta, seed, streak)
-    assert at == stop
-    assert len(reference_greedy(d, delta, seed, streak + 1)[0]) > len(want)
-    np.testing.assert_array_equal(nets._greedy(d, delta, philox(seed), streak), want)
-
-
-@pytest.mark.parametrize(
-    "d, delta, seed, streak, stop",
-    [(2, 0.1, 0, 1800, 4095), (3, 0.5, 2, 3896, 8191), (4, 0.8, 0, 1326, 4095)],
-)
-def test_greedy_stopping_at_a_draw_boundary_draws_no_further(
-    monkeypatch, d, delta, seed, streak, stop
-):
-    # the streak runs out on the last candidate of a draw; one more draw would
-    # hand the probe repair a different stream
-    want, at = reference_greedy(d, delta, seed, streak)
-    assert at == stop
-    draws = []
-
-    def counted(rng, n, dim):
-        draws.append(n)
-        return unit_directions(rng, n, dim)
-
-    monkeypatch.setattr(nets, "unit_directions", counted)
-    got = nets._greedy(d, delta, philox(seed), streak)
-    np.testing.assert_array_equal(got, want)
-    assert draws == [4096] * (stop // 4096 + 1)
+        build_net(3, 0.3, seed=5)
 
 
 def test_rate_net_of_the_disc_configuration_is_pinned():
@@ -319,7 +275,8 @@ def test_decompose_reconstruction_identity():
     u = np.array([1.0, 2.0, -0.5])
     u /= np.linalg.norm(u)
     dec = decompose(net, u, depth=6)
-    np.testing.assert_allclose(dec.approximation(net), u - dec.residual, atol=1e-12)
+    # u = approximation - residual
+    np.testing.assert_allclose(dec.approximation(net), u + dec.residual, rtol=0, atol=1e-12)
 
 
 def test_decompose_coefficients_bounded_by_powers():
@@ -375,7 +332,7 @@ def test_certificate_scales_with_the_radius_of_the_bodies():
 
 
 def test_certificate_of_uncertified_net_is_infinite():
-    net = build_net(4, 0.5, seed=2, streak=200)
+    net = build_net(4, 0.5, seed=2)
     assert not net.certified
     ball = Ball(center=np.zeros(4), radius=1.0)
     cloud = SampleCloud(points=0.5 * net.points, body=ball, mode="boundary", seed=0, n=len(net))

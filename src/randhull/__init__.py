@@ -1,9 +1,11 @@
 """Random polytopes as estimators of convex bodies.
 
 Sample i.i.d. points in (or on) a body, take the support function of their
-convex hull, and measure how fast it converges to the body's: sup deficits
-over sphere nets, center-relative scaling distances, L^p deficits, plug-in
-functionals, finite-sample deviation bounds, and the dented-ball family that
+convex hull, and measure how fast it converges to the body's.  One object,
+estimators.HullMetric, reads every metric of the hull against the body: the
+Hausdorff distance, the center-relative scaling distance, the L^p support
+deficit, and the gap in the functionals T_p and S_p (S_1 is the mean width).
+Around it: finite-sample deviation bounds, and the dented-ball family that
 shows the rates are tight.
 
 Importing the package loads numpy and the standard library only.  PyYAML is
@@ -47,18 +49,12 @@ from .nets import (
 )
 from .sampling import (
     SampleCloud,
-    empirical_cap_probability,
     load_points,
     sample,
-    save_points,
 )
 from .estimators import (
     DistanceResult,
-    d_l_estimate,
-    functional_s,
-    functional_t,
     hausdorff_to_body,
-    lp_error,
 )
 from .bounds import (
     ClassParams,

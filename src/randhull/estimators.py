@@ -11,23 +11,23 @@ P ends on a facet, and so does the largest copy of K about c inside P.
 The net path reads a metric from support evaluations on a set of directions:
 the hull's support function is the max of dot products against the cloud,
 evaluated in blocked matrix products.  Only points on the hull can attain that
-max, so interior clouds in d <= 3 are first cut to the vertices Qhull finds;
-the max over that subset is the max over the cloud.  Boundary clouds, where
-every point is a vertex, and clouds in d >= 4, where Qhull costs more than the
-max-dot it saves, keep the full cloud.  Before Qhull, a large 2-d cloud drops
-the points deep inside polygons through its extreme points (the Akl-Toussaint
-pre-filter; Akl and Toussaint 1978): first those inside a disc inscribed in
-the octagon of a probe, then those inside the octagon through the extremes
-along eight fixed directions, and on a cloud with many survivors those inside
-the 16-gon through sixteen.  None of them can be a vertex, so Qhull returns
-the same points from about 3% of a disc cloud.
+max, so interior clouds in d <= 3 are first cut to the vertices Qhull finds.
+A point on a hull edge that is not a vertex is dropped with the rest, so where
+its dot product rounds above both edge ends' the reduced max reads one ulp
+under the full cloud's.  Boundary clouds, where every point is a vertex, and
+clouds in d >= 4, where Qhull costs more than the max-dot it saves, keep the
+full cloud.  Before Qhull, a large 2-d cloud drops the points deep inside
+polygons through its extreme points (the Akl-Toussaint pre-filter; Akl and
+Toussaint 1978): first those inside a disc inscribed in the octagon of a
+probe, then those inside the octagon through the extremes along eight fixed
+directions, and on a cloud with many survivors those inside the 16-gon
+through sixteen.  None of them can be a vertex, so Qhull returns the same
+points from about 3% of a disc cloud.
 
 HullMetric is the one reader of both paths: built once from a metric spec,
 a body and a direction source (a net, a net built on first need, or
-quadrature directions), it decides which path a cloud takes.  The public
-distances and errors below are its readings over the directions; the
-plug-in functionals T_p and S_p share its power mean and take a body or a
-cloud.
+quadrature directions), it decides which path a cloud takes.
+hausdorff_to_body is its Hausdorff reading over a net, with a certificate.
 """
 
 from __future__ import annotations
@@ -222,15 +222,15 @@ def _prefilter_survivors(points: np.ndarray) -> np.ndarray | None:
 
 
 def _qhull_keep(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Sorted indices of the Qhull vertices and coplanar points, and the
-    facet equations; None when Qhull rejects the points."""
+    """Sorted indices of the Qhull vertices, and the facet equations; None
+    when Qhull rejects the points."""
     from scipy.spatial import ConvexHull, QhullError
 
     try:
         hull = ConvexHull(points)
     except QhullError:
         return None
-    return np.union1d(hull.vertices, hull.coplanar[:, 0]), hull.equations
+    return np.sort(hull.vertices), hull.equations
 
 
 def _x_tied(xs: np.ndarray, keep: np.ndarray) -> bool:
@@ -244,10 +244,11 @@ def hull_points(cloud: SampleCloud, facets: bool = False) -> HullPoints:
     """The points of the cloud that can attain its hull's support function.
 
     Returns (points, reduced, qhull_input, equations).  For an interior cloud
-    in d = 2 or 3 these are the Qhull vertices, with any points Qhull lists as
-    coplanar; scipy runs Qhull without its Qc option, so that list is empty.
-    Otherwise, or when Qhull rejects the cloud (n <= d, flat, repeated or
-    non-finite points), it is the full cloud and reduced is False.
+    in d = 2 or 3 these are the Qhull vertices.  scipy runs Qhull without its
+    Qc option, so a point on a hull edge that is not a vertex is dropped, and
+    the reduced max-dot can read one ulp under the full cloud's.  Otherwise,
+    or when Qhull rejects the cloud (n <= d, flat, repeated or non-finite
+    points), it is the full cloud and reduced is False.
     qhull_input counts the points handed to Qhull, and equations holds the
     facets of the hull Qhull built.  With facets, a boundary cloud in d = 2
     or 3 also goes to Qhull, for its facets only: its points stay the full
@@ -403,16 +404,12 @@ def _power_mean(vals: np.ndarray, p: float) -> float:
     return float(np.mean(vals**p) ** (1.0 / p))
 
 
-def _functional(vals: np.ndarray, which: str, p: float, strict: bool = False) -> float:
+def _functional(vals: np.ndarray, which: str, p: float) -> float:
     """T_p of support values, or S_p of the widths h(u) + h(-u) when vals
-    stacks the values on u over those on -u.  Values below zero are clipped;
-    with strict, one below -1e-9 raises instead, as 0 must lie inside."""
+    stacks the values on u over those on -u.  Values below zero are clipped."""
     if which == "S":
         m = len(vals) // 2
         vals = vals[:m] + vals[m:]
-    if strict and float(vals.min()) < -1e-9:
-        what = "width" if which == "S" else "support value"
-        raise ValueError(f"{what} is negative; the functional needs 0 inside")
     return _power_mean(np.maximum(vals, 0.0), p)
 
 
@@ -423,7 +420,9 @@ class HullMetric:
     builds one, called under a lock by the first cloud that needs it, so it
     is built at most once at any thread count.  L^p and functional metrics
     read the quadrature directions dirs.  A dl metric is taken about center,
-    by default the body's canonical center.
+    by default the body's canonical center.  A functional(T, p) metric needs
+    0 inside the body, so a body support value below -1e-9 is a ValueError;
+    the hull's support values, like the S widths, are clipped at 0.
 
     value(cloud) reads a Hausdorff metric on a Ball, and every dl metric,
     from the hull's Qhull facets (ball_hausdorff_exact, d_l_exact); when the
@@ -446,6 +445,8 @@ class HullMetric:
                 dirs = np.vstack([dirs, -dirs])
             self._set_dirs(dirs)
             if spec.kind == "functional":
+                if spec.which == "T" and float(self.body_vals.min()) < -1e-9:
+                    raise ValueError("support value is negative; T_p needs 0 inside the body")
                 self._body_functional = _functional(self.body_vals, spec.which, spec.p)
 
     def _set_dirs(self, dirs: np.ndarray) -> None:
@@ -531,19 +532,6 @@ def hausdorff_to_body(body: BodySpec, cloud: SampleCloud, net: SphereNet) -> Dis
     return DistanceResult(net_value=net_value, certified_upper=certified, net_delta=net.delta)
 
 
-def d_l_estimate(
-    body: BodySpec, center: np.ndarray, cloud: SampleCloud, net: SphereNet
-) -> float:
-    """Smallest ratio shrinking the body about the center to fit inside the hull.
-
-    Equals the Hausdorff deficit when the body is the unit ball about the
-    center; unlike the Hausdorff distance the ratio at corresponding
-    directions is invariant under invertible affine maps of the whole scene.
-    """
-    metric = HullMetric(MetricSpec("dl"), body, net=net, center=center)
-    return metric.reading(hull_points(cloud).points)
-
-
 def pairwise_hausdorff_certified(
     b1: BodySpec, b2: BodySpec, net: SphereNet, extra_dirs: np.ndarray | None = None
 ) -> tuple[float, float]:
@@ -561,43 +549,3 @@ def pairwise_hausdorff_certified(
     net_value = float(gap.max())
     radius = max(b1.max_norm_bound(), b2.max_norm_bound())
     return net_value, sup_certificate(net, net_value, radius)
-
-
-# ---------------------------------------------------------------------------
-# L^p deficits and plug-in functionals
-
-
-def lp_error(
-    body: BodySpec, cloud: SampleCloud, p: float, quad_n: int, quad_seed: int
-) -> float:
-    """L^p norm of the support deficit h_body - h_hull over the uniform sphere.
-
-    Monte Carlo quadrature on quad_n seeded directions.  Deficits are clipped
-    at zero: the hull of a cloud from the body never exceeds it, so negative
-    values can only be roundoff.
-    """
-    dirs = quadrature_directions(body.dim, quad_n, quad_seed)
-    metric = HullMetric(MetricSpec("lp", p=p), body, dirs=dirs)
-    return metric.reading(hull_points(cloud).points)
-
-
-def _plug_in(obj, which: str, p: float, quad_n: int, quad_seed: int) -> float:
-    """T_p or S_p of a body, or of the hull of a cloud, on quad_n seeded directions."""
-    dirs = quadrature_directions(obj.dim, quad_n, quad_seed)
-    signs = (dirs,) if which == "T" else (dirs, -dirs)
-    if isinstance(obj, SampleCloud):
-        points = hull_points(obj).points  # one reduction serves both direction sets
-        vals = [blocked_max_dot(u, points) for u in signs]
-    else:
-        vals = [support_batch(obj, u) for u in signs]
-    return _functional(np.concatenate(vals), which, p, strict=True)
-
-
-def functional_t(obj, p: float, quad_n: int, quad_seed: int) -> float:
-    """T_p: L^p norm of the support function over the normalized sphere."""
-    return _plug_in(obj, "T", p, quad_n, quad_seed)
-
-
-def functional_s(obj, p: float, quad_n: int, quad_seed: int) -> float:
-    """S_p: L^p norm of the width h(u) + h(-u) over the normalized sphere."""
-    return _plug_in(obj, "S", p, quad_n, quad_seed)

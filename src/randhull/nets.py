@@ -13,7 +13,8 @@ point).
   until none remain; exact and deterministic, because the covering radius of
   a point set on the sphere is attained at a Voronoi vertex.  In d >= 4, or
   when the Voronoi repair fails, it runs random probe passes until a full
-  pass inserts nothing; Monte Carlo only, so the net is marked uncertified.
+  pass inserts nothing; Monte Carlo only, so the net is marked uncertified
+  and may leave gaps wider than delta that no probe hit.
 
 Neighbor queries against large point sets go through blocked matrix products,
 so no step holds more than _BLOCK_ELEMS products at a time and peak memory
@@ -113,7 +114,7 @@ class SphereNet:
 
 
 def build_net(d: int, delta: float, seed: int) -> SphereNet:
-    """Certified delta-net: closed form in d = 2, grown from the cross-polytope above.
+    """Delta-net: closed form in d = 2, grown from the cross-polytope above.
 
     In d = 2 the net is the m directions at angles 2 pi k / m, k = 0 ... m - 1,
     for the smallest m >= 3 with 2 sin(pi / (2m)) <= delta.  The farthest
@@ -127,9 +128,11 @@ def build_net(d: int, delta: float, seed: int) -> SphereNet:
     apart and so pack at every delta <= 1.  The repair inserts only points
     farther than delta from everything kept, so the net stays a packing while
     the repair closes every coverage gap.  In d = 3 it reads the gaps from the
-    Voronoi vertices, exactly, and `seed` has no effect.  In d >= 4, and in
-    d = 3 after a failed Voronoi repair, it finds them with seeded random
-    probes, and the net is uncertified.
+    Voronoi vertices, exactly, so cover_radius is the exact covering radius,
+    the net is certified, and `seed` has no effect.  In d >= 4, and in d = 3
+    after a failed Voronoi repair, it finds them with seeded random probes:
+    the net is uncertified, and cover_radius is an estimate from below (see
+    _repair_probe), not a bound.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
@@ -232,7 +235,13 @@ def _repair_probe(
     probes: int = 100_000,
     max_rounds: int = 200,
 ) -> tuple[np.ndarray, float, bool]:
-    """Insert uncovered random probes until a pass stays clean.  Not certified."""
+    """Insert uncovered random probes until a pass stays clean.  Not certified.
+
+    The cover radius returned is the largest probe distance to the net in
+    that last clean pass, which is at most the true covering radius and can
+    fall short of it: build_net(4, 0.4, 3) records 0.3969, and fresh probes
+    find a direction 0.4023 from that net.
+    """
     d = pts.shape[1]
     thresh = 1.0 - delta**2 / 2.0
     worst = 0.0

@@ -59,7 +59,6 @@ from .geometry import (
     PolytopeV,
     Triangulation,
     contains_batch,
-    support,
 )
 
 log = logging.getLogger("randhull")
@@ -321,15 +320,6 @@ def _collect(n: int, propose_accepted) -> np.ndarray:
     raise RuntimeError("rejection sampler failed to accept enough points")
 
 
-def empirical_cap_probability(cloud: SampleCloud, u: np.ndarray, eps: float) -> float:
-    """Fraction of the cloud in the width-eps cap of the cloud's body at u."""
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    u = np.asarray(u, dtype=float)
-    level = support(cloud.body, u) - eps
-    return float(np.mean(cloud.points @ u >= level))
-
-
 # ---------------------------------------------------------------------------
 # point CSV I/O (one point per row, decimal literals that round-trip)
 
@@ -340,11 +330,6 @@ def points_to_csv(points: np.ndarray) -> str:
     header = ",".join(f"x{j}" for j in range(points.shape[1]))
     body = "".join(",".join(repr(float(x)) for x in row) + "\n" for row in points)
     return header + "\n" + body
-
-
-def save_points(points: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(points_to_csv(points))
 
 
 def load_points(path) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Command-line entry points, exercised through main(argv)."""
 
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -506,3 +508,38 @@ def test_threads_below_one_or_not_an_integer_is_a_usage_error(capsys, threads):
         main(["rates", "--config", "c.yaml", "--threads", threads])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+# the README's example runs: each config under configs/<subcommand>/, and the
+# dented-ball family
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+EXAMPLES = {
+    f"{p.parent.name}/{p.stem}": [p.parent.name, "--config", str(p), "--format", "json"]
+    for p in CONFIGS.glob("*/*.yaml")
+}
+EXAMPLES["lower-bound-family"] = ["lower-bound-family", "--d", "2", "--delta", "0.1"]
+
+
+def test_the_example_configs_are_shipped():
+    assert sorted(EXAMPLES) == [
+        "deviation/disc",
+        "lower-bound-family",
+        "rates/polytope_interior",
+        "rates/smooth_boundary",
+        "rates/smooth_interior",
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_an_example_run_passes_its_check(tmp_path, name):
+    out = tmp_path / "out.json"
+    argv = EXAMPLES[name]
+    main(argv + ["--out", str(out)])
+    doc = json.loads(out.read_text())
+    if argv[0] == "rates":
+        assert math.isfinite(doc["slope"])
+    elif argv[0] == "deviation":
+        assert doc["violations"] == 0
+    else:
+        assert doc["packing_size"] == len(doc["bodies"]) - 1 == 32
+        assert doc["pairwise_hausdorff"] == pytest.approx(1e-4, rel=1e-12)

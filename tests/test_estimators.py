@@ -1,4 +1,4 @@
-"""Hull support estimators and distance/functional plug-ins."""
+"""Hull support estimators and the hull metric."""
 
 import math
 
@@ -12,13 +12,10 @@ from randhull.estimators import (
     HullMetric,
     MetricSpec,
     ball_hausdorff_exact,
-    d_l_estimate,
     d_l_exact,
-    functional_s,
-    functional_t,
     hausdorff_to_body,
     hull_points,
-    lp_error,
+    parse_metric,
     quadrature_directions,
 )
 from randhull.geometry import Ball, Ellipsoid, PolytopeV, canonical_center, support_batch
@@ -40,6 +37,17 @@ def spaced_circle_cloud(m):
     ang = 2.0 * math.pi * np.arange(m) / m
     pts = np.column_stack([np.cos(ang), np.sin(ang)])
     return SampleCloud(points=pts, body=BALL2, mode="boundary", seed=0, n=m)
+
+
+def quadrature_metric(metric, body, quad_n, quad_seed):
+    """The metric of a hull against the body, on quad_n seeded directions."""
+    dirs = quadrature_directions(body.dim, quad_n, quad_seed)
+    return HullMetric(parse_metric(metric), body, dirs=dirs)
+
+
+# the hull of the origin alone has support 0 on every direction, so a
+# functional metric reads the body's own functional on it
+ORIGIN = np.zeros((1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -84,14 +92,15 @@ def test_hull_never_exceeds_body_support():
 
 
 def test_support_values_dispatch():
-    # the plug-in functionals take a cloud, read on its hull points, or a body
+    # a functional metric reads a cloud on its hull points, and a body alone
     cloud = sample(BALL2, "interior", 500, seed=31)
-    hull = hull_points(cloud).points
-    reduced = SampleCloud(points=hull, body=BALL2, mode="boundary", seed=0, n=len(hull))
-    from_cloud = functional_t(cloud, math.inf, 64, quad_seed=15)
-    np.testing.assert_allclose(from_cloud, functional_t(reduced, math.inf, 64, 15), atol=1e-14)
-    from_body = [functional_t(BALL2, p, 64, quad_seed=15) for p in (1.0, math.inf)]
-    np.testing.assert_allclose(from_body, [1.0, 1.0], atol=1e-14)
+    metric = quadrature_metric("functional(T, inf)", BALL2, 64, 15)
+    from_cloud, _, exact = metric.value(cloud)
+    assert not exact
+    np.testing.assert_allclose(from_cloud, metric.reading(cloud.points), atol=1e-14)
+    for p in ("1", "inf"):
+        body_val = quadrature_metric(f"functional(T, {p})", BALL2, 64, 15).reading(ORIGIN)
+        assert body_val == pytest.approx(1.0, abs=1e-14)
 
 
 def test_metric_reads_the_body_and_the_hull_support():
@@ -478,12 +487,13 @@ def test_prefilter_skips_boundary_and_higher_dimensional_clouds(monkeypatch):
     assert _kept_whole(ball4)
 
 
-def test_functional_s_reduces_a_cloud_once(monkeypatch):
+def test_s_functional_reduces_a_cloud_once(monkeypatch):
+    # S_p reads h(u) and h(-u); one hull reduction serves both
     calls = []
     real = estimators.hull_points
-    monkeypatch.setattr(estimators, "hull_points", lambda c: calls.append(c) or real(c))
+    monkeypatch.setattr(estimators, "hull_points", lambda c, **k: calls.append(c) or real(c, **k))
     cloud = sample(BALL2, "interior", 1000, seed=65)
-    functional_s(cloud, 2.0, quad_n=64, quad_seed=1)
+    quadrature_metric("functional(S, 2)", BALL2, 64, 1).value(cloud)
     assert len(calls) == 1
 
 
@@ -515,32 +525,27 @@ def test_dl_equals_hausdorff_for_centered_unit_ball():
     net = build_net(2, 0.05, seed=4)
     cloud = sample(BALL2, "interior", 300, seed=33)
     dh = hausdorff_to_body(BALL2, cloud, net).net_value
-    dl = d_l_estimate(BALL2, np.zeros(2), cloud, net)
-    assert dl == pytest.approx(dh, abs=1e-12)
+    dl = HullMetric(MetricSpec("dl"), BALL2, net=net, center=np.zeros(2))
+    assert dl.reading(hull_points(cloud).points) == pytest.approx(dh, abs=1e-12)
 
 
 def test_dl_rejects_non_interior_center():
     net = build_net(2, 0.05, seed=4)
     cloud = sample(BALL2, "interior", 50, seed=34)
+    dl = HullMetric(MetricSpec("dl"), BALL2, net=net, center=np.array([1.5, 0.0]))
     with pytest.raises(ValueError, match="center must lie in the interior of the body"):
-        d_l_estimate(BALL2, np.array([1.5, 0.0]), cloud, net)
+        dl.value(cloud)
 
 
 @pytest.mark.parametrize("mode", ["interior", "boundary"])
 @pytest.mark.parametrize("body", [Ball(center=[0.3, -0.2], radius=1.5), REDUCIBLE["ellipsoid2"]])
 def test_public_distances_are_the_metric_reading(body, mode):
     net = build_net(2, 0.05, seed=4)
-    center = canonical_center(body)
-    dirs = quadrature_directions(2, 512, 14)
     for n, seed in ((40, 35), (3000, 36)):
         cloud = sample(body, mode, n, seed=seed)
         points = hull_points(cloud).points
         hausdorff = HullMetric(MetricSpec("hausdorff"), body, net=net)
         assert hausdorff_to_body(body, cloud, net).net_value == hausdorff.reading(points)
-        dl = HullMetric(MetricSpec("dl"), body, net=net, center=center)
-        assert d_l_estimate(body, center, cloud, net) == dl.reading(points)
-        lp = HullMetric(MetricSpec("lp", p=2.0), body, dirs=dirs)
-        assert lp_error(body, cloud, 2.0, quad_n=512, quad_seed=14) == lp.reading(points)
 
 
 # ---------------------------------------------------------------------------
@@ -671,9 +676,11 @@ def test_exact_dl_is_at_least_the_net_value(name):
     net = build_net(d, 0.01 if d == 2 else 0.1, seed=6)
     for n, seed in ((30, 85), (2000, 86)):
         cloud = sample(body, "interior", n, seed=seed)
-        exact = d_l_exact(body, center, hull_points(cloud).equations)
+        hull = hull_points(cloud)
+        exact = d_l_exact(body, center, hull.equations)
         assert 0.0 < exact < 1.0
-        assert d_l_estimate(body, center, cloud, net) <= exact
+        dl = HullMetric(MetricSpec("dl"), body, net=net, center=center)
+        assert dl.reading(hull.points) <= exact
 
 
 @pytest.mark.parametrize("name", ["square", "simplex3"])
@@ -697,47 +704,64 @@ def test_exact_distances_need_the_center_strictly_inside():
 # averaged metrics and functionals
 
 
-def test_lp_error_square_in_circle_closed_form():
+def test_lp_metric_square_in_circle_closed_form():
     # mean support deficit of the inscribed square: 1 - 2*sqrt(2)/pi
-    val = lp_error(BALL2, corner_cloud(), p=1.0, quad_n=200000, quad_seed=8)
+    val = quadrature_metric("lp(1)", BALL2, 200000, 8).reading(corner_cloud().points)
     assert val == pytest.approx(1.0 - 2.0 * math.sqrt(2.0) / math.pi, abs=1e-3)
 
 
-def test_lp_error_infinite_p_is_sup_deficit():
+def test_lp_metric_at_infinite_p_is_sup_deficit():
     cloud = spaced_circle_cloud(16)
-    val = lp_error(BALL2, cloud, p=math.inf, quad_n=100000, quad_seed=9)
+    val = quadrature_metric("lp(inf)", BALL2, 100000, 9).reading(cloud.points)
     true_gap = 1.0 - math.cos(math.pi / 16)
     assert val <= true_gap + 1e-12
     assert val >= true_gap * 0.98
 
 
-def test_lp_error_rejects_small_p():
-    with pytest.raises(ValueError):
-        lp_error(BALL2, corner_cloud(), p=0.5, quad_n=100, quad_seed=0)
+def test_lp_metric_rejects_small_p():
+    with pytest.raises(ValueError, match="p >= 1"):
+        parse_metric("lp(0.5)")
+    metric = HullMetric(MetricSpec("lp", p=0.5), BALL2, dirs=quadrature_directions(2, 100, 0))
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        metric.reading(corner_cloud().points)
 
 
 def test_mean_width_of_body_is_exact_for_ball():
     # every direction gives width 2 for the unit ball, so the sampled mean
     # is exactly 2 regardless of the quadrature draw
-    assert functional_s(BALL2, 1.0, 512, quad_seed=10) == pytest.approx(
-        2.0, abs=1e-12
-    )
+    val = quadrature_metric("functional(S, 1)", BALL2, 512, 10).reading(ORIGIN)
+    assert val == pytest.approx(2.0, abs=1e-12)
 
 
 def test_mean_width_of_inscribed_square():
-    val = functional_s(corner_cloud(), 1.0, 200000, quad_seed=11)
-    assert val == pytest.approx(4.0 * math.sqrt(2.0) / math.pi, abs=2e-3)
+    # the metric is the ball's mean width 2 less the square's
+    metric = quadrature_metric("functional(S, 1)", BALL2, 200000, 11)
+    val = metric.reading(corner_cloud().points)
+    assert 2.0 - val == pytest.approx(4.0 * math.sqrt(2.0) / math.pi, abs=2e-3)
 
 
 def test_sup_functional_of_cloud_near_one():
-    val = functional_t(corner_cloud(), math.inf, 4096, quad_seed=12)
-    assert 1.0 - 5e-4 <= val <= 1.0 + 1e-12
+    # T_inf of the ball is 1, and the square's corners reach it
+    metric = quadrature_metric("functional(T, inf)", BALL2, 4096, 12)
+    assert metric.reading(corner_cloud().points) <= 5e-4
 
 
 def test_functional_consistency_body_vs_exact_hull():
     # a dense boundary cloud nearly reproduces the body functional
-    cloud = spaced_circle_cloud(512)
-    body_val = functional_t(BALL2, 2.0, 4096, quad_seed=13)
-    cloud_val = functional_t(cloud, 2.0, 4096, quad_seed=13)
+    metric = quadrature_metric("functional(T, 2)", BALL2, 4096, 13)
+    points = spaced_circle_cloud(512).points
+    body_val = metric.reading(ORIGIN)
+    cloud_val = math.sqrt(np.mean(blocked_max_dot(metric.dirs, points) ** 2))
     assert cloud_val == pytest.approx(body_val, rel=1e-3)
     assert cloud_val <= body_val + 1e-12
+    assert metric.reading(points) == pytest.approx(body_val - cloud_val, abs=1e-15)
+
+
+def test_t_functional_needs_the_origin_inside_the_body():
+    dirs = quadrature_directions(2, 64, 16)
+    off = Ball(center=[2.0, 0.0], radius=1.0)
+    with pytest.raises(ValueError, match="T_p needs 0 inside the body"):
+        HullMetric(MetricSpec("functional", p=2.0, which="T"), off, dirs=dirs)
+    # widths never go negative, so S_p takes the same body
+    widths = HullMetric(MetricSpec("functional", p=2.0, which="S"), off, dirs=dirs)
+    assert widths.reading(ORIGIN) == pytest.approx(2.0)

@@ -17,13 +17,12 @@ from randhull.geometry import (
     contains_batch,
     minkowski_functional,
 )
+from randhull.experiments import write_text
 from randhull.sampling import (
-    empirical_cap_probability,
     load_points,
     philox,
     points_to_csv,
     sample,
-    save_points,
     unit_ball_points,
     unit_directions,
 )
@@ -128,11 +127,12 @@ def test_unit_directions_are_unit():
     assert np.linalg.norm(dirs.mean(axis=0)) < 0.05
 
 
-def test_empirical_cap_probability_matches_volume_ratio():
+def test_interior_cap_probability_matches_volume_ratio():
     n = 200000
     cloud = sample(BALL2, "interior", n, seed=13)
     eps = 0.2
-    p_hat = empirical_cap_probability(cloud, np.array([1.0, 0.0]), eps)
+    # the share of the cloud in the width-eps cap of the unit disc at u = e_0
+    p_hat = np.mean(cloud.points[:, 0] >= 1.0 - eps)
     p_true = cap_volume_ball(2, 1.0, eps) / ball_volume(2)
     sigma = math.sqrt(p_true * (1.0 - p_true) / n)
     assert abs(p_hat - p_true) < 5.0 * sigma
@@ -142,7 +142,7 @@ def test_boundary_cap_probability_matches_arc_ratio():
     n = 100000
     cloud = sample(BALL2, "boundary", n, seed=14)
     eps = 1.0 - math.cos(math.pi / 8)
-    p_hat = empirical_cap_probability(cloud, np.array([0.0, 1.0]), eps)
+    p_hat = np.mean(cloud.points[:, 1] >= 1.0 - eps)
     p_true = (math.pi / 4) / (2 * math.pi)  # arc fraction of the cap
     sigma = math.sqrt(p_true * (1.0 - p_true) / n)
     assert abs(p_hat - p_true) < 5.0 * sigma
@@ -151,7 +151,7 @@ def test_boundary_cap_probability_matches_arc_ratio():
 def test_points_csv_round_trip(tmp_path):
     pts = sample(ELL, "interior", 50, seed=1).points
     path = tmp_path / "points.csv"
-    save_points(pts, path)
+    write_text(points_to_csv(pts), path)
     back = load_points(path)
     np.testing.assert_array_equal(back, pts)
 

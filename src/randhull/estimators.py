@@ -1,12 +1,15 @@
 """Estimators of the distance between a body and the convex hull of a cloud.
 
 Two paths read that distance.  The exact path takes the facets a_i.x <= b_i of
-the hull P, as Qhull (Barber, Dobkin and Huhdanpaa 1996) computes them.  With
-c strictly inside P, the Hausdorff distance of P to a ball of radius R about c
-is max(R - min_i (b_i - a_i.c), max_x |x - c| - R), the first term alone when
-P lies in the ball, and the center-relative distance d_L to any body K is
-1 - min_i (b_i - a_i.c) / (h_K(a_i) - a_i.c): the shortest way from c out of
-P ends on a facet, and so does the largest copy of K about c inside P.
+the hull P, as Qhull (Barber, Dobkin and Huhdanpaa 1996) computes them, and
+the body's support values on their normals.  If a ball of radius rho rolls
+freely inside K, as Blaschke's rolling theorem gives for a smooth body, and
+m = max_i (h_K(a_i) - b_i) < rho, then the centres of the rolling balls lie
+strictly inside P, the point of K farthest from P lies over a facet's
+interior, and the Hausdorff distance of P to K is m: R - min_i (b_i - a_i.c)
+for a ball about c.  With c strictly inside P, the center-relative distance
+d_L to any body K is 1 - min_i (b_i - a_i.c) / (h_K(a_i) - a_i.c): the
+largest copy of K about c inside P fits under every facet.
 
 The net path reads a metric from support evaluations on a set of directions:
 the hull's support function is the max of dot products against the cloud,
@@ -349,47 +352,12 @@ def quadrature_directions(d: int, quad_n: int, seed: int) -> np.ndarray:
 # exact distances from the hull's facets
 
 
-def _facet_gaps(equations: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """b_i - a_i.c for the facets a_i.x <= b_i held as Qhull's rows [a_i, -b_i]."""
-    return -(equations[:, :-1] @ center + equations[:, -1])
-
-
-def ball_hausdorff_exact(ball: Ball, equations: np.ndarray) -> float | None:
-    """Hausdorff distance of a hull inside the ball, from the hull's facets.
-
-    R - min_i (b_i - a_i.c): the point of the ball farthest from the hull
-    lies on the ray from the center c through the facet nearest to it.  None
-    unless c lies strictly inside the hull, where the formula fails.
-    """
-    inradius = float(_facet_gaps(equations, ball.center).min())
-    if not inradius > 0:
-        return None
-    return ball.radius - inradius
-
-
 def _center_room(body_vals: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """h_body(u) - u.c on each direction: the denominators of d_L."""
     room = body_vals - shift
     if np.min(room) <= 0:
         raise ValueError("center must lie in the interior of the body")
     return room
-
-
-def d_l_exact(body: BodySpec, center: np.ndarray, equations: np.ndarray) -> float | None:
-    """d_L of a hull from its facets: 1 - min_i (b_i - a_i.c)/(h_body(a_i) - a_i.c).
-
-    The body shrunk about the center by a factor t fits inside the hull if
-    and only if it fits under every facet, so the largest such t is the
-    smallest facet ratio.  None unless the center lies strictly inside the
-    hull, where the facet normals need not reach the sup.
-    """
-    center = np.asarray(center, dtype=float)
-    gaps = _facet_gaps(equations, center)
-    if not float(gaps.min()) > 0:
-        return None
-    normals = equations[:, :-1]
-    room = _center_room(support_batch(body, normals), normals @ center)
-    return float(1.0 - (gaps / room).min())
 
 
 # ---------------------------------------------------------------------------
@@ -424,17 +392,17 @@ class HullMetric:
     0 inside the body, so a body support value below -1e-9 is a ValueError;
     the hull's support values, like the S widths, are clipped at 0.
 
-    value(cloud) reads a Hausdorff metric on a Ball, and every dl metric,
-    from the hull's Qhull facets (ball_hausdorff_exact, d_l_exact); when the
-    hull has no facets (d >= 4, or Qhull rejects the cloud) or does not hold
-    the center strictly inside, and for every other metric, it returns
+    value(cloud) reads every dl metric, and a Hausdorff metric on a body with
+    a positive rolling radius, from the hull's Qhull facets (facet_value);
+    when the hull has no facets (d >= 4, or Qhull rejects the cloud) or the
+    facet rule does not hold, and for every other metric, it returns
     reading(hull points), the metric over the directions alone.
     """
 
     def __init__(self, spec: MetricSpec, body: BodySpec, net=None, dirs=None, center=None):
         self.spec = spec
         self.body = body
-        self.exact = spec.kind == "dl" or (spec.kind == "hausdorff" and isinstance(body, Ball))
+        self.exact = spec.kind == "dl" or (spec.kind == "hausdorff" and body.rolling_radius > 0)
         if spec.kind == "dl":
             self.center = np.asarray(canonical_center(body) if center is None else center, dtype=float)
         self._net = net
@@ -464,10 +432,18 @@ class HullMetric:
             return self.dirs
 
     def facet_value(self, equations: np.ndarray) -> float | None:
-        """The metric from the hull's facets; None without the center inside."""
+        """The metric from the hull's facets, Qhull's rows [a_i, -b_i], by the
+        module docstring's rules; None where the rule does not hold."""
+        normals, offsets = equations[:, :-1], equations[:, -1]
+        body_vals = support_batch(self.body, normals)
         if self.spec.kind == "hausdorff":
-            return ball_hausdorff_exact(self.body, equations)
-        return d_l_exact(self.body, self.center, equations)
+            m = float((body_vals + offsets).max())
+            return m if m < self.body.rolling_radius else None
+        shift = normals @ self.center
+        gaps = -(shift + offsets)
+        if not float(gaps.min()) > 0:
+            return None
+        return float(1.0 - (gaps / _center_room(body_vals, shift)).min())
 
     def reading(self, points: np.ndarray) -> float:
         """The metric of conv(points) over the directions."""
@@ -511,17 +487,19 @@ def hausdorff_to_body(body: BodySpec, cloud: SampleCloud, net: SphereNet) -> Dis
     certificate is exact for a ball in d = 2 or 3 when Qhull builds the hull
     and the hull holds the center c strictly inside: then the Hausdorff
     distance is max(R - min_i (b_i - a_i.c), max_x |x - c| - R), the first
-    term the ball's farthest reach outside the hull (ball_hausdorff_exact),
+    term the ball's farthest reach outside the hull (HullMetric.facet_value),
     the second the hull's outside the ball, so points that round past the
-    sphere keep the certificate.  Otherwise it is the chaining bound
-    (sup_certificate, at the larger of the body's radius bound and the
-    largest point norm), or inf on an uncertified net.
+    sphere keep the certificate.  The second term needs the radius R, so no
+    other body runs Qhull for facets here.  Otherwise the certificate is the
+    chaining bound (sup_certificate, at the larger of the body's radius bound
+    and the largest point norm), or inf on an uncertified net.
     """
     metric = HullMetric(MetricSpec("hausdorff"), body, net=net)
-    hull = hull_points(cloud, facets=metric.exact)
+    is_ball = isinstance(body, Ball)
+    hull = hull_points(cloud, facets=is_ball)
     net_value = metric.reading(hull.points)
     certified = None
-    if metric.exact and hull.equations is not None:
+    if is_ball and hull.equations is not None:
         inner = metric.facet_value(hull.equations)
         if inner is not None:
             reach = float(np.linalg.norm(cloud.points - body.center, axis=1).max())

@@ -26,7 +26,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -38,7 +38,8 @@ from .bounds import (
     make_deviation_bound,
     rate_exponent,
 )
-from .geometry import Ball, BodySpec, BumpBall, body_from_dict, body_to_dict, bump_profile_mass
+from .geometry import Ball, BodySpec, BumpBall, body_from_dict, body_to_dict, read_fields
+from .geometry import bump_profile_mass
 from .estimators import HullMetric, parse_metric, quadrature_directions
 from .nets import SphereNet, build_net
 from .sampling import derived_seed, philox, sample
@@ -92,9 +93,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        """A missing optional key takes its default; extra keys are ignored."""
-        kw = {f.name: doc[f.name] for f in fields(cls) if f.name in doc or f.default is MISSING}
-        return cls(**{**kw, "body": body_from_dict(doc["body"])})
+        """A missing optional key takes its default, a missing required one is a
+        ValueError that names it, and extra keys are ignored."""
+        kw = read_fields(cls, doc)
+        return cls(**{**kw, "body": body_from_dict(kw["body"])})
 
     def resolved_net_delta(self) -> float:
         """Explicit value, or min(1e-2, 0.1 * a_n at the smallest grid n).
@@ -132,8 +134,9 @@ def _integral(name: str, value) -> int:
 
 
 def _family_params(family: str, body: BodySpec) -> ClassParams:
-    r = getattr(body, "rolling_radius", None)
-    if r is None:
+    """A smooth family's class parameters, from the body's rolling radius if positive."""
+    r = body.rolling_radius
+    if not r > 0:
         raise ValueError(f"no analytic class parameters for {type(body).__name__}")
     if family == "smooth_interior":
         return class_params_smooth(body.dim, min(1.0, r))

@@ -11,13 +11,15 @@ Conventions
 Vectors are 1-d float64 arrays.  Direction arguments must be unit vectors
 (checked to 1e-9).  Batched evaluation takes an (m, d) array of directions and
 returns an (m,) array; scalar wrappers exist for the single-direction case.
+Every body states its rolling_radius, the radius of a ball that rolls freely
+inside it, or 0.0 where none is known.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -149,7 +151,7 @@ class Ellipsoid:
 
     @property
     def rolling_radius(self) -> float:
-        # analytic inradius of curvature: min semi-axis^2 / max semi-axis
+        # least radius of curvature, min semi-axis^2 / max semi-axis (Blaschke)
         s = self.semi_axes
         return float(np.min(s) ** 2 / np.max(s))
 
@@ -174,6 +176,7 @@ _APEX_PLANE_TOL = 1e-12
 @dataclass
 class PolytopeV:
     vertices: np.ndarray
+    rolling_radius = 0.0  # a vertex admits no rolling ball
 
     def __post_init__(self):
         self.vertices = np.atleast_2d(np.asarray(self.vertices, dtype=float))
@@ -250,6 +253,7 @@ class BumpBall:
     bump_scale: float
     amplitude: float
     direction: np.ndarray
+    rolling_radius = 0.0  # none known
 
     def __post_init__(self):
         self.radius = float(self.radius)
@@ -555,6 +559,15 @@ def cap_area_sphere(d: int, r: float, eps: float) -> float:
 _BODY_KINDS = {"ball": Ball, "ellipsoid": Ellipsoid, "polytope_v": PolytopeV, "bump_ball": BumpBall}
 
 
+def read_fields(cls, doc: dict) -> dict:
+    """The dataclass cls's fields in doc, by name; extra keys are ignored, and a
+    missing field without a default is a ValueError that names it."""
+    for f in fields(cls):
+        if f.name not in doc and f.default is MISSING:
+            raise ValueError(f"{cls.__name__} needs the key {f.name!r}")
+    return {f.name: doc[f.name] for f in fields(cls) if f.name in doc}
+
+
 def plain_fields(record) -> dict:
     """A dataclass record's fields by name, with arrays as nested lists."""
     doc = {f.name: getattr(record, f.name) for f in fields(record)}
@@ -574,7 +587,7 @@ def body_from_dict(doc: dict) -> BodySpec:
     cls = _BODY_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown body kind {kind!r}")
-    return cls(**{f.name: doc[f.name] for f in fields(cls)})
+    return cls(**read_fields(cls, doc))
 
 
 def save_body(body: BodySpec, path) -> None:

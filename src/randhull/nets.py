@@ -27,11 +27,11 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import plain_fields
+from .geometry import plain_fields, read_fields
 from .sampling import philox, unit_directions
 
 log = logging.getLogger("randhull")
@@ -337,7 +337,7 @@ def net_to_dict(net: SphereNet) -> dict:
 
 
 def net_from_dict(doc: dict) -> SphereNet:
-    return SphereNet(**{f.name: doc[f.name] for f in fields(SphereNet)})
+    return SphereNet(**read_fields(SphereNet, doc))
 
 
 def load_net(path) -> SphereNet:

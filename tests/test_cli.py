@@ -112,7 +112,7 @@ def test_distance_reports_deficit(tmp_path, ball_path):
 def test_distance_certifies_a_disc_cloud_with_the_exact_distance(tmp_path, ball_path):
     from scipy.spatial import ConvexHull
 
-    from randhull.estimators import ball_hausdorff_exact
+    from randhull.estimators import HullMetric, MetricSpec
 
     pts = tmp_path / "points.csv"
     main(["sample", "--body", str(ball_path), "--n", "500", "--seed", "9", "--out", str(pts)])
@@ -128,7 +128,7 @@ def test_distance_certifies_a_disc_cloud_with_the_exact_distance(tmp_path, ball_
     )
     doc = json.loads(out.read_text())
     equations = ConvexHull(load_points(pts)).equations
-    exact = ball_hausdorff_exact(Ball(center=[0.0, 0.0], radius=1.0), equations)
+    exact = HullMetric(MetricSpec("hausdorff"), Ball([0.0, 0.0], 1.0)).facet_value(equations)
     assert doc["net_value"] <= doc["certified_upper"] == exact
 
 
@@ -335,6 +335,14 @@ def test_rates_csv_schema(tmp_path, config_path):
     assert len(lines) == 3
 
 
+def test_rates_config_without_reps_is_a_value_error_that_names_it(tmp_path, config_path):
+    path = tmp_path / "no_reps.yaml"
+    lines = config_path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith("reps:")))
+    with pytest.raises(ValueError, match="ExperimentConfig needs the key 'reps'"):
+        main(["rates", "--config", str(path)])
+
+
 def test_rates_json_and_seed_override(tmp_path, config_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
@@ -524,6 +532,7 @@ def test_the_example_configs_are_shipped():
     assert sorted(EXAMPLES) == [
         "deviation/disc",
         "lower-bound-family",
+        "rates/ellipsoid_interior",
         "rates/polytope_interior",
         "rates/smooth_boundary",
         "rates/smooth_interior",

@@ -1,5 +1,6 @@
 """Hull support estimators and the hull metric."""
 
+import functools
 import math
 
 import numpy as np
@@ -11,14 +12,19 @@ from randhull import estimators
 from randhull.estimators import (
     HullMetric,
     MetricSpec,
-    ball_hausdorff_exact,
-    d_l_exact,
     hausdorff_to_body,
     hull_points,
     parse_metric,
     quadrature_directions,
 )
-from randhull.geometry import Ball, Ellipsoid, PolytopeV, canonical_center, support_batch
+from randhull.geometry import (
+    Ball,
+    BumpBall,
+    Ellipsoid,
+    PolytopeV,
+    canonical_center,
+    support_batch,
+)
 from randhull.nets import blocked_max_dot, build_net, sup_certificate
 from randhull.sampling import SampleCloud, sample
 
@@ -37,6 +43,11 @@ def spaced_circle_cloud(m):
     ang = 2.0 * math.pi * np.arange(m) / m
     pts = np.column_stack([np.cos(ang), np.sin(ang)])
     return SampleCloud(points=pts, body=BALL2, mode="boundary", seed=0, n=m)
+
+
+def facet_value(metric, body, equations, center=None):
+    """The metric from the hull's facets, as HullMetric reads it."""
+    return HullMetric(parse_metric(metric), body, center=center).facet_value(equations)
 
 
 def quadrature_metric(metric, body, quad_n, quad_seed):
@@ -207,6 +218,10 @@ def test_boundary_cloud_skips_qhull(monkeypatch):
     _forbid_qhull(monkeypatch)
     cloud = sample(Ball(center=np.zeros(3), radius=1.0), "boundary", 500, seed=63)
     assert _kept_whole(cloud)
+    # only a ball's certificate reads the facets
+    ellipse = REDUCIBLE["ellipsoid2"]
+    cloud = sample(ellipse, "boundary", 500, seed=63)
+    hausdorff_to_body(ellipse, cloud, build_net(2, 0.05, seed=1))
 
 
 def test_high_dimensional_cloud_skips_qhull(monkeypatch):
@@ -583,7 +598,7 @@ def test_facets_are_not_computed_in_four_dimensions(monkeypatch):
 @pytest.mark.parametrize("m", [3, 4, 5, 16, 64, 1000, 100_000])
 def test_exact_hausdorff_of_spaced_circle_points(m):
     hull = hull_points(spaced_circle_cloud(m), facets=True)
-    exact = ball_hausdorff_exact(BALL2, hull.equations)
+    exact = facet_value("hausdorff", BALL2, hull.equations)
     assert abs(exact - (1.0 - math.cos(math.pi / m))) <= 1e-14
 
 
@@ -597,7 +612,7 @@ def test_exact_hausdorff_lies_between_net_value_and_certificate(d, mode):
     net = build_net(d, 0.01 if d == 2 else 0.1, seed=5)
     for n, seed in ((50, 83), (3000, 84)):
         cloud = sample(body, mode, n, seed=seed)
-        exact = ball_hausdorff_exact(body, hull_points(cloud, facets=True).equations)
+        exact = facet_value("hausdorff", body, hull_points(cloud, facets=True).equations)
         res = hausdorff_to_body(body, cloud, net)
         radius = max(body.max_norm_bound(), float(np.linalg.norm(cloud.points, axis=1).max()))
         chaining = sup_certificate(net, res.net_value, radius)
@@ -628,7 +643,7 @@ def test_ball_certificate_counts_the_hull_outside_the_ball():
     pts = sample(BALL2, "interior", 300, seed=89).points.copy()
     pts[0] = [0.0, 1.0 + 1e-12]
     cloud = SampleCloud(points=pts, body=BALL2, mode="interior", seed=0, n=len(pts))
-    exact = ball_hausdorff_exact(BALL2, hull_points(cloud).equations)
+    exact = facet_value("hausdorff", BALL2, hull_points(cloud).equations)
     assert hausdorff_to_body(BALL2, cloud, net).certified_upper == exact > 1e-12
     # the two-sided distance sup_u |h_hull(u) - 1| on a fine grid of angles
     ang = np.linspace(0.0, 2.0 * math.pi, 20_000, endpoint=False)
@@ -637,13 +652,13 @@ def test_ball_certificate_counts_the_hull_outside_the_ball():
     # the ball reaches outside the hull
     pts[0] = [0.0, 1.5]
     spike = SampleCloud(points=pts, body=BALL2, mode="interior", seed=0, n=len(pts))
-    assert ball_hausdorff_exact(BALL2, hull_points(spike).equations) < 0.5
+    assert facet_value("hausdorff", BALL2, hull_points(spike).equations) < 0.5
     assert hausdorff_to_body(BALL2, spike, net).certified_upper == 0.5
     # a cloud from the radius-2 disc holds the unit disc: the first term is
     # negative and the distance is the cloud's reach
     wide = sample(Ball(center=[0.0, 0.0], radius=2.0), "interior", 300, seed=90)
     reach = float(np.linalg.norm(wide.points, axis=1).max())
-    assert ball_hausdorff_exact(BALL2, hull_points(wide).equations) < 0
+    assert facet_value("hausdorff", BALL2, hull_points(wide).equations) < 0
     assert hausdorff_to_body(BALL2, wide, net).certified_upper == reach - 1.0
     for cloud in (spike, wide):
         on_grid = np.abs((grid @ cloud.points.T).max(axis=1) - 1.0).max()
@@ -677,7 +692,7 @@ def test_exact_dl_is_at_least_the_net_value(name):
     for n, seed in ((30, 85), (2000, 86)):
         cloud = sample(body, "interior", n, seed=seed)
         hull = hull_points(cloud)
-        exact = d_l_exact(body, center, hull.equations)
+        exact = facet_value("dl", body, hull.equations, center)
         assert 0.0 < exact < 1.0
         dl = HullMetric(MetricSpec("dl"), body, net=net, center=center)
         assert dl.reading(hull.points) <= exact
@@ -688,7 +703,7 @@ def test_exact_dl_of_a_cloud_holding_the_vertices_is_zero(name):
     body = DL_BODIES[name]
     pts = np.vstack([sample(body, "interior", 200, seed=87).points, body.vertices])
     cloud = SampleCloud(points=pts, body=body, mode="interior", seed=0, n=len(pts))
-    assert d_l_exact(body, canonical_center(body), hull_points(cloud).equations) == 0.0
+    assert facet_value("dl", body, hull_points(cloud).equations) == 0.0
 
 
 def test_exact_distances_need_the_center_strictly_inside():
@@ -696,8 +711,71 @@ def test_exact_distances_need_the_center_strictly_inside():
     # center on an edge
     for pts in ([[0.2, 0.1], [0.6, 0.1], [0.4, 0.5]], [[-0.5, 0.0], [0.5, 0.0], [0.0, 0.5]]):
         equations = ConvexHull(np.asarray(pts)).equations
-        assert ball_hausdorff_exact(BALL2, equations) is None
-        assert d_l_exact(BALL2, np.zeros(2), equations) is None
+        assert facet_value("hausdorff", BALL2, equations) is None
+        assert facet_value("dl", BALL2, equations, np.zeros(2)) is None
+
+
+# rolling radii 0.16 and 0.25
+FACET_ELLIPSOIDS = {
+    2: DL_BODIES["ellipse"],
+    3: Ellipsoid(center=[0.0, 0.1, 0.0], semi_axes=[1.0, 0.7, 0.5], rotation=_rotation(3, 2)),
+}
+
+
+@functools.cache
+def _fine_net(d):
+    return build_net(d, 2e-4 if d == 2 else 0.02, seed=5)
+
+
+@pytest.mark.parametrize("mode", ["interior", "boundary"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_facet_hausdorff_of_an_ellipsoid_lies_within_a_fine_net_reading(d, mode):
+    body, net = FACET_ELLIPSOIDS[d], _fine_net(d)
+    metric = HullMetric(MetricSpec("hausdorff"), body, net=net)
+    # h_body - h_hull is 2R-Lipschitz on the sphere, R the body's norm bound
+    under_read = 2.0 * body.max_norm_bound() * net.cover_radius
+    for n, seed in ((300, 91), (3000, 92)):
+        value, hull, exact = metric.value(sample(body, mode, n, seed=seed))
+        assert exact
+        net_value = metric.reading(hull.points)
+        assert net_value <= value <= net_value + under_read
+
+
+@pytest.mark.parametrize("case", ["thirty_points", "sliver", *sorted(DEGENERATE)])
+def test_facet_hausdorff_falls_back_to_the_net_where_the_rule_fails(case):
+    if case in DEGENERATE:  # Qhull rejects the cloud
+        pts = np.asarray(DEGENERATE[case], dtype=float)
+        body = FACET_ELLIPSOIDS[pts.shape[1]]
+        cloud = SampleCloud(points=pts, body=body, mode="interior", seed=0, n=len(pts))
+    elif case == "thirty_points":  # the facet maximum 0.29 is above the rolling radius
+        body = FACET_ELLIPSOIDS[2]
+        cloud = sample(body, "interior", 30, seed=90)
+    else:  # axes (1, 0.01): rolling radius 1e-4
+        body = _PREFILTER_BODIES["thin_ellipse"]
+        cloud = sample(body, "interior", 1000, seed=90)
+    metric = HullMetric(MetricSpec("hausdorff"), body, net=build_net(body.dim, 0.1, seed=5))
+    value, hull, exact = metric.value(cloud)
+    assert not exact
+    assert value == metric.reading(hull.points)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        DL_BODIES["square"],
+        BumpBall(radius=1.0, bump_scale=0.2, amplitude=0.02, direction=[0.0, 1.0]),
+    ],
+    ids=["square", "dented_ball"],
+)
+def test_hausdorff_without_a_rolling_radius_never_takes_the_facet_path(monkeypatch, body):
+    def refuse(self, equations):
+        raise AssertionError("facet path taken")
+
+    monkeypatch.setattr(HullMetric, "facet_value", refuse)
+    metric = HullMetric(MetricSpec("hausdorff"), body, net=build_net(2, 0.05, seed=5))
+    value, hull, exact = metric.value(sample(body, "interior", 500, seed=93))
+    assert not exact
+    assert value == metric.reading(hull.points)
 
 
 # ---------------------------------------------------------------------------

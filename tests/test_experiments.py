@@ -11,8 +11,23 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from randhull import experiments
-from randhull.geometry import Ball, PolytopeV, support_batch
-from randhull.nets import SphereNet, blocked_max_dot, build_net, load_net, net_to_dict
+from randhull.geometry import (
+    Ball,
+    BumpBall,
+    Ellipsoid,
+    PolytopeV,
+    body_from_dict,
+    body_to_dict,
+    support_batch,
+)
+from randhull.nets import (
+    SphereNet,
+    blocked_max_dot,
+    build_net,
+    load_net,
+    net_from_dict,
+    net_to_dict,
+)
 from randhull.estimators import (
     hull_points,
     pairwise_hausdorff_certified,
@@ -23,6 +38,7 @@ from randhull.sampling import SampleCloud, derived_seed, sample
 from randhull.experiments import (
     _KEY_NET,
     _KEY_QUAD,
+    _family_params,
     _hull_metric,
     _run_replications,
     DeviationReport,
@@ -44,6 +60,7 @@ from randhull.experiments import (
 
 BALL2 = Ball(center=[0.0, 0.0], radius=1.0)
 SQUARE = PolytopeV([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+ELLIPSE = Ellipsoid(center=[0.0, 0.0], semi_axes=[1.0, 0.8], rotation=np.eye(2))
 
 
 def tiny_config(**overrides):
@@ -157,6 +174,21 @@ def test_a_family_that_contradicts_the_mode_is_rejected(mode, family):
     doc = {**tiny_config().to_dict(), "mode": mode, "family": family}
     with pytest.raises(ValueError, match="does not sample in mode"):
         ExperimentConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "load, doc, key",
+    [
+        (ExperimentConfig.from_dict, tiny_config().to_dict(), "reps"),
+        (ExperimentConfig.from_dict, tiny_config().to_dict(), "body"),
+        (body_from_dict, body_to_dict(BALL2), "radius"),
+        (net_from_dict, net_to_dict(build_net(2, 0.5, seed=1)), "delta"),
+    ],
+    ids=["config", "config-body", "body", "net"],
+)
+def test_a_missing_required_key_is_a_value_error_that_names_it(load, doc, key):
+    with pytest.raises(ValueError, match=f"needs the key '{key}'"):
+        load({k: v for k, v in doc.items() if k != key})
 
 
 def test_config_yaml_round_trip(tmp_path):
@@ -348,10 +380,11 @@ def test_boundary_ball_experiment_hands_qhull_every_point(caplog):
 
 
 # A pin of exact floats, so that a hull-path change that moves any bit fails
-# here.  The disc means come from the Qhull facets; the square means, on the
+# here.  The disc and ellipse means come from the Qhull facets; the square means, on the
 # net path, hold for one BLAS build (README, Reproducibility): another BLAS
 # may round the max-dot differently.
 PINNED_DISC_MEANS = [0.04479717167738151, 0.010536692632247213]
+PINNED_ELLIPSE_MEANS = [0.03966080236908237, 0.009188233091116216]
 PINNED_SQUARE_CSV = (
     "n,mean_metric_q,stderr,reps\n"
     "1000,0.0447202588379955,0.002009554121503974,3\n"
@@ -369,6 +402,18 @@ def test_disc_rate_means_are_pinned():
         master_seed=1005,
     )
     assert run_rate_experiment(cfg).means == PINNED_DISC_MEANS
+
+
+def test_ellipse_rate_means_are_pinned():
+    cfg = ExperimentConfig(
+        body=ELLIPSE,
+        mode="interior",
+        family="smooth_interior",
+        n_grid=[1000, 10000],
+        reps=2,
+        master_seed=1005,
+    )
+    assert run_rate_experiment(cfg).means == PINNED_ELLIPSE_MEANS
 
 
 def test_square_rate_report_is_pinned():
@@ -465,10 +510,14 @@ def test_net_is_built_once_when_replications_fall_back(monkeypatch, caplog, thre
     assert report.resolved_net_delta == cfg.resolved_net_delta()
 
 
-@pytest.mark.parametrize("metric", ["hausdorff", "dl"])
-def test_no_net_is_built_when_no_replication_falls_back(monkeypatch, caplog, metric):
+@pytest.mark.parametrize(
+    "metric, body",
+    [("hausdorff", BALL2), ("dl", BALL2), ("hausdorff", ELLIPSE), ("dl", ELLIPSE)],
+    ids=["hausdorff", "dl", "hausdorff-ellipse", "dl-ellipse"],
+)
+def test_no_net_is_built_when_no_replication_falls_back(monkeypatch, caplog, metric, body):
     builds = _count_net_builds(monkeypatch)
-    cfg = tiny_config(metric=metric)
+    cfg = tiny_config(metric=metric, body=body)
     with caplog.at_level(logging.DEBUG, logger="randhull"):
         report = run_rate_experiment(cfg, threads=2)
     assert builds == []
@@ -614,6 +663,17 @@ def test_deviation_experiment_logs_quantiles(caplog):
     want = np.quantile(values / rep.a_n, [0.5, 0.9, 0.99])
     np.testing.assert_allclose(got, want, rtol=1e-5)
     assert got[0] <= got[1] <= got[2]
+
+
+@pytest.mark.parametrize(
+    "body",
+    [SQUARE, BumpBall(radius=1.0, bump_scale=0.2, amplitude=0.02, direction=[0.0, 1.0])],
+    ids=["square", "dented_ball"],
+)
+def test_a_body_without_a_rolling_radius_has_no_analytic_class_parameters(body):
+    assert body.rolling_radius == 0.0
+    with pytest.raises(ValueError, match=f"no analytic class parameters for {type(body).__name__}"):
+        _family_params("smooth_interior", body)
 
 
 def test_deviation_experiment_needs_single_n():

@@ -3,10 +3,10 @@
 Sample i.i.d. points in (or on) a body, take the support function of their
 convex hull, and measure how fast it converges to the body's.  One object,
 estimators.HullMetric, reads every metric of the hull against the body: the
-Hausdorff distance, the center-relative scaling distance, the L^p support
-deficit, and the gap in the functionals T_p and S_p (S_1 is the mean width).
-Around it: finite-sample deviation bounds, and the dented-ball family that
-shows the rates are tight.
+Hausdorff distance, with an upper certificate on request, the center-relative
+scaling distance, the L^p support deficit, and the gap in the functionals T_p
+and S_p (S_1 is the mean width).  Around it: finite-sample deviation bounds,
+and the dented-ball family that shows the rates are tight.
 
 Importing the package loads numpy and the standard library only.  PyYAML is
 imported with the first experiment config read or written, the thread pool
@@ -53,8 +53,8 @@ from .sampling import (
     sample,
 )
 from .estimators import (
-    DistanceResult,
-    hausdorff_to_body,
+    HullMetric,
+    MetricSpec,
 )
 from .bounds import (
     ClassParams,

@@ -10,14 +10,22 @@ otherwise to stdout; CSV schemas match the report writers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
 
 import numpy as np
 
-from .bounds import ClassParams, check_class_membership, deviation_bound, fit_class_l
-from .estimators import hausdorff_to_body
+from .bounds import (
+    ClassParams,
+    check_class_membership,
+    class_params_boundary,
+    class_params_smooth,
+    deviation_bound,
+    fit_class_l,
+)
+from .estimators import HullMetric, MetricSpec
 from .experiments import (
     ExperimentConfig,
     body_to_dict,
@@ -84,9 +92,13 @@ def _cmd_distance(args) -> int:
     )
     if args.net is not None:
         net = load_net(args.net)
-    else:
-        net = build_net(body.dim, args.net_delta, _seed_or(args))
-    emit_report(asdict(hausdorff_to_body(body, cloud, net)), args.out, args.format or "json")
+        net_delta = net.delta
+    else:  # built only for a cloud that the facets do not read
+        net = functools.partial(build_net, body.dim, args.net_delta, _seed_or(args))
+        net_delta = args.net_delta
+    value, certified = HullMetric(MetricSpec("hausdorff"), body, net=net).certified(cloud)
+    report = {"value": value, "certified_upper": certified, "net_delta": net_delta}
+    emit_report(report, args.out, args.format or "json")
     return 0
 
 
@@ -115,8 +127,6 @@ def _cmd_check_class(args) -> int:
         report = check_class_membership(body, args.mode, params, **kw)
         write_json({"fitted": params.to_dict(), "report": report.to_dict()}, args.out)
         return 0
-    from .bounds import class_params_boundary, class_params_smooth
-
     maker = class_params_smooth if args.family == "smooth" else class_params_boundary
     params = maker(body.dim, args.r)
     report = check_class_membership(body, args.mode, params, **kw)

@@ -29,8 +29,8 @@ points from about 3% of a disc cloud.
 
 HullMetric is the one reader of both paths: built once from a metric spec,
 a body and a direction source (a net, a net built on first need, or
-quadrature directions), it decides which path a cloud takes.
-hausdorff_to_body is its Hausdorff reading over a net, with a certificate.
+quadrature directions), it decides which path a cloud takes, and on request
+bounds a Hausdorff reading from above (HullMetric.certified).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Ball, BodySpec, canonical_center, support_batch
+from .geometry import BodySpec, canonical_center, support_batch
 from .nets import SphereNet, blocked_max_dot, sup_certificate
 from .sampling import SampleCloud, philox, unit_directions
 
@@ -292,7 +292,6 @@ def hull_points(cloud: SampleCloud, facets: bool = False) -> HullPoints:
     return HullPoints(points[hull[0]], True, qhull_input, hull[1])
 
 
-
 # ---------------------------------------------------------------------------
 # metric naming and quadrature
 
@@ -349,7 +348,7 @@ def quadrature_directions(d: int, quad_n: int, seed: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exact distances from the hull's facets
+# the hull metric
 
 
 def _center_room(body_vals: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -358,10 +357,6 @@ def _center_room(body_vals: np.ndarray, shift: np.ndarray) -> np.ndarray:
     if np.min(room) <= 0:
         raise ValueError("center must lie in the interior of the body")
     return room
-
-
-# ---------------------------------------------------------------------------
-# the hull metric
 
 
 def _power_mean(vals: np.ndarray, p: float) -> float:
@@ -427,8 +422,9 @@ class HullMetric:
     def _directions(self) -> np.ndarray:
         with self._lock:
             if self.dirs is None:
-                net = self._net() if callable(self._net) else self._net
-                self._set_dirs(net.points)
+                if callable(self._net):
+                    self._net = self._net()
+                self._set_dirs(self._net.points)
             return self.dirs
 
     def facet_value(self, equations: np.ndarray) -> float | None:
@@ -467,47 +463,28 @@ class HullMetric:
                 return exact, hull, True
         return self.reading(hull.points), hull, False
 
+    def certified(self, cloud: SampleCloud) -> tuple[float, float]:
+        """(value, certificate) of a Hausdorff metric: value <= d_H <= certificate.
+
+        On the facet path the value is the body's exact reach outside the hull
+        and the certificate adds the body's outward bound over the full cloud,
+        so a point Qhull dropped still counts; a cloud inside a ball or an
+        ellipsoid gets value == certificate.  On the net path it is sup_certificate on the net's
+        largest |h_body - h_hull|, at the larger of the body's radius bound
+        and the cloud's largest norm; inf on an uncertified net.
+        """
+        if self.spec.kind != "hausdorff":
+            raise ValueError("only a Hausdorff metric is certified")
+        value, hull, exact = self.value(cloud)
+        if exact:
+            return value, max(value, float(self.body.outward(cloud.points).max()))
+        gap = np.abs(self.body_vals - blocked_max_dot(self._directions(), hull.points))
+        radius = max(self.body.max_norm_bound(), float(np.linalg.norm(cloud.points, axis=1).max()))
+        return value, sup_certificate(self._net, float(gap.max()), radius)
+
 
 # ---------------------------------------------------------------------------
 # sup distances
-
-
-@dataclass
-class DistanceResult:
-    net_value: float
-    certified_upper: float
-    net_delta: float
-
-
-def hausdorff_to_body(body: BodySpec, cloud: SampleCloud, net: SphereNet) -> DistanceResult:
-    """sup of h_body - h_hull over the net, with an upper certificate.
-
-    For a cloud drawn from the body the hull is nested inside it, so this sup
-    is the Hausdorff distance; the net value reads it from below.  The
-    certificate is exact for a ball in d = 2 or 3 when Qhull builds the hull
-    and the hull holds the center c strictly inside: then the Hausdorff
-    distance is max(R - min_i (b_i - a_i.c), max_x |x - c| - R), the first
-    term the ball's farthest reach outside the hull (HullMetric.facet_value),
-    the second the hull's outside the ball, so points that round past the
-    sphere keep the certificate.  The second term needs the radius R, so no
-    other body runs Qhull for facets here.  Otherwise the certificate is the
-    chaining bound (sup_certificate, at the larger of the body's radius bound
-    and the largest point norm), or inf on an uncertified net.
-    """
-    metric = HullMetric(MetricSpec("hausdorff"), body, net=net)
-    is_ball = isinstance(body, Ball)
-    hull = hull_points(cloud, facets=is_ball)
-    net_value = metric.reading(hull.points)
-    certified = None
-    if is_ball and hull.equations is not None:
-        inner = metric.facet_value(hull.equations)
-        if inner is not None:
-            reach = float(np.linalg.norm(cloud.points - body.center, axis=1).max())
-            certified = max(inner, reach - body.radius)
-    if certified is None:
-        radius = max(body.max_norm_bound(), float(np.linalg.norm(cloud.points, axis=1).max()))
-        certified = sup_certificate(net, net_value, radius)
-    return DistanceResult(net_value=net_value, certified_upper=certified, net_delta=net.delta)
 
 
 def pairwise_hausdorff_certified(

@@ -38,8 +38,15 @@ from .bounds import (
     make_deviation_bound,
     rate_exponent,
 )
-from .geometry import Ball, BodySpec, BumpBall, body_from_dict, body_to_dict, read_fields
-from .geometry import bump_profile_mass
+from .geometry import (
+    Ball,
+    BodySpec,
+    BumpBall,
+    body_from_dict,
+    body_to_dict,
+    bump_profile_mass,
+    read_fields,
+)
 from .estimators import HullMetric, parse_metric, quadrature_directions
 from .nets import SphereNet, build_net
 from .sampling import derived_seed, philox, sample

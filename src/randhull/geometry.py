@@ -12,7 +12,7 @@ Vectors are 1-d float64 arrays.  Direction arguments must be unit vectors
 (checked to 1e-9).  Batched evaluation takes an (m, d) array of directions and
 returns an (m,) array; scalar wrappers exist for the single-direction case.
 Every body states its rolling_radius, the radius of a ball that rolls freely
-inside it, or 0.0 where none is known.
+inside it, or 0.0 where none is known, and if it is positive, outward(points).
 """
 
 from __future__ import annotations
@@ -120,6 +120,10 @@ class Ball:
     def rolling_radius(self) -> float:
         return self.radius
 
+    def outward(self, points: np.ndarray) -> np.ndarray:
+        """Each point's distance outside the ball; <= 0 inside."""
+        return np.linalg.norm(points - self.center, axis=1) - self.radius
+
     def max_norm_bound(self) -> float:
         return float(np.linalg.norm(self.center)) + self.radius
 
@@ -154,6 +158,13 @@ class Ellipsoid:
         # least radius of curvature, min semi-axis^2 / max semi-axis (Blaschke)
         s = self.semi_axes
         return float(np.min(s) ** 2 / np.max(s))
+
+    def outward(self, points: np.ndarray) -> np.ndarray:
+        """A bound on each point's distance outside the ellipsoid, (|z| - 1) s_max
+        for z = diag(s)^-1 R^T (x - c): c + R diag(s) z / |z| is that close to
+        x.  Exact for a ball, whose |x - c| - R it is; <= 0 inside."""
+        z = (points - self.center) @ self.rotation / self.semi_axes
+        return (np.linalg.norm(z, axis=1) - 1.0) * float(np.max(self.semi_axes))
 
     def max_norm_bound(self) -> float:
         return float(np.linalg.norm(self.center) + np.max(self.semi_axes))

@@ -309,23 +309,16 @@ def decompose(net: SphereNet, u: np.ndarray, depth: int) -> Decomposition:
 
 
 def sup_certificate(net: SphereNet, net_sup: float, radius: float = 1.0) -> float:
-    """Upper bound on sup over the sphere of a support-function gap, from its net max.
+    """Upper bound on the sup over the sphere of a support-function gap, from its net max.
 
-    The gap is h_1 - h_2 or |h_1 - h_2| for convex bodies inside the ball of
-    the given radius about the origin.  Each support function is then
-    R-Lipschitz on the sphere for R = max(1, radius), so over a net covering
-    at delta
-
-        sup gap <= net_sup + 2 * R * delta <= 2 * max(net_sup, 4 * R * delta),
-
-    and the right side is what the certificate reports; for R = 1 it is the
-    chaining bound of unit-ball bodies.  The result is inf, proving nothing,
-    when the net's covering is not certified, and, as for the chaining bound,
-    when delta > 1/2.
+    For h_1 - h_2 or |h_1 - h_2|, with both bodies inside the ball of the given
+    radius R about the origin, each support function is R-Lipschitz on the
+    sphere, so over a net covering at delta the gap is at most
+    net_sup + 2 R delta; inf, proving nothing, when the covering is uncertified.
     """
-    if not net.certified or net.delta > 0.5:
+    if not net.certified:
         return math.inf
-    return 2.0 * max(net_sup, 4.0 * max(1.0, radius) * net.delta)
+    return net_sup + 2.0 * radius * net.delta
 
 
 # ---------------------------------------------------------------------------

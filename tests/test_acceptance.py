@@ -20,7 +20,7 @@ from randhull.bounds import (
     class_params_boundary,
     class_params_smooth,
 )
-from randhull.estimators import hausdorff_to_body, pairwise_hausdorff_certified
+from randhull.estimators import HullMetric, MetricSpec, pairwise_hausdorff_certified
 from randhull.geometry import Ball, PolytopeV, ball_volume, c_alpha, cap_volume_ball
 from randhull.nets import build_net, decompose
 from randhull.experiments import (
@@ -153,10 +153,10 @@ def test_hull_distance_oracle_on_spaced_circle_points():
         pts = np.column_stack([np.cos(ang), np.sin(ang)])
         cloud = SampleCloud(points=pts, body=BALL2, mode="boundary", seed=0, n=m)
         true_gap = 1.0 - math.cos(math.pi / m)
-        res = hausdorff_to_body(BALL2, cloud, net)
-        good = true_gap - 8.0 * delta_net <= res.net_value <= true_gap + 1e-12
+        net_value = HullMetric(MetricSpec("hausdorff"), BALL2, net=net).reading(cloud.points)
+        good = true_gap - 8.0 * delta_net <= net_value <= true_gap + 1e-12
         ok = ok and good
-        details.append(f"m={m}: {res.net_value:.6f} vs {true_gap:.6f}")
+        details.append(f"m={m}: {net_value:.6f} vs {true_gap:.6f}")
     record_criterion(4, ok, "; ".join(details) + f" (window width {8 * delta_net})")
     assert ok
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from randhull.cli import build_parser, main
-from randhull.geometry import Ball, PolytopeV, save_body
+from randhull.geometry import Ball, Ellipsoid, PolytopeV, save_body
 from randhull.nets import load_net
 from randhull.sampling import load_points
 from randhull.experiments import ExperimentConfig, save_experiment_config
@@ -104,8 +104,8 @@ def test_distance_reports_deficit(tmp_path, ball_path):
         ]
     )
     doc = json.loads(out.read_text())
-    assert 0.0 <= doc["net_value"] <= 2.0
-    assert doc["certified_upper"] >= doc["net_value"]
+    assert 0.0 <= doc["value"] <= 2.0
+    assert doc["certified_upper"] >= doc["value"]
     assert doc["net_delta"] == 0.05
 
 
@@ -129,26 +129,74 @@ def test_distance_certifies_a_disc_cloud_with_the_exact_distance(tmp_path, ball_
     doc = json.loads(out.read_text())
     equations = ConvexHull(load_points(pts)).equations
     exact = HullMetric(MetricSpec("hausdorff"), Ball([0.0, 0.0], 1.0)).facet_value(equations)
-    assert doc["net_value"] <= doc["certified_upper"] == exact
+    assert doc["value"] == doc["certified_upper"] == exact
 
 
-def test_distance_accepts_prebuilt_net(tmp_path, ball_path):
+def _refuse_net_build(monkeypatch):
+    from randhull import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("distance built a net")
+
+    monkeypatch.setattr(cli, "build_net", refuse)
+
+
+D3_BODIES = {
+    "ball": Ball(center=np.zeros(3), radius=1.0),
+    "ellipsoid": Ellipsoid(center=np.zeros(3), semi_axes=[1.0, 0.7, 0.5], rotation=np.eye(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(D3_BODIES))
+def test_distance_reads_a_three_dimensional_cloud_from_its_facets(tmp_path, monkeypatch, name):
+    from scipy.spatial import ConvexHull
+
+    from randhull.estimators import HullMetric, MetricSpec
+
+    body = D3_BODIES[name]
+    body_path, pts = tmp_path / "body.json", tmp_path / "points.csv"
+    save_body(body, body_path)
+    main(["sample", "--body", str(body_path), "--n", "2000", "--seed", "5", "--out", str(pts)])
+    _refuse_net_build(monkeypatch)
+    out = tmp_path / "distance.json"
+    main(["distance", "--body", str(body_path), "--points", str(pts), "--out", str(out)])
+    doc = json.loads(out.read_text())
+    exact = HullMetric(MetricSpec("hausdorff"), body).facet_value(
+        ConvexHull(load_points(pts)).equations
+    )
+    assert doc == {"value": exact, "certified_upper": exact, "net_delta": 0.01}
+
+
+def test_distance_accepts_prebuilt_net(tmp_path, monkeypatch):
+    from randhull.estimators import HullMetric, MetricSpec
+    from randhull.sampling import SampleCloud
+
+    # a square has no rolling radius, so its distance reads the net
+    square = PolytopeV(np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))
+    body = tmp_path / "square.json"
+    save_body(square, body)
     net_path = tmp_path / "net.json"
     main(["net", "build", "--d", "2", "--delta", "0.1", "--seed", "2", "--out", str(net_path)])
     pts = tmp_path / "points.csv"
-    main(["sample", "--body", str(ball_path), "--n", "100", "--seed", "8", "--out", str(pts)])
+    main(["sample", "--body", str(body), "--n", "100", "--seed", "8", "--out", str(pts)])
+    _refuse_net_build(monkeypatch)
     out = tmp_path / "distance.json"
     main(
         [
             "distance",
-            "--body", str(ball_path),
+            "--body", str(body),
             "--points", str(pts),
             "--net", str(net_path),
             "--format", "json",
             "--out", str(out),
         ]
     )
-    assert json.loads(out.read_text())["net_delta"] == 0.1
+    doc = json.loads(out.read_text())
+    assert doc["net_delta"] == 0.1
+    points = load_points(pts)
+    cloud = SampleCloud(points=points, body=square, mode="interior", seed=0, n=len(points))
+    metric = HullMetric(MetricSpec("hausdorff"), square, net=load_net(net_path))
+    assert [doc["value"], doc["certified_upper"]] == list(metric.certified(cloud))
 
 
 def test_bound_evaluates_tail(tmp_path):
@@ -271,7 +319,7 @@ def test_distance_writes_null_for_missing_certificate(tmp_path):
     )
     doc = json.loads(out.read_text(), parse_constant=_reject_constant)
     assert doc["certified_upper"] is None
-    assert 0.0 < doc["net_value"] < 2.0
+    assert 0.0 < doc["value"] < 2.0
     assert doc["net_delta"] == 0.5
 
 

@@ -12,7 +12,6 @@ from randhull import estimators
 from randhull.estimators import (
     HullMetric,
     MetricSpec,
-    hausdorff_to_body,
     hull_points,
     parse_metric,
     quadrature_directions,
@@ -23,6 +22,7 @@ from randhull.geometry import (
     Ellipsoid,
     PolytopeV,
     canonical_center,
+    contains_batch,
     support_batch,
 )
 from randhull.nets import blocked_max_dot, build_net, sup_certificate
@@ -160,7 +160,7 @@ def test_interior_cloud_reduces_to_matching_hull_points(name):
     full = blocked_max_dot(net.points, cloud.points)
     np.testing.assert_allclose(hull_support_batch(cloud, net.points), full, rtol=0.0, atol=1e-12)
     full_hausdorff = float((support_batch(body, net.points) - full).max())
-    assert hausdorff_to_body(body, cloud, net).net_value == full_hausdorff
+    assert HullMetric(MetricSpec("hausdorff"), body, net=net).reading(points) == full_hausdorff
 
 
 def _kept_whole(cloud):
@@ -218,10 +218,11 @@ def test_boundary_cloud_skips_qhull(monkeypatch):
     _forbid_qhull(monkeypatch)
     cloud = sample(Ball(center=np.zeros(3), radius=1.0), "boundary", 500, seed=63)
     assert _kept_whole(cloud)
-    # only a ball's certificate reads the facets
-    ellipse = REDUCIBLE["ellipsoid2"]
-    cloud = sample(ellipse, "boundary", 500, seed=63)
-    hausdorff_to_body(ellipse, cloud, build_net(2, 0.05, seed=1))
+    # only a body with a rolling radius reads the facets, certificate included
+    dented = BumpBall(radius=1.0, bump_scale=0.2, amplitude=0.02, direction=[0.0, 1.0])
+    pts = spaced_circle_cloud(500).points
+    cloud = SampleCloud(points=pts, body=dented, mode="boundary", seed=0, n=500)
+    HullMetric(MetricSpec("hausdorff"), dented, net=build_net(2, 0.05, seed=1)).certified(cloud)
 
 
 def test_high_dimensional_cloud_skips_qhull(monkeypatch):
@@ -520,26 +521,27 @@ def test_hausdorff_window_for_spaced_boundary_points():
     net = build_net(2, 0.01, seed=2)
     m = 4
     true_gap = 1.0 - math.cos(math.pi / m)
-    res = hausdorff_to_body(BALL2, spaced_circle_cloud(m), net)
+    cloud = spaced_circle_cloud(m)
+    metric = HullMetric(MetricSpec("hausdorff"), BALL2, net=net)
+    net_value = metric.reading(cloud.points)
     # the net maximum never exceeds the true sup and misses it by at most
     # the Lipschitz constant (2 for unit-scale bodies) times the cover radius
-    assert res.net_value <= true_gap + 1e-12
-    assert res.net_value >= true_gap - 2.0 * net.cover_radius
-    assert res.certified_upper >= true_gap - 1e-12
-    assert res.net_delta == pytest.approx(0.01)
+    assert net_value <= true_gap + 1e-12
+    assert net_value >= true_gap - 2.0 * net.cover_radius
+    assert metric.certified(cloud)[1] >= true_gap - 1e-12
 
 
 def test_hausdorff_shrinks_with_more_points():
-    net = build_net(2, 0.02, seed=3)
-    v_small = hausdorff_to_body(BALL2, spaced_circle_cloud(8), net).net_value
-    v_large = hausdorff_to_body(BALL2, spaced_circle_cloud(64), net).net_value
+    metric = HullMetric(MetricSpec("hausdorff"), BALL2, net=build_net(2, 0.02, seed=3))
+    v_small = metric.reading(spaced_circle_cloud(8).points)
+    v_large = metric.reading(spaced_circle_cloud(64).points)
     assert v_large < v_small
 
 
 def test_dl_equals_hausdorff_for_centered_unit_ball():
     net = build_net(2, 0.05, seed=4)
     cloud = sample(BALL2, "interior", 300, seed=33)
-    dh = hausdorff_to_body(BALL2, cloud, net).net_value
+    dh = HullMetric(MetricSpec("hausdorff"), BALL2, net=net).reading(hull_points(cloud).points)
     dl = HullMetric(MetricSpec("dl"), BALL2, net=net, center=np.zeros(2))
     assert dl.reading(hull_points(cloud).points) == pytest.approx(dh, abs=1e-12)
 
@@ -558,9 +560,8 @@ def test_public_distances_are_the_metric_reading(body, mode):
     net = build_net(2, 0.05, seed=4)
     for n, seed in ((40, 35), (3000, 36)):
         cloud = sample(body, mode, n, seed=seed)
-        points = hull_points(cloud).points
         hausdorff = HullMetric(MetricSpec("hausdorff"), body, net=net)
-        assert hausdorff_to_body(body, cloud, net).net_value == hausdorff.reading(points)
+        assert hausdorff.certified(cloud)[0] == hausdorff.value(cloud)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -612,21 +613,28 @@ def test_exact_hausdorff_lies_between_net_value_and_certificate(d, mode):
     net = build_net(d, 0.01 if d == 2 else 0.1, seed=5)
     for n, seed in ((50, 83), (3000, 84)):
         cloud = sample(body, mode, n, seed=seed)
-        exact = facet_value("hausdorff", body, hull_points(cloud, facets=True).equations)
-        res = hausdorff_to_body(body, cloud, net)
+        hull = hull_points(cloud, facets=True)
+        metric = HullMetric(MetricSpec("hausdorff"), body, net=net)
+        exact = metric.facet_value(hull.equations)
+        net_value = metric.reading(hull.points)
         radius = max(body.max_norm_bound(), float(np.linalg.norm(cloud.points, axis=1).max()))
-        chaining = sup_certificate(net, res.net_value, radius)
-        assert res.net_value <= exact <= chaining
+        assert net_value <= exact <= sup_certificate(net, net_value, radius)
         # points of a boundary cloud can round an ulp past the sphere; the
         # hull's reach outside the ball is then far below the exact distance
         reach = np.linalg.norm(cloud.points - body.center, axis=1).max() - body.radius
         assert reach <= 1e-15
-        assert res.certified_upper == exact
+        assert metric.certified(cloud) == (exact, exact)
 
 
-def _chaining(body, cloud, net):
+def _certified(body, cloud, net):
+    return HullMetric(MetricSpec("hausdorff"), body, net=net).certified(cloud)[1]
+
+
+def _net_certificate(body, cloud, net):
+    """sup_certificate on the net reading of the cloud's hull points."""
     radius = max(body.max_norm_bound(), float(np.linalg.norm(cloud.points, axis=1).max()))
-    return sup_certificate(net, hausdorff_to_body(body, cloud, net).net_value, radius)
+    metric = HullMetric(MetricSpec("hausdorff"), body, net=net)
+    return sup_certificate(net, metric.reading(hull_points(cloud).points), radius)
 
 
 def test_four_dimensional_ball_keeps_the_chaining_certificate(monkeypatch):
@@ -634,8 +642,7 @@ def test_four_dimensional_ball_keeps_the_chaining_certificate(monkeypatch):
     body = Ball(center=np.zeros(4), radius=1.0)
     net = build_net(4, 0.5, seed=2)
     cloud = sample(body, "interior", 500, seed=88)
-    res = hausdorff_to_body(body, cloud, net)
-    assert res.certified_upper == _chaining(body, cloud, net) == math.inf
+    assert _certified(body, cloud, net) == _net_certificate(body, cloud, net) == math.inf
 
 
 def test_ball_certificate_counts_the_hull_outside_the_ball():
@@ -644,7 +651,7 @@ def test_ball_certificate_counts_the_hull_outside_the_ball():
     pts[0] = [0.0, 1.0 + 1e-12]
     cloud = SampleCloud(points=pts, body=BALL2, mode="interior", seed=0, n=len(pts))
     exact = facet_value("hausdorff", BALL2, hull_points(cloud).equations)
-    assert hausdorff_to_body(BALL2, cloud, net).certified_upper == exact > 1e-12
+    assert _certified(BALL2, cloud, net) == exact > 1e-12
     # the two-sided distance sup_u |h_hull(u) - 1| on a fine grid of angles
     ang = np.linspace(0.0, 2.0 * math.pi, 20_000, endpoint=False)
     grid = np.column_stack([np.cos(ang), np.sin(ang)])
@@ -653,16 +660,16 @@ def test_ball_certificate_counts_the_hull_outside_the_ball():
     pts[0] = [0.0, 1.5]
     spike = SampleCloud(points=pts, body=BALL2, mode="interior", seed=0, n=len(pts))
     assert facet_value("hausdorff", BALL2, hull_points(spike).equations) < 0.5
-    assert hausdorff_to_body(BALL2, spike, net).certified_upper == 0.5
+    assert _certified(BALL2, spike, net) == 0.5
     # a cloud from the radius-2 disc holds the unit disc: the first term is
     # negative and the distance is the cloud's reach
     wide = sample(Ball(center=[0.0, 0.0], radius=2.0), "interior", 300, seed=90)
     reach = float(np.linalg.norm(wide.points, axis=1).max())
     assert facet_value("hausdorff", BALL2, hull_points(wide).equations) < 0
-    assert hausdorff_to_body(BALL2, wide, net).certified_upper == reach - 1.0
+    assert _certified(BALL2, wide, net) == reach - 1.0
     for cloud in (spike, wide):
         on_grid = np.abs((grid @ cloud.points.T).max(axis=1) - 1.0).max()
-        certified = hausdorff_to_body(BALL2, cloud, net).certified_upper
+        certified = _certified(BALL2, cloud, net)
         assert on_grid <= certified <= on_grid + 1e-7
 
 
@@ -673,7 +680,7 @@ def test_ball_certificate_needs_the_center_inside_the_hull():
     misses = [[0.2, 0.1], [0.6, 0.1], [0.4, 0.5]]
     for pts in (misses, [[-0.5, 0.0], [0.5, 0.0], [0.0, 0.5]], [[0.1, 0.1]] * 3):
         cloud = SampleCloud(points=pts, body=BALL2, mode="interior", seed=0, n=3)
-        assert hausdorff_to_body(BALL2, cloud, net).certified_upper == _chaining(BALL2, cloud, net)
+        assert _certified(BALL2, cloud, net) == _net_certificate(BALL2, cloud, net)
 
 
 DL_BODIES = {
@@ -776,6 +783,61 @@ def test_hausdorff_without_a_rolling_radius_never_takes_the_facet_path(monkeypat
     value, hull, exact = metric.value(sample(body, "interior", 500, seed=93))
     assert not exact
     assert value == metric.reading(hull.points)
+
+
+def test_ellipse_certificate_counts_the_hull_outside_the_ellipse():
+    # a cloud scaled 2% past the boundary of the rotated ellipse (1, 0.4)
+    body = DL_BODIES["ellipse"]
+    pts = body.center + 1.02 * (sample(body, "interior", 2000, seed=95).points - body.center)
+    cloud = SampleCloud(points=pts, body=body, mode="interior", seed=0, n=len(pts))
+    value, certified = HullMetric(MetricSpec("hausdorff"), body).certified(cloud)
+    # each point's distance to a dense parametrization of the boundary, which
+    # reads the true distance from above by far less than 1e-6
+    t = np.linspace(0.0, 2.0 * math.pi, 200_000, endpoint=False)
+    rim = body.center + (np.column_stack([np.cos(t), np.sin(t)]) * body.semi_axes) @ body.rotation.T
+    outside = pts[~contains_batch(body, pts)]
+    reach = max(float(np.linalg.norm(rim - x, axis=1).min()) for x in outside)
+    assert reach > 1e-3
+    assert value < reach <= certified + 1e-6
+    # the outward bound (|z| - 1) s_max overshoots the reach by at most s_max / s_min
+    s = body.semi_axes
+    assert certified <= reach * s.max() / s.min() + 1e-6
+
+
+def test_square_reads_the_net_and_its_certificate():
+    square = DL_BODIES["square"]
+    net = build_net(2, 0.01, seed=5)
+    cloud = sample(square, "interior", 2000, seed=94)
+    metric = HullMetric(MetricSpec("hausdorff"), square, net=net)
+    value, certified = metric.certified(cloud)
+    assert value == metric.reading(hull_points(cloud).points)
+    assert certified == _net_certificate(square, cloud, net)
+
+
+def test_net_certificate_counts_the_hull_outside_the_body():
+    # one point 2 above the square [-1, 1]^2: d_H = 2, while the body's reach
+    # outside the hull, the value, stays far below it
+    square = DL_BODIES["square"]
+    pts = np.vstack([sample(square, "interior", 500, seed=96).points, [[0.0, 3.0]]])
+    cloud = SampleCloud(points=pts, body=square, mode="interior", seed=0, n=len(pts))
+    metric = HullMetric(MetricSpec("hausdorff"), square, net=build_net(2, 0.01, seed=5))
+    value, certified = metric.certified(cloud)
+    assert value < 0.5
+    assert 2.0 <= certified <= 2.0 + 2.0 * 3.0 * 0.01 + 1e-12
+
+
+def test_facet_maximum_past_the_rolling_radius_takes_the_net_certificate():
+    # thirty points: the facet maximum 0.29 reaches past the rolling radius 0.16
+    body = FACET_ELLIPSOIDS[2]
+    cloud = sample(body, "interior", 30, seed=90)
+    hull = hull_points(cloud, facets=True)
+    normals, offsets = hull.equations[:, :-1], hull.equations[:, -1]
+    assert float((support_batch(body, normals) + offsets).max()) >= body.rolling_radius
+    net = build_net(2, 0.01, seed=5)
+    metric = HullMetric(MetricSpec("hausdorff"), body, net=net)
+    value, certified = metric.certified(cloud)
+    assert value == metric.reading(hull.points)
+    assert certified == _net_certificate(body, cloud, net) > value
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from randhull import nets
-from randhull.estimators import hausdorff_to_body, pairwise_hausdorff_certified
+from randhull.estimators import HullMetric, MetricSpec, pairwise_hausdorff_certified
 from randhull.experiments import _KEY_NET, ExperimentConfig, write_json
 from randhull.geometry import Ball, PolytopeV, support_batch
 from randhull.nets import (
@@ -308,7 +308,7 @@ def test_certified_sup_dominates_true_gap():
     certified = sup_certificate(net, net_sup)
     assert net_sup == pytest.approx(0.3, abs=1e-12)
     assert certified >= 0.3
-    assert certified <= 2.0 * max(0.3, 4 * 0.05) + 1e-12
+    assert certified <= 0.3 + 2.0 * 0.05 + 1e-12
 
 
 def test_certificate_scales_with_the_radius_of_the_bodies():
@@ -323,9 +323,12 @@ def test_certificate_scales_with_the_radius_of_the_bodies():
     assert true_gap > 4.3
     ball = Ball(center=[0.0, 0.0], radius=R)
     cloud = SampleCloud(points=R * net.points, body=ball, mode="boundary", seed=0, n=len(net))
-    res = hausdorff_to_body(ball, cloud, net)
-    assert res.net_value <= 1e-9
-    assert res.certified_upper >= true_gap
+    metric = HullMetric(MetricSpec("hausdorff"), ball, net=net)
+    net_value = metric.reading(cloud.points)
+    assert net_value <= 1e-9
+    assert sup_certificate(net, net_value, R) >= true_gap
+    # the facets read the ball's reach outside the polygon exactly
+    assert metric.certified(cloud)[1] >= true_gap
     net_val, cert = pairwise_hausdorff_certified(ball, PolytopeV(R * net.points), net)
     assert net_val <= 1e-9
     assert cert >= true_gap
@@ -336,15 +339,19 @@ def test_certificate_of_uncertified_net_is_infinite():
     assert not net.certified
     ball = Ball(center=np.zeros(4), radius=1.0)
     cloud = SampleCloud(points=0.5 * net.points, body=ball, mode="boundary", seed=0, n=len(net))
-    assert hausdorff_to_body(ball, cloud, net).certified_upper == math.inf
+    metric = HullMetric(MetricSpec("hausdorff"), ball, net=net)
+    assert metric.certified(cloud)[1] == math.inf
     assert sup_certificate(net, 0.0) == math.inf
 
 
-def test_certificate_of_unit_bodies_is_the_chaining_bound():
+def test_certificate_is_the_net_sup_plus_the_lipschitz_slack():
+    # sup gap <= net_sup + 2 R delta: each support function is R-Lipschitz on
+    # the sphere, and the net covers it at delta
     net = build_net(2, 0.05, seed=23)
-    assert sup_certificate(net, 0.3) == 2.0 * max(0.3, 4 * 0.05)
-    assert sup_certificate(net, 0.01, radius=0.5) == 2.0 * 4 * 0.05
-    assert sup_certificate(build_net(2, 0.8, seed=23), 0.0) == math.inf
+    assert sup_certificate(net, 0.3) == 0.3 + 2.0 * 1.0 * 0.05
+    assert sup_certificate(net, 0.01, radius=0.5) == 0.01 + 2.0 * 0.5 * 0.05
+    # a certified net needs no delta <= 1/2
+    assert sup_certificate(build_net(2, 0.8, seed=23), 0.0) == 2.0 * 1.0 * 0.8
 
 
 # ---------------------------------------------------------------------------

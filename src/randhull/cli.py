@@ -40,7 +40,7 @@ from .experiments import (
 )
 from .geometry import load_body
 from .nets import build_net, load_net, net_to_dict
-from .sampling import SampleCloud, load_points, points_to_csv, sample
+from .sampling import load_points, points_to_csv, sample
 
 
 def _at_least_one(text: str) -> int:
@@ -86,17 +86,14 @@ def _cmd_net_build(args) -> int:
 
 def _cmd_distance(args) -> int:
     body = load_body(args.body)
-    points = load_points(args.points)
-    cloud = SampleCloud(
-        points=points, body=body, mode=args.mode, seed=_seed_or(args), n=len(points)
-    )
     if args.net is not None:
         net = load_net(args.net)
         net_delta = net.delta
     else:  # built only for a cloud that the facets do not read
         net = functools.partial(build_net, body.dim, args.net_delta, _seed_or(args))
         net_delta = args.net_delta
-    value, certified = HullMetric(MetricSpec("hausdorff"), body, net=net).certified(cloud)
+    metric = HullMetric(MetricSpec("hausdorff"), body, net=net)
+    value, certified = metric.certified(load_points(args.points))
     report = {"value": value, "certified_upper": certified, "net_delta": net_delta}
     emit_report(report, args.out, args.format or "json")
     return 0
@@ -113,8 +110,9 @@ def _cmd_check_class(args) -> int:
     if args.family == "fit" and (args.alpha is None or args.eps0 is None):
         args.usage_error("--family fit needs --alpha and --eps0")
     needs = {"smooth": "interior", "boundary": "boundary"}.get(args.family, args.mode)
-    if args.mode != needs:
+    if args.mode not in (None, needs):
         args.usage_error(f"--family {args.family} needs --mode {needs}")
+    args.mode = needs or "interior"
     body = load_body(args.body)
     kw = dict(
         u_probes=args.u_probes,
@@ -201,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True, help="points CSV")
     p.add_argument("--net", default=None, help="net JSON (else built on the fly)")
     p.add_argument("--net-delta", type=float, default=1e-2)
-    p.add_argument("--mode", choices=("interior", "boundary"), default="interior")
     p.set_defaults(func=_cmd_distance)
 
     p = sub.add_parser("bound", help="deviation-bound threshold and tail")
@@ -215,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-class", help="probe the cap-mass class condition")
     _shared_flags(p, "seed", "out")
     p.add_argument("--body", required=True)
-    p.add_argument("--mode", choices=("interior", "boundary"), default="interior")
+    p.add_argument("--mode", choices=("interior", "boundary"))
     p.add_argument("--family", choices=("smooth", "boundary", "fit"), required=True)
     p.add_argument("--r", type=float, default=1.0, help="rolling-ball radius")
     p.add_argument("--alpha", type=float, default=None, help="for --family fit")

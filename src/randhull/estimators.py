@@ -14,23 +14,24 @@ largest copy of K about c inside P fits under every facet.
 The net path reads a metric from support evaluations on a set of directions:
 the hull's support function is the max of dot products against the cloud,
 evaluated in blocked matrix products.  Only points on the hull can attain that
-max, so interior clouds in d <= 3 are first cut to the vertices Qhull finds.
-A point on a hull edge that is not a vertex is dropped with the rest, so where
-its dot product rounds above both edge ends' the reduced max reads one ulp
-under the full cloud's.  Boundary clouds, where every point is a vertex, and
-clouds in d >= 4, where Qhull costs more than the max-dot it saves, keep the
-full cloud.  Before Qhull, a large 2-d cloud drops the points deep inside
-polygons through its extreme points (the Akl-Toussaint pre-filter; Akl and
-Toussaint 1978): first those inside a disc inscribed in the octagon of a
-probe, then those inside the octagon through the extremes along eight fixed
-directions, and on a cloud with many survivors those inside the 16-gon
-through sixteen.  None of them can be a vertex, so Qhull returns the same
-points from about 3% of a disc cloud.
+max, so clouds in d <= 3 are first cut to the vertices Qhull finds, which also
+gives the facets the exact path reads.  A point on a hull edge that is not a
+vertex is dropped with the rest, so where its dot product rounds above both
+edge ends' the reduced max reads one ulp under the full cloud's.  Clouds
+in d >= 4, where Qhull costs more than the max-dot it saves, keep the full cloud.
+Before Qhull, a large 2-d cloud drops the points deep inside polygons through
+its extreme points (the Akl-Toussaint pre-filter; Akl and Toussaint 1978):
+first those inside a disc inscribed in the octagon of a probe, then those
+inside the octagon through the extremes along eight fixed directions, and on a
+cloud with many survivors those inside the 16-gon through sixteen.  None of
+them can be a vertex, so Qhull returns the same points from about 3% of a disc
+cloud.  A boundary cloud, with no point deep inside, fails the probe and goes
+to Qhull whole.
 
 HullMetric is the one reader of both paths: built once from a metric spec,
 a body and a direction source (a net, a net built on first need, or
-quadrature directions), it decides which path a cloud takes, and on request
-bounds a Hausdorff reading from above (HullMetric.certified).
+quadrature directions), it decides which path an array of points takes, and
+on request bounds a Hausdorff reading from above (HullMetric.certified).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 from .geometry import BodySpec, canonical_center, support_batch
 from .nets import SphereNet, blocked_max_dot, sup_certificate
-from .sampling import SampleCloud, philox, unit_directions
+from .sampling import philox, unit_directions
 
 # largest dimension in which computing the hull costs less than the max-dot
 # over the full cloud it replaces
@@ -243,19 +244,16 @@ def _x_tied(xs: np.ndarray, keep: np.ndarray) -> bool:
     return np.count_nonzero(kept_x[at] == xs) > len(kept_x)
 
 
-def hull_points(cloud: SampleCloud, facets: bool = False) -> HullPoints:
-    """The points of the cloud that can attain its hull's support function.
+def hull_points(points: np.ndarray) -> HullPoints:
+    """The points of an (n, d) cloud that can attain its hull's support function.
 
-    Returns (points, reduced, qhull_input, equations).  For an interior cloud
-    in d = 2 or 3 these are the Qhull vertices.  scipy runs Qhull without its
-    Qc option, so a point on a hull edge that is not a vertex is dropped, and
-    the reduced max-dot can read one ulp under the full cloud's.  Otherwise,
-    or when Qhull rejects the cloud (n <= d, flat, repeated or non-finite
-    points), it is the full cloud and reduced is False.
-    qhull_input counts the points handed to Qhull, and equations holds the
-    facets of the hull Qhull built.  With facets, a boundary cloud in d = 2
-    or 3 also goes to Qhull, for its facets only: its points stay the full
-    cloud.
+    Returns (points, reduced, qhull_input, equations).  In d = 2 or 3 these
+    are the Qhull vertices.  scipy runs Qhull without its Qc option, so a
+    point on a hull edge that is not a vertex is dropped, and the reduced
+    max-dot can read one ulp under the full cloud's.  Otherwise, or when
+    Qhull rejects the cloud (n <= d, flat, repeated or non-finite points), it
+    is the full cloud and reduced is False.  qhull_input counts the points
+    handed to Qhull, and equations holds the facets of the hull Qhull built.
 
     A 2-d cloud of at least _PREFILTER_MIN_POINTS first drops its points deep
     inside the polygons of _prefilter_survivors (Akl and Toussaint 1978), and
@@ -266,18 +264,13 @@ def hull_points(cloud: SampleCloud, facets: bool = False) -> HullPoints:
     x-coordinate with another survivor (never, in a continuous sample) the
     cloud goes to Qhull whole.
     """
-    points = cloud.points
     if len(points) == 0:
         raise ValueError("empty cloud has no support function")
-    if not 2 <= cloud.dim <= _HULL_MAX_DIM:
+    d = points.shape[1]
+    if not 2 <= d <= _HULL_MAX_DIM:
         return HullPoints(points, False, 0, None)
-    if cloud.mode != "interior":
-        if not facets:
-            return HullPoints(points, False, 0, None)
-        hull = _qhull_keep(points)
-        return HullPoints(points, False, len(points), None if hull is None else hull[1])
     qhull_input = 0
-    if cloud.dim == 2 and len(points) >= _PREFILTER_MIN_POINTS:
+    if d == 2 and len(points) >= _PREFILTER_MIN_POINTS:
         survivors = _prefilter_survivors(points)
         if survivors is not None:
             candidates = points[survivors]
@@ -387,7 +380,7 @@ class HullMetric:
     0 inside the body, so a body support value below -1e-9 is a ValueError;
     the hull's support values, like the S widths, are clipped at 0.
 
-    value(cloud) reads every dl metric, and a Hausdorff metric on a body with
+    value(points) reads every dl metric, and a Hausdorff metric on a body with
     a positive rolling radius, from the hull's Qhull facets (facet_value);
     when the hull has no facets (d >= 4, or Qhull rejects the cloud) or the
     facet rule does not hold, and for every other metric, it returns
@@ -422,14 +415,19 @@ class HullMetric:
     def _directions(self) -> np.ndarray:
         with self._lock:
             if self.dirs is None:
+                if self._net is None:
+                    raise ValueError("no facet reading here, and the fallback needs a net")
                 if callable(self._net):
                     self._net = self._net()
                 self._set_dirs(self._net.points)
             return self.dirs
 
-    def facet_value(self, equations: np.ndarray) -> float | None:
+    def facet_value(self, equations: np.ndarray | None) -> float | None:
         """The metric from the hull's facets, Qhull's rows [a_i, -b_i], by the
-        module docstring's rules; None where the rule does not hold."""
+        module docstring's rules; None where Qhull built no facets (equations
+        is None) or the rule does not hold."""
+        if equations is None:
+            return None
         normals, offsets = equations[:, :-1], equations[:, -1]
         body_vals = support_batch(self.body, normals)
         if self.spec.kind == "hausdorff":
@@ -453,34 +451,36 @@ class HullMetric:
             return _power_mean(np.maximum(self.body_vals - hull_vals, 0.0), self.spec.p)
         return abs(self._body_functional - _functional(hull_vals, self.spec.which, self.spec.p))
 
-    def value(self, cloud: SampleCloud) -> tuple[float, HullPoints, bool]:
-        """The metric of conv(cloud), the hull points it was computed on, and
+    def value(self, points: np.ndarray) -> tuple[float, HullPoints, bool]:
+        """The metric of conv(points), the hull points it was computed on, and
         whether it was read from the facets."""
-        hull = hull_points(cloud, facets=self.exact)
-        if self.exact and hull.equations is not None:
-            exact = self.facet_value(hull.equations)
-            if exact is not None:
-                return exact, hull, True
+        hull = hull_points(points)
+        exact = self.facet_value(hull.equations) if self.exact else None
+        if exact is not None:
+            return exact, hull, True
         return self.reading(hull.points), hull, False
 
-    def certified(self, cloud: SampleCloud) -> tuple[float, float]:
+    def certified(self, points: np.ndarray) -> tuple[float, float]:
         """(value, certificate) of a Hausdorff metric: value <= d_H <= certificate.
 
         On the facet path the value is the body's exact reach outside the hull
-        and the certificate adds the body's outward bound over the full cloud,
+        and the certificate adds the body's outward bound over all the points,
         so a point Qhull dropped still counts; a cloud inside a ball or an
-        ellipsoid gets value == certificate.  On the net path it is sup_certificate on the net's
-        largest |h_body - h_hull|, at the larger of the body's radius bound
-        and the cloud's largest norm; inf on an uncertified net.
+        ellipsoid gets value == certificate.  On the net path one max-dot gives
+        both the value and the net's largest |h_body - h_hull|, and the
+        certificate is sup_certificate on that gap, at the larger of the body's
+        radius bound and the cloud's largest norm; inf on an uncertified net.
         """
         if self.spec.kind != "hausdorff":
             raise ValueError("only a Hausdorff metric is certified")
-        value, hull, exact = self.value(cloud)
-        if exact:
-            return value, max(value, float(self.body.outward(cloud.points).max()))
-        gap = np.abs(self.body_vals - blocked_max_dot(self._directions(), hull.points))
-        radius = max(self.body.max_norm_bound(), float(np.linalg.norm(cloud.points, axis=1).max()))
-        return value, sup_certificate(self._net, float(gap.max()), radius)
+        hull = hull_points(points)
+        value = self.facet_value(hull.equations) if self.exact else None
+        if value is not None:
+            return value, max(value, float(self.body.outward(points).max()))
+        hull_vals = blocked_max_dot(self._directions(), hull.points)
+        gap = self.body_vals - hull_vals
+        radius = max(self.body.max_norm_bound(), float(np.linalg.norm(points, axis=1).max()))
+        return float(gap.max()), sup_certificate(self._net, float(np.abs(gap).max()), radius)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .bounds import (
-    RATE_FAMILIES,
     ClassParams,
     class_params_boundary,
     class_params_smooth,
@@ -42,6 +41,7 @@ from .geometry import (
     Ball,
     BodySpec,
     BumpBall,
+    PolytopeV,
     body_from_dict,
     body_to_dict,
     bump_profile_mass,
@@ -62,7 +62,6 @@ log = logging.getLogger("randhull")
 class ExperimentConfig:
     body: BodySpec
     mode: str
-    family: str
     n_grid: list[int]
     reps: int
     q: float = 1.0
@@ -88,11 +87,14 @@ class ExperimentConfig:
             raise ValueError("q must be >= 1")
         if self.mode not in ("interior", "boundary"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.family not in RATE_FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if (self.family == "smooth_boundary") != (self.mode == "boundary"):
-            raise ValueError(f"family {self.family!r} does not sample in mode {self.mode!r}")
         parse_metric(self.metric)
+
+    @property
+    def family(self) -> str:
+        """The rate family, which the sampling mode and the body's class fix."""
+        if self.mode == "boundary":
+            return "smooth_boundary"
+        return "polytope_interior" if isinstance(self.body, PolytopeV) else "smooth_interior"
 
     def to_dict(self) -> dict:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -101,7 +103,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         """A missing optional key takes its default, a missing required one is a
-        ValueError that names it, and extra keys are ignored."""
+        ValueError that names it, and extra keys, such as a derived family, are ignored."""
         kw = read_fields(cls, doc)
         return cls(**{**kw, "body": body_from_dict(kw["body"])})
 
@@ -226,7 +228,7 @@ def _run_replications(config: ExperimentConfig, metric: HullMetric, threads: int
             config.n_grid[i_n],
             replication_seed(config.master_seed, i_n, rep),
         )
-        out[i_n, rep], hull, exact[i_n, rep] = metric.value(cloud)
+        out[i_n, rep], hull, exact[i_n, rep] = metric.value(cloud.points)
         reduced[i_n, rep], qhull_input[i_n, rep] = hull.reduced, hull.qhull_input
 
     jobs = [(i, r) for i in range(len(config.n_grid)) for r in range(config.reps)]

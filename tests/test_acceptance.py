@@ -47,7 +47,6 @@ def smooth_rate_config() -> ExperimentConfig:
     return ExperimentConfig(
         body=BALL2,
         mode="interior",
-        family="smooth_interior",
         n_grid=list(RATE_GRID),
         reps=200,
         q=1.0,
@@ -183,7 +182,6 @@ def test_interior_rate_square():
     config = ExperimentConfig(
         body=SQUARE,
         mode="interior",
-        family="polytope_interior",
         n_grid=list(RATE_GRID),
         reps=200,
         q=1.0,
@@ -209,7 +207,6 @@ def test_boundary_rates():
         ExperimentConfig(
             body=BALL2,
             mode="boundary",
-            family="smooth_boundary",
             n_grid=[100, 300, 1000, 3000],
             reps=100,
             q=1.0,
@@ -222,7 +219,6 @@ def test_boundary_rates():
         ExperimentConfig(
             body=BALL3,
             mode="boundary",
-            family="smooth_boundary",
             n_grid=[100, 300, 1000, 3000],
             reps=100,
             q=1.0,
@@ -248,7 +244,6 @@ def test_functional_rate_drops_log():
     config = ExperimentConfig(
         body=BALL2,
         mode="interior",
-        family="smooth_interior",
         n_grid=list(RATE_GRID),
         reps=60,
         q=1.0,
@@ -273,7 +268,6 @@ def test_tail_bound_dominates_empirical_survival():
     config = ExperimentConfig(
         body=BALL2,
         mode="interior",
-        family="smooth_interior",
         n_grid=[10000],
         reps=2000,
         q=1.0,

@@ -26,7 +26,6 @@ def config_path(tmp_path):
     cfg = ExperimentConfig(
         body=Ball(center=[0.0, 0.0], radius=1.0),
         mode="interior",
-        family="smooth_interior",
         n_grid=[200, 800],
         reps=6,
         metric="hausdorff",
@@ -169,7 +168,6 @@ def test_distance_reads_a_three_dimensional_cloud_from_its_facets(tmp_path, monk
 
 def test_distance_accepts_prebuilt_net(tmp_path, monkeypatch):
     from randhull.estimators import HullMetric, MetricSpec
-    from randhull.sampling import SampleCloud
 
     # a square has no rolling radius, so its distance reads the net
     square = PolytopeV(np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))
@@ -193,10 +191,8 @@ def test_distance_accepts_prebuilt_net(tmp_path, monkeypatch):
     )
     doc = json.loads(out.read_text())
     assert doc["net_delta"] == 0.1
-    points = load_points(pts)
-    cloud = SampleCloud(points=points, body=square, mode="interior", seed=0, n=len(points))
     metric = HullMetric(MetricSpec("hausdorff"), square, net=load_net(net_path))
-    assert [doc["value"], doc["certified_upper"]] == list(metric.certified(cloud))
+    assert [doc["value"], doc["certified_upper"]] == list(metric.certified(load_points(pts)))
 
 
 def test_bound_evaluates_tail(tmp_path):
@@ -428,7 +424,6 @@ def test_deviation_csv_schema(tmp_path, ball_path):
     cfg = ExperimentConfig(
         body=Ball(center=[0.0, 0.0], radius=1.0),
         mode="interior",
-        family="smooth_interior",
         n_grid=[400],
         reps=10,
         metric="hausdorff",
@@ -504,8 +499,8 @@ READS = {
 KEPT = [(cmd, flag) for cmd, flags in READS.items() for flag in flags]
 UNREAD = [(cmd, flag) for cmd, flags in READS.items() for flag in SHARED if flag not in flags]
 # a removed flag is the same usage error
-UNREAD.append(("net build", "--streak"))
-VALUES = {**SHARED, "--streak": "5"}
+UNREAD += [("net build", "--streak"), ("distance", "--mode")]
+VALUES = {**SHARED, "--streak": "5", "--mode": "interior"}
 
 
 @pytest.mark.parametrize("command, flag", KEPT)
@@ -551,11 +546,15 @@ def test_check_class_family_that_contradicts_the_mode_is_a_usage_error(capsys, f
     assert f"--family {family} needs --mode {needs}" in capsys.readouterr().err
 
 
-def test_check_class_boundary_family_without_mode_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["check-class", "--body", "b.json", "--family", "boundary", "--r", "0.5"])
-    assert exc.value.code == 2
-    assert "--family boundary needs --mode boundary" in capsys.readouterr().err
+@pytest.mark.parametrize("family, mode", [("smooth", "interior"), ("boundary", "boundary")])
+def test_check_class_family_implies_its_mode(tmp_path, ball_path, family, mode):
+    outs = []
+    for given in ([], ["--mode", mode]):
+        outs.append(tmp_path / f"class{len(given)}.json")
+        argv = ["check-class", "--body", str(ball_path), "--family", family]
+        main(argv + ["--u-probes", "4", "--n-mc", "2000", "--out", str(outs[-1])] + given)
+    assert outs[0].read_text() == outs[1].read_text()
+    assert json.loads(outs[0].read_text())["mode"] == mode
 
 
 @pytest.mark.parametrize("threads", ["0", "-3", "1.5", "two"])

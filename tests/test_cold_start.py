@@ -128,7 +128,6 @@ def test_rates_bytes_do_not_depend_on_threads_in_a_fresh_interpreter(tmp_path):
     cfg = ExperimentConfig(
         body=Ball(center=[0.0, 0.0], radius=1.0),
         mode="interior",
-        family="smooth_interior",
         n_grid=[1000, 3000],
         reps=3,
         metric="hausdorff",

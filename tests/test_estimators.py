@@ -26,7 +26,7 @@ from randhull.geometry import (
     support_batch,
 )
 from randhull.nets import blocked_max_dot, build_net, sup_certificate
-from randhull.sampling import SampleCloud, sample
+from randhull.sampling import sample
 
 BALL2 = Ball(center=[0.0, 0.0], radius=1.0)
 
@@ -35,14 +35,12 @@ def corner_cloud():
     """Four unit-norm points at 45-degree positions, a square inscribed in
     the unit circle."""
     ang = np.deg2rad([45.0, 135.0, 225.0, 315.0])
-    pts = np.column_stack([np.cos(ang), np.sin(ang)])
-    return SampleCloud(points=pts, body=BALL2, mode="boundary", seed=0, n=4)
+    return np.column_stack([np.cos(ang), np.sin(ang)])
 
 
 def spaced_circle_cloud(m):
     ang = 2.0 * math.pi * np.arange(m) / m
-    pts = np.column_stack([np.cos(ang), np.sin(ang)])
-    return SampleCloud(points=pts, body=BALL2, mode="boundary", seed=0, n=m)
+    return np.column_stack([np.cos(ang), np.sin(ang)])
 
 
 def facet_value(metric, body, equations, center=None):
@@ -79,7 +77,7 @@ def test_hull_support_is_max_of_dots():
 
 
 def test_hull_support_batch_matches_single():
-    cloud = sample(BALL2, "interior", 200, seed=31)
+    cloud = sample(BALL2, "interior", 200, seed=31).points
     dirs = np.array([[1.0, 0.0], [0.0, -1.0], [0.6, 0.8]])
     batch = hull_support_batch(cloud, dirs)
     singles = [hull_support_batch(cloud, u[None, :])[0] for u in dirs]
@@ -87,15 +85,12 @@ def test_hull_support_batch_matches_single():
 
 
 def test_hull_support_rejects_empty_cloud():
-    empty = SampleCloud(
-        points=np.empty((0, 2)), body=BALL2, mode="interior", seed=0, n=0
-    )
     with pytest.raises(ValueError):
-        hull_support_batch(empty, np.array([[1.0, 0.0]]))
+        hull_support_batch(np.empty((0, 2)), np.array([[1.0, 0.0]]))
 
 
 def test_hull_never_exceeds_body_support():
-    cloud = sample(BALL2, "interior", 500, seed=32)
+    cloud = sample(BALL2, "interior", 500, seed=32).points
     dirs = build_net(2, 0.1, seed=1).points
     hull_vals = hull_support_batch(cloud, dirs)
     body_vals = support_batch(BALL2, dirs)
@@ -104,11 +99,11 @@ def test_hull_never_exceeds_body_support():
 
 def test_support_values_dispatch():
     # a functional metric reads a cloud on its hull points, and a body alone
-    cloud = sample(BALL2, "interior", 500, seed=31)
+    cloud = sample(BALL2, "interior", 500, seed=31).points
     metric = quadrature_metric("functional(T, inf)", BALL2, 64, 15)
     from_cloud, _, exact = metric.value(cloud)
     assert not exact
-    np.testing.assert_allclose(from_cloud, metric.reading(cloud.points), atol=1e-14)
+    np.testing.assert_allclose(from_cloud, metric.reading(cloud), atol=1e-14)
     for p in ("1", "inf"):
         body_val = quadrature_metric(f"functional(T, {p})", BALL2, 64, 15).reading(ORIGIN)
         assert body_val == pytest.approx(1.0, abs=1e-14)
@@ -118,7 +113,7 @@ def test_metric_reads_the_body_and_the_hull_support():
     cloud = corner_cloud()
     dirs = np.array([[1.0, 0.0], [0.0, 1.0]])
     metric = HullMetric(MetricSpec("lp", p=math.inf), BALL2, dirs=dirs)
-    from_cloud = metric.reading(cloud.points)
+    from_cloud = metric.reading(cloud)
     from_hull = metric.reading(hull_points(cloud).points)
     np.testing.assert_allclose(from_cloud, from_hull, atol=1e-14)
     assert from_hull == pytest.approx(1.0 - math.sqrt(2.0) / 2.0, abs=1e-14)
@@ -152,12 +147,12 @@ REDUCIBLE = {
 def test_interior_cloud_reduces_to_matching_hull_points(name):
     body = REDUCIBLE[name]
     d = body.dim
-    cloud = sample(body, "interior", 20_000, seed=61)
+    cloud = sample(body, "interior", 20_000, seed=61).points
     net = build_net(d, 0.01 if d == 2 else 0.05, seed=3)
     points, reduced = hull_points(cloud)[:2]
     assert reduced
-    assert len(points) < len(cloud.points) // 10
-    full = blocked_max_dot(net.points, cloud.points)
+    assert len(points) < len(cloud) // 10
+    full = blocked_max_dot(net.points, cloud)
     np.testing.assert_allclose(hull_support_batch(cloud, net.points), full, rtol=0.0, atol=1e-12)
     full_hausdorff = float((support_batch(body, net.points) - full).max())
     assert HullMetric(MetricSpec("hausdorff"), body, net=net).reading(points) == full_hausdorff
@@ -165,7 +160,7 @@ def test_interior_cloud_reduces_to_matching_hull_points(name):
 
 def _kept_whole(cloud):
     points, reduced = hull_points(cloud)[:2]
-    return points is cloud.points and not reduced
+    return points is cloud and not reduced
 
 
 DEGENERATE = {
@@ -181,21 +176,18 @@ DEGENERATE = {
 def test_degenerate_cloud_falls_back_to_full_cloud(name):
     pts = np.asarray(DEGENERATE[name], dtype=float)
     d = pts.shape[1]
-    body = Ball(center=np.zeros(d), radius=1.0)
-    cloud = SampleCloud(points=pts, body=body, mode="interior", seed=0, n=len(pts))
-    assert _kept_whole(cloud)
+    assert _kept_whole(pts)
     dirs = build_net(d, 0.2, seed=1).points
-    np.testing.assert_array_equal(hull_support_batch(cloud, dirs), blocked_max_dot(dirs, pts))
+    np.testing.assert_array_equal(hull_support_batch(pts, dirs), blocked_max_dot(dirs, pts))
 
 
 def test_repeated_points_still_reduce_and_match():
-    cloud = sample(BALL2, "interior", 2000, seed=62)
-    pts = np.vstack([cloud.points, cloud.points[::3]])
-    doubled = SampleCloud(points=pts, body=BALL2, mode="interior", seed=0, n=len(pts))
+    cloud = sample(BALL2, "interior", 2000, seed=62).points
+    doubled = np.vstack([cloud, cloud[::3]])
     assert hull_points(doubled)[1]
     dirs = build_net(2, 0.01, seed=4).points
     np.testing.assert_allclose(
-        hull_support_batch(doubled, dirs), blocked_max_dot(dirs, pts), rtol=0.0, atol=1e-12
+        hull_support_batch(doubled, dirs), blocked_max_dot(dirs, doubled), rtol=0.0, atol=1e-12
     )
 
 
@@ -209,25 +201,25 @@ def _forbid_qhull(monkeypatch):
 
 def test_forbid_qhull_catches_a_qhull_call(monkeypatch):
     _forbid_qhull(monkeypatch)
-    cloud = sample(BALL2, "interior", 500, seed=65)
+    cloud = sample(BALL2, "interior", 500, seed=65).points
     with pytest.raises(AssertionError, match="Qhull ran"):
         hull_points(cloud)
 
 
-def test_boundary_cloud_skips_qhull(monkeypatch):
-    _forbid_qhull(monkeypatch)
-    cloud = sample(Ball(center=np.zeros(3), radius=1.0), "boundary", 500, seed=63)
-    assert _kept_whole(cloud)
-    # only a body with a rolling radius reads the facets, certificate included
-    dented = BumpBall(radius=1.0, bump_scale=0.2, amplitude=0.02, direction=[0.0, 1.0])
-    pts = spaced_circle_cloud(500).points
-    cloud = SampleCloud(points=pts, body=dented, mode="boundary", seed=0, n=500)
-    HullMetric(MetricSpec("hausdorff"), dented, net=build_net(2, 0.05, seed=1)).certified(cloud)
+def test_boundary_cloud_goes_to_qhull():
+    # a boundary cloud takes the path of any other; every point of a sphere
+    # is a hull vertex, so the reduction keeps the whole cloud, in order
+    for d, n in ((2, 500), (2, 5000), (3, 500)):
+        cloud = sample(Ball(center=np.zeros(d), radius=1.0), "boundary", n, seed=63).points
+        hull = hull_points(cloud)
+        assert hull.reduced and hull.qhull_input == n
+        np.testing.assert_array_equal(hull.points, cloud)
+        np.testing.assert_array_equal(hull.equations, ConvexHull(cloud).equations)
 
 
 def test_high_dimensional_cloud_skips_qhull(monkeypatch):
     _forbid_qhull(monkeypatch)
-    cloud = sample(Ball(center=np.zeros(4), radius=1.0), "interior", 500, seed=64)
+    cloud = sample(Ball(center=np.zeros(4), radius=1.0), "interior", 500, seed=64).points
     assert _kept_whole(cloud)
 
 
@@ -242,12 +234,6 @@ def _unfiltered_hull_points(points):
     except QhullError:
         return points, False
     return points[np.union1d(hull.vertices, hull.coplanar[:, 0])], True
-
-
-def _interior_cloud(pts):
-    pts = np.asarray(pts, dtype=float)
-    body = Ball(center=np.zeros(pts.shape[1]), radius=1.0)
-    return SampleCloud(points=pts, body=body, mode="interior", seed=0, n=len(pts))
 
 
 def _triangle_with_edge_points(n, seed):
@@ -279,9 +265,8 @@ _PREFILTER_BODIES = {
 
 
 def _assert_same_as_unfiltered(pts):
-    cloud = _interior_cloud(pts)
-    got = hull_points(cloud)
-    want, reduced = _unfiltered_hull_points(cloud.points)
+    got = hull_points(pts)
+    want, reduced = _unfiltered_hull_points(pts)
     assert np.array_equal(got.points, want)
     assert got.reduced == reduced
     return got
@@ -307,7 +292,7 @@ def test_prefilter_returns_the_unfiltered_hull_points(name, n, prefilter_gate):
 
 def test_prefilter_sends_qhull_a_fraction_of_a_large_cloud():
     for name in ("disc", "square", "off_centre_disc", "tiny_disc"):
-        cloud = sample(_PREFILTER_BODIES[name], "interior", 100_000, seed=71)
+        cloud = sample(_PREFILTER_BODIES[name], "interior", 100_000, seed=71).points
         hull = hull_points(cloud)
         assert hull.reduced
         assert hull.qhull_input < 6_000, name
@@ -315,16 +300,16 @@ def test_prefilter_sends_qhull_a_fraction_of_a_large_cloud():
 
 def test_prefilter_skips_clouds_below_the_size_gate():
     n = estimators._PREFILTER_MIN_POINTS - 1
-    assert hull_points(sample(BALL2, "interior", n, seed=72)).qhull_input == n
+    assert hull_points(sample(BALL2, "interior", n, seed=72).points).qhull_input == n
 
 
 def test_prefilter_skips_a_loosely_fitting_octagon():
     # the octagon of a thin ellipse across the axes holds about a quarter of
     # it, so its probe stops the filter and Qhull gets the cloud whole
-    cloud = sample(_PREFILTER_BODIES["thin_ellipse"], "interior", 100_000, seed=72)
+    cloud = sample(_PREFILTER_BODIES["thin_ellipse"], "interior", 100_000, seed=72).points
     assert hull_points(cloud).qhull_input == 100_000
     fatter = Ellipsoid(center=[0.0, 0.0], semi_axes=[1.0, 0.3], rotation=_rotation(2, 5))
-    assert hull_points(sample(fatter, "interior", 100_000, seed=72)).qhull_input < 50_000
+    assert hull_points(sample(fatter, "interior", 100_000, seed=72).points).qhull_input < 50_000
 
 
 @pytest.mark.parametrize("n", [10, 1000, 20_000])
@@ -457,7 +442,7 @@ def test_prefilter_nan_row_still_raises(monkeypatch):
         pts = sample(BALL2, "interior", n, seed=75).points.copy()
         pts[n // 2, 1] = np.nan
         with pytest.raises(ValueError):
-            hull_points(_interior_cloud(pts))
+            hull_points(pts)
     assert len(calls) == 2  # the row is outside the probe of the large clouds
 
 
@@ -466,9 +451,8 @@ def test_prefilter_inf_row_falls_back_to_the_full_cloud(monkeypatch):
     for n in (20, 5000, 100_000):
         pts = sample(BALL2, "interior", n, seed=76).points.copy()
         pts[n // 3, 0] = np.inf
-        cloud = _interior_cloud(pts)
-        got = hull_points(cloud)
-        assert got.points is cloud.points and not got.reduced
+        got = hull_points(pts)
+        assert got.points is pts and not got.reduced
         assert got.qhull_input == n
     assert len(calls) == 2
 
@@ -478,28 +462,32 @@ def test_sixteen_gon_runs_only_above_its_gate(monkeypatch):
     octagon, sixteen_gon = estimators._OCTAGON, estimators._SIXTEEN_GON
     # about 10000 of a 1e5-point disc survive the octagon, a few hundred of
     # the square
-    hull_points(sample(_PREFILTER_BODIES["disc"], "interior", 100_000, seed=94))
+    hull_points(sample(_PREFILTER_BODIES["disc"], "interior", 100_000, seed=94).points)
     assert [args[2] for args in calls] == [octagon, octagon, sixteen_gon]
     calls.clear()
-    hull = hull_points(sample(_PREFILTER_BODIES["square"], "interior", 100_000, seed=94))
+    hull = hull_points(sample(_PREFILTER_BODIES["square"], "interior", 100_000, seed=94).points)
     assert [args[2] for args in calls] == [octagon, octagon]
     assert hull.qhull_input < estimators._PREFILTER_16GON_MIN
 
 
 def _forbid_prefilter(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the hull pre-filter ran on a cloud outside d = 2 interior")
+        raise AssertionError("the hull pre-filter ran on a cloud outside d = 2")
 
     monkeypatch.setattr(estimators, "_prefilter_survivors", refuse)
 
 
 def test_prefilter_skips_boundary_and_higher_dimensional_clouds(monkeypatch):
+    # the probe finds no point of a boundary cloud deep inside its octagon,
+    # so the filter stops before its first cut and Qhull gets the cloud whole
+    calls = _spy(monkeypatch, "_outside_disc")
+    boundary = sample(BALL2, "boundary", 5000, seed=77).points
+    assert hull_points(boundary).qhull_input == 5000
+    assert not calls
     _forbid_prefilter(monkeypatch)
-    boundary = sample(BALL2, "boundary", 5000, seed=77)
-    assert _kept_whole(boundary) and hull_points(boundary).qhull_input == 0
-    ball3 = sample(Ball(center=np.zeros(3), radius=1.0), "interior", 5000, seed=78)
+    ball3 = sample(Ball(center=np.zeros(3), radius=1.0), "interior", 5000, seed=78).points
     assert hull_points(ball3).qhull_input == 5000
-    ball4 = sample(Ball(center=np.zeros(4), radius=1.0), "interior", 5000, seed=79)
+    ball4 = sample(Ball(center=np.zeros(4), radius=1.0), "interior", 5000, seed=79).points
     assert _kept_whole(ball4)
 
 
@@ -507,8 +495,8 @@ def test_s_functional_reduces_a_cloud_once(monkeypatch):
     # S_p reads h(u) and h(-u); one hull reduction serves both
     calls = []
     real = estimators.hull_points
-    monkeypatch.setattr(estimators, "hull_points", lambda c, **k: calls.append(c) or real(c, **k))
-    cloud = sample(BALL2, "interior", 1000, seed=65)
+    monkeypatch.setattr(estimators, "hull_points", lambda c: calls.append(c) or real(c))
+    cloud = sample(BALL2, "interior", 1000, seed=65).points
     quadrature_metric("functional(S, 2)", BALL2, 64, 1).value(cloud)
     assert len(calls) == 1
 
@@ -523,7 +511,7 @@ def test_hausdorff_window_for_spaced_boundary_points():
     true_gap = 1.0 - math.cos(math.pi / m)
     cloud = spaced_circle_cloud(m)
     metric = HullMetric(MetricSpec("hausdorff"), BALL2, net=net)
-    net_value = metric.reading(cloud.points)
+    net_value = metric.reading(cloud)
     # the net maximum never exceeds the true sup and misses it by at most
     # the Lipschitz constant (2 for unit-scale bodies) times the cover radius
     assert net_value <= true_gap + 1e-12
@@ -533,14 +521,14 @@ def test_hausdorff_window_for_spaced_boundary_points():
 
 def test_hausdorff_shrinks_with_more_points():
     metric = HullMetric(MetricSpec("hausdorff"), BALL2, net=build_net(2, 0.02, seed=3))
-    v_small = metric.reading(spaced_circle_cloud(8).points)
-    v_large = metric.reading(spaced_circle_cloud(64).points)
+    v_small = metric.reading(spaced_circle_cloud(8))
+    v_large = metric.reading(spaced_circle_cloud(64))
     assert v_large < v_small
 
 
 def test_dl_equals_hausdorff_for_centered_unit_ball():
     net = build_net(2, 0.05, seed=4)
-    cloud = sample(BALL2, "interior", 300, seed=33)
+    cloud = sample(BALL2, "interior", 300, seed=33).points
     dh = HullMetric(MetricSpec("hausdorff"), BALL2, net=net).reading(hull_points(cloud).points)
     dl = HullMetric(MetricSpec("dl"), BALL2, net=net, center=np.zeros(2))
     assert dl.reading(hull_points(cloud).points) == pytest.approx(dh, abs=1e-12)
@@ -548,7 +536,7 @@ def test_dl_equals_hausdorff_for_centered_unit_ball():
 
 def test_dl_rejects_non_interior_center():
     net = build_net(2, 0.05, seed=4)
-    cloud = sample(BALL2, "interior", 50, seed=34)
+    cloud = sample(BALL2, "interior", 50, seed=34).points
     dl = HullMetric(MetricSpec("dl"), BALL2, net=net, center=np.array([1.5, 0.0]))
     with pytest.raises(ValueError, match="center must lie in the interior of the body"):
         dl.value(cloud)
@@ -559,7 +547,7 @@ def test_dl_rejects_non_interior_center():
 def test_public_distances_are_the_metric_reading(body, mode):
     net = build_net(2, 0.05, seed=4)
     for n, seed in ((40, 35), (3000, 36)):
-        cloud = sample(body, mode, n, seed=seed)
+        cloud = sample(body, mode, n, seed=seed).points
         hausdorff = HullMetric(MetricSpec("hausdorff"), body, net=net)
         assert hausdorff.certified(cloud)[0] == hausdorff.value(cloud)[0]
 
@@ -569,36 +557,27 @@ def test_public_distances_are_the_metric_reading(body, mode):
 
 
 def test_hull_points_returns_the_facets_qhull_built():
-    cloud = sample(BALL2, "interior", 500, seed=80)
+    cloud = sample(BALL2, "interior", 500, seed=80).points
     hull = hull_points(cloud)
-    np.testing.assert_array_equal(hull.equations, ConvexHull(cloud.points).equations)
+    np.testing.assert_array_equal(hull.equations, ConvexHull(cloud).equations)
     # the pre-filter's survivors span the same hull
-    large = sample(BALL2, "interior", 20_000, seed=80)
+    large = sample(BALL2, "interior", 20_000, seed=80).points
     hull = hull_points(large)
     assert hull.qhull_input < 20_000
-    want = ConvexHull(large.points).equations
+    want = ConvexHull(large).equations
     assert hull.equations.shape == want.shape
     np.testing.assert_allclose(np.unique(hull.equations, axis=0), np.unique(want, axis=0), atol=1e-15)
 
 
-def test_boundary_cloud_goes_to_qhull_for_its_facets_only():
-    cloud = sample(Ball(center=np.zeros(3), radius=1.0), "boundary", 500, seed=81)
-    assert hull_points(cloud).equations is None
-    hull = hull_points(cloud, facets=True)
-    assert hull.points is cloud.points and not hull.reduced
-    assert hull.qhull_input == 500
-    np.testing.assert_array_equal(hull.equations, ConvexHull(cloud.points).equations)
-
-
 def test_facets_are_not_computed_in_four_dimensions(monkeypatch):
     _forbid_qhull(monkeypatch)
-    cloud = sample(Ball(center=np.zeros(4), radius=1.0), "boundary", 500, seed=82)
-    assert hull_points(cloud, facets=True).equations is None
+    cloud = sample(Ball(center=np.zeros(4), radius=1.0), "boundary", 500, seed=82).points
+    assert hull_points(cloud).equations is None
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 16, 64, 1000, 100_000])
 def test_exact_hausdorff_of_spaced_circle_points(m):
-    hull = hull_points(spaced_circle_cloud(m), facets=True)
+    hull = hull_points(spaced_circle_cloud(m))
     exact = facet_value("hausdorff", BALL2, hull.equations)
     assert abs(exact - (1.0 - math.cos(math.pi / m))) <= 1e-14
 
@@ -612,16 +591,16 @@ def test_exact_hausdorff_lies_between_net_value_and_certificate(d, mode):
     body = BALLS[d]
     net = build_net(d, 0.01 if d == 2 else 0.1, seed=5)
     for n, seed in ((50, 83), (3000, 84)):
-        cloud = sample(body, mode, n, seed=seed)
-        hull = hull_points(cloud, facets=True)
+        cloud = sample(body, mode, n, seed=seed).points
+        hull = hull_points(cloud)
         metric = HullMetric(MetricSpec("hausdorff"), body, net=net)
         exact = metric.facet_value(hull.equations)
         net_value = metric.reading(hull.points)
-        radius = max(body.max_norm_bound(), float(np.linalg.norm(cloud.points, axis=1).max()))
+        radius = max(body.max_norm_bound(), float(np.linalg.norm(cloud, axis=1).max()))
         assert net_value <= exact <= sup_certificate(net, net_value, radius)
         # points of a boundary cloud can round an ulp past the sphere; the
         # hull's reach outside the ball is then far below the exact distance
-        reach = np.linalg.norm(cloud.points - body.center, axis=1).max() - body.radius
+        reach = np.linalg.norm(cloud - body.center, axis=1).max() - body.radius
         assert reach <= 1e-15
         assert metric.certified(cloud) == (exact, exact)
 
@@ -632,7 +611,7 @@ def _certified(body, cloud, net):
 
 def _net_certificate(body, cloud, net):
     """sup_certificate on the net reading of the cloud's hull points."""
-    radius = max(body.max_norm_bound(), float(np.linalg.norm(cloud.points, axis=1).max()))
+    radius = max(body.max_norm_bound(), float(np.linalg.norm(cloud, axis=1).max()))
     metric = HullMetric(MetricSpec("hausdorff"), body, net=net)
     return sup_certificate(net, metric.reading(hull_points(cloud).points), radius)
 
@@ -641,7 +620,7 @@ def test_four_dimensional_ball_keeps_the_chaining_certificate(monkeypatch):
     _forbid_qhull(monkeypatch)
     body = Ball(center=np.zeros(4), radius=1.0)
     net = build_net(4, 0.5, seed=2)
-    cloud = sample(body, "interior", 500, seed=88)
+    cloud = sample(body, "interior", 500, seed=88).points
     assert _certified(body, cloud, net) == _net_certificate(body, cloud, net) == math.inf
 
 
@@ -649,26 +628,25 @@ def test_ball_certificate_counts_the_hull_outside_the_ball():
     net = build_net(2, 0.05, seed=7)
     pts = sample(BALL2, "interior", 300, seed=89).points.copy()
     pts[0] = [0.0, 1.0 + 1e-12]
-    cloud = SampleCloud(points=pts, body=BALL2, mode="interior", seed=0, n=len(pts))
-    exact = facet_value("hausdorff", BALL2, hull_points(cloud).equations)
-    assert _certified(BALL2, cloud, net) == exact > 1e-12
+    exact = facet_value("hausdorff", BALL2, hull_points(pts).equations)
+    assert _certified(BALL2, pts, net) == exact > 1e-12
     # the two-sided distance sup_u |h_hull(u) - 1| on a fine grid of angles
     ang = np.linspace(0.0, 2.0 * math.pi, 20_000, endpoint=False)
     grid = np.column_stack([np.cos(ang), np.sin(ang)])
     # a spike to (0, 1.5): the hull reaches 0.5 outside the ball, more than
     # the ball reaches outside the hull
     pts[0] = [0.0, 1.5]
-    spike = SampleCloud(points=pts, body=BALL2, mode="interior", seed=0, n=len(pts))
+    spike = pts
     assert facet_value("hausdorff", BALL2, hull_points(spike).equations) < 0.5
     assert _certified(BALL2, spike, net) == 0.5
     # a cloud from the radius-2 disc holds the unit disc: the first term is
     # negative and the distance is the cloud's reach
-    wide = sample(Ball(center=[0.0, 0.0], radius=2.0), "interior", 300, seed=90)
-    reach = float(np.linalg.norm(wide.points, axis=1).max())
+    wide = sample(Ball(center=[0.0, 0.0], radius=2.0), "interior", 300, seed=90).points
+    reach = float(np.linalg.norm(wide, axis=1).max())
     assert facet_value("hausdorff", BALL2, hull_points(wide).equations) < 0
     assert _certified(BALL2, wide, net) == reach - 1.0
     for cloud in (spike, wide):
-        on_grid = np.abs((grid @ cloud.points.T).max(axis=1) - 1.0).max()
+        on_grid = np.abs((grid @ cloud.T).max(axis=1) - 1.0).max()
         certified = _certified(BALL2, cloud, net)
         assert on_grid <= certified <= on_grid + 1e-7
 
@@ -679,7 +657,7 @@ def test_ball_certificate_needs_the_center_inside_the_hull():
     # cloud Qhull rejects
     misses = [[0.2, 0.1], [0.6, 0.1], [0.4, 0.5]]
     for pts in (misses, [[-0.5, 0.0], [0.5, 0.0], [0.0, 0.5]], [[0.1, 0.1]] * 3):
-        cloud = SampleCloud(points=pts, body=BALL2, mode="interior", seed=0, n=3)
+        cloud = np.array(pts)
         assert _certified(BALL2, cloud, net) == _net_certificate(BALL2, cloud, net)
 
 
@@ -697,7 +675,7 @@ def test_exact_dl_is_at_least_the_net_value(name):
     center = canonical_center(body)
     net = build_net(d, 0.01 if d == 2 else 0.1, seed=6)
     for n, seed in ((30, 85), (2000, 86)):
-        cloud = sample(body, "interior", n, seed=seed)
+        cloud = sample(body, "interior", n, seed=seed).points
         hull = hull_points(cloud)
         exact = facet_value("dl", body, hull.equations, center)
         assert 0.0 < exact < 1.0
@@ -709,8 +687,7 @@ def test_exact_dl_is_at_least_the_net_value(name):
 def test_exact_dl_of_a_cloud_holding_the_vertices_is_zero(name):
     body = DL_BODIES[name]
     pts = np.vstack([sample(body, "interior", 200, seed=87).points, body.vertices])
-    cloud = SampleCloud(points=pts, body=body, mode="interior", seed=0, n=len(pts))
-    assert facet_value("dl", body, hull_points(cloud).equations) == 0.0
+    assert facet_value("dl", body, hull_points(pts).equations) == 0.0
 
 
 def test_exact_distances_need_the_center_strictly_inside():
@@ -742,7 +719,7 @@ def test_facet_hausdorff_of_an_ellipsoid_lies_within_a_fine_net_reading(d, mode)
     # h_body - h_hull is 2R-Lipschitz on the sphere, R the body's norm bound
     under_read = 2.0 * body.max_norm_bound() * net.cover_radius
     for n, seed in ((300, 91), (3000, 92)):
-        value, hull, exact = metric.value(sample(body, mode, n, seed=seed))
+        value, hull, exact = metric.value(sample(body, mode, n, seed=seed).points)
         assert exact
         net_value = metric.reading(hull.points)
         assert net_value <= value <= net_value + under_read
@@ -751,15 +728,14 @@ def test_facet_hausdorff_of_an_ellipsoid_lies_within_a_fine_net_reading(d, mode)
 @pytest.mark.parametrize("case", ["thirty_points", "sliver", *sorted(DEGENERATE)])
 def test_facet_hausdorff_falls_back_to_the_net_where_the_rule_fails(case):
     if case in DEGENERATE:  # Qhull rejects the cloud
-        pts = np.asarray(DEGENERATE[case], dtype=float)
-        body = FACET_ELLIPSOIDS[pts.shape[1]]
-        cloud = SampleCloud(points=pts, body=body, mode="interior", seed=0, n=len(pts))
+        cloud = np.asarray(DEGENERATE[case], dtype=float)
+        body = FACET_ELLIPSOIDS[cloud.shape[1]]
     elif case == "thirty_points":  # the facet maximum 0.29 is above the rolling radius
         body = FACET_ELLIPSOIDS[2]
-        cloud = sample(body, "interior", 30, seed=90)
+        cloud = sample(body, "interior", 30, seed=90).points
     else:  # axes (1, 0.01): rolling radius 1e-4
         body = _PREFILTER_BODIES["thin_ellipse"]
-        cloud = sample(body, "interior", 1000, seed=90)
+        cloud = sample(body, "interior", 1000, seed=90).points
     metric = HullMetric(MetricSpec("hausdorff"), body, net=build_net(body.dim, 0.1, seed=5))
     value, hull, exact = metric.value(cloud)
     assert not exact
@@ -780,7 +756,7 @@ def test_hausdorff_without_a_rolling_radius_never_takes_the_facet_path(monkeypat
 
     monkeypatch.setattr(HullMetric, "facet_value", refuse)
     metric = HullMetric(MetricSpec("hausdorff"), body, net=build_net(2, 0.05, seed=5))
-    value, hull, exact = metric.value(sample(body, "interior", 500, seed=93))
+    value, hull, exact = metric.value(sample(body, "interior", 500, seed=93).points)
     assert not exact
     assert value == metric.reading(hull.points)
 
@@ -789,8 +765,7 @@ def test_ellipse_certificate_counts_the_hull_outside_the_ellipse():
     # a cloud scaled 2% past the boundary of the rotated ellipse (1, 0.4)
     body = DL_BODIES["ellipse"]
     pts = body.center + 1.02 * (sample(body, "interior", 2000, seed=95).points - body.center)
-    cloud = SampleCloud(points=pts, body=body, mode="interior", seed=0, n=len(pts))
-    value, certified = HullMetric(MetricSpec("hausdorff"), body).certified(cloud)
+    value, certified = HullMetric(MetricSpec("hausdorff"), body).certified(pts)
     # each point's distance to a dense parametrization of the boundary, which
     # reads the true distance from above by far less than 1e-6
     t = np.linspace(0.0, 2.0 * math.pi, 200_000, endpoint=False)
@@ -807,7 +782,7 @@ def test_ellipse_certificate_counts_the_hull_outside_the_ellipse():
 def test_square_reads_the_net_and_its_certificate():
     square = DL_BODIES["square"]
     net = build_net(2, 0.01, seed=5)
-    cloud = sample(square, "interior", 2000, seed=94)
+    cloud = sample(square, "interior", 2000, seed=94).points
     metric = HullMetric(MetricSpec("hausdorff"), square, net=net)
     value, certified = metric.certified(cloud)
     assert value == metric.reading(hull_points(cloud).points)
@@ -819,9 +794,8 @@ def test_net_certificate_counts_the_hull_outside_the_body():
     # outside the hull, the value, stays far below it
     square = DL_BODIES["square"]
     pts = np.vstack([sample(square, "interior", 500, seed=96).points, [[0.0, 3.0]]])
-    cloud = SampleCloud(points=pts, body=square, mode="interior", seed=0, n=len(pts))
     metric = HullMetric(MetricSpec("hausdorff"), square, net=build_net(2, 0.01, seed=5))
-    value, certified = metric.certified(cloud)
+    value, certified = metric.certified(pts)
     assert value < 0.5
     assert 2.0 <= certified <= 2.0 + 2.0 * 3.0 * 0.01 + 1e-12
 
@@ -829,8 +803,8 @@ def test_net_certificate_counts_the_hull_outside_the_body():
 def test_facet_maximum_past_the_rolling_radius_takes_the_net_certificate():
     # thirty points: the facet maximum 0.29 reaches past the rolling radius 0.16
     body = FACET_ELLIPSOIDS[2]
-    cloud = sample(body, "interior", 30, seed=90)
-    hull = hull_points(cloud, facets=True)
+    cloud = sample(body, "interior", 30, seed=90).points
+    hull = hull_points(cloud)
     normals, offsets = hull.equations[:, :-1], hull.equations[:, -1]
     assert float((support_batch(body, normals) + offsets).max()) >= body.rolling_radius
     net = build_net(2, 0.01, seed=5)
@@ -840,19 +814,33 @@ def test_facet_maximum_past_the_rolling_radius_takes_the_net_certificate():
     assert certified == _net_certificate(body, cloud, net) > value
 
 
+def test_a_fallback_without_a_net_says_that_it_needs_one():
+    # three equal points, which Qhull rejects, and thirty points whose facet
+    # maximum reaches past the rolling radius 0.16
+    ellipse = FACET_ELLIPSOIDS[2]
+    for body, cloud in (
+        (BALL2, np.full((3, 2), 0.1)),
+        (ellipse, sample(ellipse, "interior", 30, seed=90).points),
+    ):
+        metric = HullMetric(MetricSpec("hausdorff"), body)
+        for read in (metric.value, metric.certified):
+            with pytest.raises(ValueError, match="the fallback needs a net"):
+                read(cloud)
+
+
 # ---------------------------------------------------------------------------
 # averaged metrics and functionals
 
 
 def test_lp_metric_square_in_circle_closed_form():
     # mean support deficit of the inscribed square: 1 - 2*sqrt(2)/pi
-    val = quadrature_metric("lp(1)", BALL2, 200000, 8).reading(corner_cloud().points)
+    val = quadrature_metric("lp(1)", BALL2, 200000, 8).reading(corner_cloud())
     assert val == pytest.approx(1.0 - 2.0 * math.sqrt(2.0) / math.pi, abs=1e-3)
 
 
 def test_lp_metric_at_infinite_p_is_sup_deficit():
     cloud = spaced_circle_cloud(16)
-    val = quadrature_metric("lp(inf)", BALL2, 100000, 9).reading(cloud.points)
+    val = quadrature_metric("lp(inf)", BALL2, 100000, 9).reading(cloud)
     true_gap = 1.0 - math.cos(math.pi / 16)
     assert val <= true_gap + 1e-12
     assert val >= true_gap * 0.98
@@ -863,7 +851,7 @@ def test_lp_metric_rejects_small_p():
         parse_metric("lp(0.5)")
     metric = HullMetric(MetricSpec("lp", p=0.5), BALL2, dirs=quadrature_directions(2, 100, 0))
     with pytest.raises(ValueError, match="p must be >= 1"):
-        metric.reading(corner_cloud().points)
+        metric.reading(corner_cloud())
 
 
 def test_mean_width_of_body_is_exact_for_ball():
@@ -876,20 +864,20 @@ def test_mean_width_of_body_is_exact_for_ball():
 def test_mean_width_of_inscribed_square():
     # the metric is the ball's mean width 2 less the square's
     metric = quadrature_metric("functional(S, 1)", BALL2, 200000, 11)
-    val = metric.reading(corner_cloud().points)
+    val = metric.reading(corner_cloud())
     assert 2.0 - val == pytest.approx(4.0 * math.sqrt(2.0) / math.pi, abs=2e-3)
 
 
 def test_sup_functional_of_cloud_near_one():
     # T_inf of the ball is 1, and the square's corners reach it
     metric = quadrature_metric("functional(T, inf)", BALL2, 4096, 12)
-    assert metric.reading(corner_cloud().points) <= 5e-4
+    assert metric.reading(corner_cloud()) <= 5e-4
 
 
 def test_functional_consistency_body_vs_exact_hull():
     # a dense boundary cloud nearly reproduces the body functional
     metric = quadrature_metric("functional(T, 2)", BALL2, 4096, 13)
-    points = spaced_circle_cloud(512).points
+    points = spaced_circle_cloud(512)
     body_val = metric.reading(ORIGIN)
     cloud_val = math.sqrt(np.mean(blocked_max_dot(metric.dirs, points) ** 2))
     assert cloud_val == pytest.approx(body_val, rel=1e-3)

@@ -4,9 +4,12 @@ import json
 import logging
 import math
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from scipy.spatial import ConvexHull
 
@@ -34,7 +37,7 @@ from randhull.estimators import (
     parse_metric,
     quadrature_directions,
 )
-from randhull.sampling import SampleCloud, derived_seed, sample
+from randhull.sampling import derived_seed, sample
 from randhull.experiments import (
     _KEY_NET,
     _KEY_QUAD,
@@ -67,7 +70,6 @@ def tiny_config(**overrides):
     base = dict(
         body=BALL2,
         mode="interior",
-        family="smooth_interior",
         n_grid=[200, 800],
         reps=8,
         metric="hausdorff",
@@ -124,8 +126,6 @@ def test_config_validation():
         tiny_config(q=0.5)
     with pytest.raises(ValueError):
         tiny_config(mode="edge")
-    with pytest.raises(ValueError):
-        tiny_config(family="unknown")
 
 
 @pytest.mark.parametrize(
@@ -168,12 +168,46 @@ def test_an_integral_value_loads_as_an_int(field, value, loaded):
         ("boundary", "polytope_interior"),
     ],
 )
-def test_a_family_that_contradicts_the_mode_is_rejected(mode, family):
-    with pytest.raises(ValueError, match=f"family {family!r} does not sample in mode {mode!r}"):
-        tiny_config(mode=mode, family=family)
-    doc = {**tiny_config().to_dict(), "mode": mode, "family": family}
-    with pytest.raises(ValueError, match="does not sample in mode"):
-        ExperimentConfig.from_dict(doc)
+def test_a_family_key_that_contradicts_the_mode_is_ignored(mode, family):
+    # the family follows from the body and the mode, so a stored one is not read
+    cfg = tiny_config(mode=mode)
+    back = ExperimentConfig.from_dict({**cfg.to_dict(), "family": family})
+    assert back.to_dict() == cfg.to_dict()
+    assert back.family == cfg.family != family
+
+
+@pytest.mark.parametrize(
+    "body, mode, family",
+    [
+        (BALL2, "interior", "smooth_interior"),
+        (ELLIPSE, "interior", "smooth_interior"),
+        (SQUARE, "interior", "polytope_interior"),
+        (BALL2, "boundary", "smooth_boundary"),
+    ],
+    ids=["ball", "ellipse", "square", "circle"],
+)
+def test_the_family_follows_from_the_body_and_the_mode(tmp_path, body, mode, family):
+    cfg = tiny_config(body=body, mode=mode)
+    assert cfg.family == family
+    assert "family" not in cfg.to_dict()
+    # a config written with the key, as before it was derived, still loads
+    path = tmp_path / "config.yaml"
+    save_experiment_config(cfg, path)
+    path.write_text(path.read_text() + f"family: {family}\n")
+    back = load_experiment_config(path)
+    assert back.to_dict() == cfg.to_dict()
+    assert back.family == family
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("**/*.yaml"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_a_shipped_config_holds_exactly_the_config_fields(path):
+    # so that no key in it is one the loader ignores
+    with open(path) as fh:
+        doc = yaml.safe_load(fh)
+    assert sorted(doc) == sorted(f.name for f in fields(ExperimentConfig))
 
 
 @pytest.mark.parametrize(
@@ -297,7 +331,7 @@ def test_rate_experiment_threads_match_serial():
 
 def test_rate_means_match_the_full_max_dot():
     # polytope Hausdorff takes the net path on every replication
-    cfg = tiny_config(body=SQUARE, family="polytope_interior")
+    cfg = tiny_config(body=SQUARE)
     net = build_net(2, cfg.resolved_net_delta(), derived_seed(cfg.master_seed, _KEY_NET))
     body_vals = support_batch(SQUARE, net.points)
     means = []
@@ -314,7 +348,7 @@ def test_rate_means_match_the_full_max_dot():
 
 
 def test_ball_rate_means_match_the_facets_of_the_full_cloud():
-    cfg = tiny_config(mode="boundary", family="smooth_boundary", n_grid=[200, 800])
+    cfg = tiny_config(mode="boundary", n_grid=[200, 800])
     means = []
     for i, n in enumerate(cfg.n_grid):
         vals = []
@@ -339,7 +373,7 @@ def test_rate_experiment_logs_prefilter_survivors(caplog):
     cfg = tiny_config(n_grid=[200, 5000], reps=3)
     passed = sum(
         hull_points(
-            sample(BALL2, "interior", n, replication_seed(cfg.master_seed, i, r))
+            sample(BALL2, "interior", n, replication_seed(cfg.master_seed, i, r)).points
         ).qhull_input
         for i, n in enumerate(cfg.n_grid)
         for r in range(cfg.reps)
@@ -352,31 +386,20 @@ def test_rate_experiment_logs_prefilter_survivors(caplog):
     assert f"hull pre-filter: {passed} of 15600 sampled points passed to Qhull" in messages
 
 
-def test_boundary_experiment_logs_no_qhull_input(caplog):
-    # an L^p metric reads no facets, so its boundary clouds skip Qhull
-    with caplog.at_level(logging.DEBUG, logger="randhull"):
-        run_rate_experiment(
-            tiny_config(
-                mode="boundary",
-                family="smooth_boundary",
-                n_grid=[100, 2000],
-                reps=2,
-                metric="lp(2)",
-            )
-        )
-    messages = [r.getMessage() for r in caplog.records]
-    assert "hull pre-filter: 0 of 4200 sampled points passed to Qhull" in messages
-
-
 def test_boundary_ball_experiment_hands_qhull_every_point(caplog):
-    with caplog.at_level(logging.DEBUG, logger="randhull"):
-        run_rate_experiment(
-            tiny_config(mode="boundary", family="smooth_boundary", n_grid=[100, 2000], reps=2)
-        )
-    messages = [r.getMessage() for r in caplog.records]
-    assert "hull pre-filter: 4200 of 4200 sampled points passed to Qhull" in messages
-    assert "metric path: 4 exact, 0 net fallback" in messages
-    assert "hull reduction: 0 clouds reduced, 4 fell back to the full cloud" in messages
+    # a boundary cloud goes to Qhull whole, whatever the metric, and its
+    # hull keeps every point
+    for metric in ("hausdorff", "lp(2)"):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="randhull"):
+            run_rate_experiment(
+                tiny_config(mode="boundary", n_grid=[100, 2000], reps=2, metric=metric)
+            )
+        messages = [r.getMessage() for r in caplog.records]
+        assert "hull pre-filter: 4200 of 4200 sampled points passed to Qhull" in messages
+        assert "hull reduction: 4 clouds reduced, 0 fell back to the full cloud" in messages
+        if metric == "hausdorff":
+            assert "metric path: 4 exact, 0 net fallback" in messages
 
 
 # A pin of exact floats, so that a hull-path change that moves any bit fails
@@ -396,7 +419,6 @@ def test_disc_rate_means_are_pinned():
     cfg = ExperimentConfig(
         body=BALL2,
         mode="interior",
-        family="smooth_interior",
         n_grid=[1000, 10000],
         reps=2,
         master_seed=1005,
@@ -408,7 +430,6 @@ def test_ellipse_rate_means_are_pinned():
     cfg = ExperimentConfig(
         body=ELLIPSE,
         mode="interior",
-        family="smooth_interior",
         n_grid=[1000, 10000],
         reps=2,
         master_seed=1005,
@@ -420,7 +441,6 @@ def test_square_rate_report_is_pinned():
     cfg = ExperimentConfig(
         body=SQUARE,
         mode="interior",
-        family="polytope_interior",
         n_grid=[1000, 3000],
         reps=3,
         master_seed=1006,
@@ -475,10 +495,9 @@ FALLBACK_CLOUDS = {
 @pytest.mark.parametrize("name", sorted(FALLBACK_CLOUDS))
 def test_fallback_clouds_get_the_net_path_value(name):
     pts = np.asarray(FALLBACK_CLOUDS[name])
-    cloud = SampleCloud(points=pts, body=BALL2, mode="interior", seed=0, n=len(pts))
     for metric in ("hausdorff", "dl", "lp(2)", "functional(T,2)", "functional(S,1)"):
         cfg = tiny_config(metric=metric)
-        value, _, exact = _hull_metric(cfg)[0].value(cloud)
+        value, _, exact = _hull_metric(cfg)[0].value(pts)
         assert not exact
         assert value == _net_path_value(cfg, pts)
 

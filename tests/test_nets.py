@@ -21,7 +21,7 @@ from randhull.nets import (
     net_to_dict,
     sup_certificate,
 )
-from randhull.sampling import SampleCloud, derived_seed, philox, unit_directions
+from randhull.sampling import derived_seed, philox, unit_directions
 
 
 def probe_dirs(n, d, seed=777):
@@ -245,7 +245,6 @@ def test_rate_net_of_the_disc_configuration_is_pinned():
     config = ExperimentConfig(
         body=Ball(center=[0.0, 0.0], radius=1.0),
         mode="interior",
-        family="smooth_interior",
         n_grid=[1000, 3000, 10000, 30000, 100000],
         reps=2,
         metric="hausdorff",
@@ -322,9 +321,9 @@ def test_certificate_scales_with_the_radius_of_the_bodies():
     true_gap = R * (1.0 - math.cos(widest / 2.0))
     assert true_gap > 4.3
     ball = Ball(center=[0.0, 0.0], radius=R)
-    cloud = SampleCloud(points=R * net.points, body=ball, mode="boundary", seed=0, n=len(net))
+    cloud = R * net.points
     metric = HullMetric(MetricSpec("hausdorff"), ball, net=net)
-    net_value = metric.reading(cloud.points)
+    net_value = metric.reading(cloud)
     assert net_value <= 1e-9
     assert sup_certificate(net, net_value, R) >= true_gap
     # the facets read the ball's reach outside the polygon exactly
@@ -338,9 +337,8 @@ def test_certificate_of_uncertified_net_is_infinite():
     net = build_net(4, 0.5, seed=2)
     assert not net.certified
     ball = Ball(center=np.zeros(4), radius=1.0)
-    cloud = SampleCloud(points=0.5 * net.points, body=ball, mode="boundary", seed=0, n=len(net))
     metric = HullMetric(MetricSpec("hausdorff"), ball, net=net)
-    assert metric.certified(cloud)[1] == math.inf
+    assert metric.certified(0.5 * net.points)[1] == math.inf
     assert sup_certificate(net, 0.0) == math.inf
 
 

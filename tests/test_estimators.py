@@ -214,7 +214,15 @@ def test_boundary_cloud_goes_to_qhull():
         hull = hull_points(cloud)
         assert hull.reduced and hull.qhull_input == n
         np.testing.assert_array_equal(hull.points, cloud)
-        np.testing.assert_array_equal(hull.equations, ConvexHull(cloud).equations)
+
+
+def test_boundary_cloud_goes_to_qhull_for_its_facets_only():
+    # Qhull drops no point of a sphere cloud, so all it adds is the facets
+    cloud = sample(Ball(center=np.zeros(3), radius=1.0), "boundary", 500, seed=81).points
+    hull = hull_points(cloud)
+    np.testing.assert_array_equal(hull.points, cloud)
+    assert hull.qhull_input == 500
+    np.testing.assert_array_equal(hull.equations, ConvexHull(cloud).equations)
 
 
 def test_high_dimensional_cloud_skips_qhull(monkeypatch):

@@ -64,6 +64,7 @@ from .bounds import (
     class_params_boundary,
     class_params_smooth,
     deviation_bound,
+    family_params,
     fit_class_l,
     make_deviation_bound,
     rate_exponent,

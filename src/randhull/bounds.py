@@ -72,6 +72,21 @@ def class_params_boundary(d: int, r: float) -> ClassParams:
     return ClassParams(alpha=(d - 1) / 2.0, big_l=r ** ((d - 1) / 2.0), eps0=r)
 
 
+def family_params(family: str, body: BodySpec) -> ClassParams:
+    """A smooth family's class parameters at r = min(1, the body's rolling radius)."""
+    r = body.rolling_radius
+    if not r > 0:
+        raise ValueError(
+            f"no analytic class parameters for {type(body).__name__}, "
+            "which states no rolling radius"
+        )
+    if family == "smooth_interior":
+        return class_params_smooth(body.dim, min(1.0, r))
+    if family == "smooth_boundary":
+        return class_params_boundary(body.dim, min(1.0, r))
+    raise ValueError(f"family {family!r} has no analytic class parameters")
+
+
 # ---------------------------------------------------------------------------
 # deviation bound
 

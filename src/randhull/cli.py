@@ -20,9 +20,8 @@ import numpy as np
 from .bounds import (
     ClassParams,
     check_class_membership,
-    class_params_boundary,
-    class_params_smooth,
     deviation_bound,
+    family_params,
     fit_class_l,
 )
 from .estimators import HullMetric, MetricSpec
@@ -125,8 +124,10 @@ def _cmd_check_class(args) -> int:
         report = check_class_membership(body, args.mode, params, **kw)
         write_json({"fitted": params.to_dict(), "report": report.to_dict()}, args.out)
         return 0
-    maker = class_params_smooth if args.family == "smooth" else class_params_boundary
-    params = maker(body.dim, args.r)
+    try:  # args.mode is now interior for --family smooth, boundary for boundary
+        params = family_params(f"smooth_{args.mode}", body)
+    except ValueError as exc:
+        args.usage_error(f"--family {args.family} on {args.body}: {exc}")
     report = check_class_membership(body, args.mode, params, **kw)
     write_json(report.to_dict(), args.out)
     return 0
@@ -214,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--body", required=True)
     p.add_argument("--mode", choices=("interior", "boundary"))
     p.add_argument("--family", choices=("smooth", "boundary", "fit"), required=True)
-    p.add_argument("--r", type=float, default=1.0, help="rolling-ball radius")
     p.add_argument("--alpha", type=float, default=None, help="for --family fit")
     p.add_argument("--eps0", type=float, default=None, help="for --family fit")
     p.add_argument("--u-probes", type=int, default=64)

@@ -30,13 +30,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .bounds import (
-    ClassParams,
-    class_params_boundary,
-    class_params_smooth,
-    make_deviation_bound,
-    rate_exponent,
-)
+from .bounds import family_params, make_deviation_bound, rate_exponent
 from .geometry import (
     Ball,
     BodySpec,
@@ -121,7 +115,7 @@ class ExperimentConfig:
         n_ref = self.n_grid[0]
         a_n = None
         try:
-            params = _family_params(self.family, self.body)
+            params = family_params(self.family, self.body)
             a_n = make_deviation_bound(params, self.body.dim, n_ref).a_n
         except ValueError:
             a_n = (math.log(n_ref) / n_ref) ** rate_exponent(self.family, self.body.dim)
@@ -140,18 +134,6 @@ def _integral(name: str, value) -> int:
     if n is None or n != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return n
-
-
-def _family_params(family: str, body: BodySpec) -> ClassParams:
-    """A smooth family's class parameters, from the body's rolling radius if positive."""
-    r = body.rolling_radius
-    if not r > 0:
-        raise ValueError(f"no analytic class parameters for {type(body).__name__}")
-    if family == "smooth_interior":
-        return class_params_smooth(body.dim, min(1.0, r))
-    if family == "smooth_boundary":
-        return class_params_boundary(body.dim, min(1.0, r))
-    raise ValueError(f"family {family!r} has no analytic class parameters")
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -366,7 +348,7 @@ def run_deviation_experiment(
         raise ValueError("deviation experiments run at a single n")
     if parse_metric(config.metric).kind != "hausdorff":
         raise ValueError("deviation experiments are defined for the hausdorff metric")
-    params = _family_params(config.family, config.body)
+    params = family_params(config.family, config.body)
     bound = make_deviation_bound(params, config.body.dim, config.n_grid[0])
 
     metric, net_delta, _ = _hull_metric(config)

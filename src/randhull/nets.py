@@ -8,13 +8,12 @@ point).
   delta.  Closed form and exact.
 * d >= 3: a repair that grows the net from the cross-polytope +-e_i, a
   delta-packing at every delta <= 1, and admits only points farther than
-  delta from everything already kept.  In d = 3 it inserts spherical Voronoi
-  circumcenters that sit farther than delta from their generators, iterating
-  until none remain; exact and deterministic, because the covering radius of
-  a point set on the sphere is attained at a Voronoi vertex.  In d >= 4, or
-  when the Voronoi repair fails, it runs random probe passes until a full
-  pass inserts nothing; Monte Carlo only, so the net is marked uncertified
-  and may leave gaps wider than delta that no probe hit.
+  delta from everything already kept.  It inserts spherical Voronoi vertices
+  that sit farther than delta from their generators, iterating until none
+  remain.  The covering radius of a point set on the sphere is attained at a
+  Voronoi vertex (the vertices are the facet normals of the set's convex
+  hull), so the repair is exact and deterministic in every dimension, and
+  every net it returns is certified.
 
 Neighbor queries against large point sets go through blocked matrix products,
 so no step holds more than _BLOCK_ELEMS products at a time and peak memory
@@ -25,16 +24,12 @@ stays flat.  A net serializes to JSON from its dataclass fields, which
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import plain_fields, read_fields
-from .sampling import philox, unit_directions
-
-log = logging.getLogger("randhull")
 
 _BLOCK_ELEMS = 4_000_000
 
@@ -122,17 +117,16 @@ def build_net(d: int, delta: float, seed: int) -> SphereNet:
     cover radius and the net is certified.  It packs: for m > 3, minimality
     gives 2 sin(pi / (2(m - 1))) > delta, and pi / m > pi / (2(m - 1)) with
     both angles in (0, pi / 2], so the pairwise distance 2 sin(pi / m) exceeds
-    delta; for m = 3 it is sqrt(3) > 1 >= delta.  There `seed` has no effect.
+    delta; for m = 3 it is sqrt(3) > 1 >= delta.
 
     In d >= 3 the net starts from the 2d points +-e_i, which lie sqrt(2) or 2
     apart and so pack at every delta <= 1.  The repair inserts only points
     farther than delta from everything kept, so the net stays a packing while
-    the repair closes every coverage gap.  In d = 3 it reads the gaps from the
-    Voronoi vertices, exactly, so cover_radius is the exact covering radius,
-    the net is certified, and `seed` has no effect.  In d >= 4, and in d = 3
-    after a failed Voronoi repair, it finds them with seeded random probes:
-    the net is uncertified, and cover_radius is an estimate from below (see
-    _repair_probe), not a bound.
+    the repair closes every coverage gap.  It reads the gaps from the Voronoi
+    vertices, exactly, so cover_radius is the exact covering radius and the
+    net is certified.
+
+    `seed` changes no net in any dimension; the net only records it.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
@@ -144,41 +138,12 @@ def build_net(d: int, delta: float, seed: int) -> SphereNet:
         while 2.0 * math.sin(math.pi / (2 * m)) > delta:
             m += 1
         ang = 2.0 * math.pi * np.arange(m) / m
-        return SphereNet(
-            dim=2,
-            delta=delta,
-            points=np.column_stack([np.cos(ang), np.sin(ang)]),
-            seed=seed,
-            cover_radius=2.0 * math.sin(math.pi / (2 * m)),
-            certified=True,
-        )
-    rng = philox(seed)
-    arr = np.vstack([np.eye(d), -np.eye(d)])
-    if d == 3:
-        from scipy.spatial import QhullError
-
-        try:
-            arr, cover, certified = _repair_sphere(arr, delta)
-        except (QhullError, RuntimeError, ValueError) as exc:
-            # QhullError or ValueError from SphericalVoronoi, RuntimeError
-            # when the repair does not converge
-            log.warning(
-                "Voronoi repair of the d = 3 net failed (%s: %s); "
-                "falling back to the uncertified probe repair",
-                type(exc).__name__,
-                exc,
-            )
-            arr, cover, certified = _repair_probe(arr, delta, rng)
+        points = np.column_stack([np.cos(ang), np.sin(ang)])
+        cover = 2.0 * math.sin(math.pi / (2 * m))
     else:
-        arr, cover, certified = _repair_probe(arr, delta, rng)
-
+        points, cover = _repair_sphere(np.vstack([np.eye(d), -np.eye(d)]), delta)
     return SphereNet(
-        dim=d,
-        delta=delta,
-        points=arr,
-        seed=seed,
-        cover_radius=cover,
-        certified=certified,
+        dim=d, delta=delta, points=points, seed=seed, cover_radius=cover, certified=True
     )
 
 
@@ -216,44 +181,22 @@ def _voronoi_vertex_distances(pts: np.ndarray):
 
 def _repair_sphere(
     pts: np.ndarray, delta: float, max_rounds: int = 60
-) -> tuple[np.ndarray, float, bool]:
-    """Insert uncovered Voronoi circumcenters until the covering is exact (S^2)."""
+) -> tuple[np.ndarray, float]:
+    """Insert uncovered Voronoi vertices until none is farther than delta.
+
+    Returns the net and its exact covering radius.
+    """
     for _ in range(max_rounds):
         verts, dist = _voronoi_vertex_distances(pts)
         far = np.argsort(dist)[::-1]
         far = far[dist[far] > delta]
         if len(far) == 0:
-            return pts, float(dist.max()), True
+            return pts, float(dist.max())
         pts = _append_far(pts, verts[far], delta)
-    raise RuntimeError("coverage repair did not converge")
-
-
-def _repair_probe(
-    pts: np.ndarray,
-    delta: float,
-    rng: np.random.Generator,
-    probes: int = 100_000,
-    max_rounds: int = 200,
-) -> tuple[np.ndarray, float, bool]:
-    """Insert uncovered random probes until a pass stays clean.  Not certified.
-
-    The cover radius returned is the largest probe distance to the net in
-    that last clean pass, which is at most the true covering radius and can
-    fall short of it: build_net(4, 0.4, 3) records 0.3969, and fresh probes
-    find a direction 0.4023 from that net.
-    """
-    d = pts.shape[1]
-    thresh = 1.0 - delta**2 / 2.0
-    worst = 0.0
-    for _ in range(max_rounds):
-        cand = unit_directions(rng, probes, d)
-        dots = blocked_max_dot(cand, pts)
-        worst = math.sqrt(max(0.0, 2.0 - 2.0 * float(dots.min())))
-        holes = np.flatnonzero(dots <= thresh)
-        if len(holes) == 0:
-            return pts, worst, False
-        pts = _append_far(pts, cand[holes], delta)
-    raise RuntimeError("probe repair did not converge")
+    raise RuntimeError(
+        f"the d = {pts.shape[1]} net at delta = {delta} did not converge in "
+        f"{max_rounds} repair rounds; use a larger delta"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +257,8 @@ def sup_certificate(net: SphereNet, net_sup: float, radius: float = 1.0) -> floa
     For h_1 - h_2 or |h_1 - h_2|, with both bodies inside the ball of the given
     radius R about the origin, each support function is R-Lipschitz on the
     sphere, so over a net covering at delta the gap is at most
-    net_sup + 2 R delta; inf, proving nothing, when the covering is uncertified.
+    net_sup + 2 R delta; inf, proving nothing, when the covering is uncertified,
+    as only a net read from JSON can be.
     """
     if not net.certified:
         return math.inf

@@ -9,9 +9,9 @@ import pytest
 
 from randhull.cli import build_parser, main
 from randhull.geometry import Ball, Ellipsoid, PolytopeV, save_body
-from randhull.nets import load_net
+from randhull.nets import build_net, load_net, net_to_dict
 from randhull.sampling import load_points
-from randhull.experiments import ExperimentConfig, save_experiment_config
+from randhull.experiments import ExperimentConfig, save_experiment_config, write_json
 
 
 @pytest.fixture
@@ -221,13 +221,14 @@ def test_check_class_smooth_ball(tmp_path, ball_path):
             "--body", str(ball_path),
             "--mode", "interior",
             "--family", "smooth",
-            "--r", "1.0",
             "--out", str(out),
         ]
     )
     doc = json.loads(out.read_text())
     assert doc["verdict"] is True
     assert doc["analytic"] is True
+    # r = min(1, rolling radius) = 1 for the unit ball
+    assert doc["params"]["eps0"] == 1.0
 
 
 def test_check_class_fit_simplex_is_pinned(tmp_path):
@@ -295,20 +296,26 @@ def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
 
+def _write_uncertified_net(path, d, delta):
+    """A net JSON that says "certified": false; build_net certifies every net."""
+    write_json({**net_to_dict(build_net(d, delta, 0)), "certified": False}, path)
+
+
 def test_distance_writes_null_for_missing_certificate(tmp_path):
-    # a d = 4 net is never certified, so the certificate is inf
+    # an uncertified net proves nothing, so the certificate is inf
     body = tmp_path / "ball4.json"
     save_body(Ball(center=np.zeros(4), radius=1.0), body)
     pts = tmp_path / "points.csv"
     main(["sample", "--body", str(body), "--n", "200", "--seed", "7", "--out", str(pts)])
+    net = tmp_path / "net.json"
+    _write_uncertified_net(net, 4, 0.5)
     out = tmp_path / "distance.json"
     main(
         [
             "distance",
             "--body", str(body),
             "--points", str(pts),
-            "--net-delta", "0.5",
-            "--seed", "1",
+            "--net", str(net),
             "--format", "json",
             "--out", str(out),
         ]
@@ -337,26 +344,33 @@ def _assert_csv_cells_are_json_reprs(csv, doc):
 
 
 @pytest.mark.parametrize(
-    "dim, net_delta, prebuilt",
-    [(2, "0.05", False), (2, "0.1", True), (4, "0.5", False)],
-    ids=["built-net", "loaded-net", "uncertified"],
+    "dim, net_delta, net",
+    [(2, "0.05", "built"), (2, "0.1", "loaded"), (4, "0.5", "uncertified"), (4, "0.5", "built")],
+    ids=["built-net", "loaded-net", "uncertified", "built-net-d4"],
 )
-def test_distance_csv_agrees_with_its_json(tmp_path, dim, net_delta, prebuilt):
+def test_distance_csv_agrees_with_its_json(tmp_path, dim, net_delta, net):
     body = tmp_path / "ball.json"
     save_body(Ball(center=np.zeros(dim), radius=1.0), body)
     pts = tmp_path / "points.csv"
     main(["sample", "--body", str(body), "--n", "200", "--seed", "7", "--out", str(pts)])
     argv = ["distance", "--body", str(body), "--points", str(pts), "--seed", "1"]
-    if prebuilt:
-        net = tmp_path / "net.json"
-        main(["net", "build", "--d", str(dim), "--delta", net_delta, "--out", str(net)])
-        argv += ["--net", str(net)]
-    else:
+    net_path = tmp_path / "net.json"
+    if net == "built":
         argv += ["--net-delta", net_delta]
+    elif net == "loaded":
+        main(["net", "build", "--d", str(dim), "--delta", net_delta, "--out", str(net_path)])
+        argv += ["--net", str(net_path)]
+    else:
+        _write_uncertified_net(net_path, dim, float(net_delta))
+        argv += ["--net", str(net_path)]
     csv, doc = _write_both_formats(tmp_path, argv)
     _assert_csv_cells_are_json_reprs(csv, doc)
-    # a d = 4 net is never certified: inf in the CSV, null in the JSON
-    assert (doc["certified_upper"] is None) == (dim == 4)
+    # only a net JSON that says it is uncertified gives inf in the CSV and
+    # null in the JSON; every built net certifies a bound above the value
+    if net == "uncertified":
+        assert doc["certified_upper"] is None
+    else:
+        assert doc["certified_upper"] >= doc["value"]
 
 
 def test_bound_csv_is_pinned_and_agrees_with_its_json(tmp_path):
@@ -555,6 +569,24 @@ def test_check_class_family_implies_its_mode(tmp_path, ball_path, family, mode):
         main(argv + ["--u-probes", "4", "--n-mc", "2000", "--out", str(outs[-1])] + given)
     assert outs[0].read_text() == outs[1].read_text()
     assert json.loads(outs[0].read_text())["mode"] == mode
+
+
+@pytest.mark.parametrize("family", ["smooth", "boundary"])
+def test_check_class_reads_r_from_the_body(tmp_path, capsys, family):
+    # r = min(1, rolling radius): 1/2 for a radius-1/2 disc
+    disc = tmp_path / "disc.json"
+    save_body(Ball(center=[0.0, 0.0], radius=0.5), disc)
+    out = tmp_path / "class.json"
+    main(["check-class", "--body", str(disc), "--family", family, "--out", str(out)])
+    assert json.loads(out.read_text())["params"]["eps0"] == 0.5
+    # a body that states no rolling radius has no r
+    square = tmp_path / "square.json"
+    save_body(PolytopeV(vertices=[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), square)
+    with pytest.raises(SystemExit) as exc:
+        main(["check-class", "--body", str(square), "--family", family])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--family {family} on {square}: no analytic class parameters for PolytopeV" in err
 
 
 @pytest.mark.parametrize("threads", ["0", "-3", "1.5", "two"])

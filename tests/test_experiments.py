@@ -37,11 +37,11 @@ from randhull.estimators import (
     parse_metric,
     quadrature_directions,
 )
+from randhull.bounds import family_params
 from randhull.sampling import derived_seed, sample
 from randhull.experiments import (
     _KEY_NET,
     _KEY_QUAD,
-    _family_params,
     _hull_metric,
     _run_replications,
     DeviationReport,
@@ -697,7 +697,7 @@ def test_deviation_experiment_logs_quantiles(caplog):
 def test_a_body_without_a_rolling_radius_has_no_analytic_class_parameters(body):
     assert body.rolling_radius == 0.0
     with pytest.raises(ValueError, match=f"no analytic class parameters for {type(body).__name__}"):
-        _family_params("smooth_interior", body)
+        family_params("smooth_interior", body)
 
 
 def test_deviation_experiment_needs_single_n():

@@ -18,6 +18,7 @@ from randhull.nets import (
     build_net,
     decompose,
     load_net,
+    net_from_dict,
     net_to_dict,
     sup_certificate,
 )
@@ -115,16 +116,16 @@ def test_circle_net_ignores_seed():
 
 
 def test_repaired_nets_are_pinned():
-    # the Voronoi repair of d = 3 and the probe repair of d = 4, each grown
-    # from the cross-polytope
+    # the Voronoi repair of d = 3 and of d = 4, each grown from the
+    # cross-polytope
     net = build_net(3, 0.1, 0)
     assert len(net) == 812
     assert net.cover_radius == 0.09975658257512623
     assert net.certified
     net = build_net(4, 0.5, 2)
-    assert len(net) == 111
-    assert net.cover_radius == 0.4984934368965263
-    assert not net.certified
+    assert len(net) == 132
+    assert net.cover_radius == 0.46517563898894765
+    assert net.certified
 
 
 def test_circle_net_meets_covering_lower_bound():
@@ -137,18 +138,14 @@ def test_circle_net_meets_covering_lower_bound():
 
 
 def test_build_net_deterministic():
-    # d = 3 nets come from the Voronoi repair alone; d = 4 nets from seeded probes
-    for delta in (0.2, 0.05):
-        a = build_net(3, delta, seed=5)
+    # the Voronoi repair draws nothing, so no net depends on its seed
+    for d, delta in ((3, 0.2), (3, 0.05), (4, 0.5)):
+        a = build_net(d, delta, seed=5)
         for seed in (6, 12345):
-            b = build_net(3, delta, seed=seed)
+            b = build_net(d, delta, seed=seed)
             np.testing.assert_array_equal(a.points, b.points)
             assert b.cover_radius == a.cover_radius
-    a = build_net(4, 0.5, seed=5)
-    b = build_net(4, 0.5, seed=5)
-    np.testing.assert_array_equal(a.points, b.points)
-    c = build_net(4, 0.5, seed=6)
-    assert len(c.points) != len(a.points) or not np.array_equal(c.points, a.points)
+            assert b.seed == seed
 
 
 def test_build_net_rejects_bad_arguments():
@@ -160,12 +157,15 @@ def test_build_net_rejects_bad_arguments():
         build_net(2, 1.5, seed=0)
 
 
-def test_higher_dimension_probe_repair():
-    net = build_net(4, 0.5, seed=2)
-    assert not net.certified
-    dist = net.coverage_distances(probe_dirs(20000, 4))
-    assert float(dist.max()) <= 0.5
-    assert net.min_pairwise_distance() >= 0.5 * (1.0 - 1e-12)
+@pytest.mark.parametrize("d, delta", [(4, 0.5), (4, 0.4), (4, 0.3), (5, 0.5)])
+def test_higher_dimension_nets_are_certified_coverings(d, delta):
+    # the Voronoi repair's cover radius is exact: no fresh probe lies farther
+    net = build_net(d, delta, seed=3)
+    assert net.certified
+    assert net.cover_radius <= delta
+    assert net.min_pairwise_distance() >= delta
+    dist = net.coverage_distances(probe_dirs(200_000, d, seed=4242))
+    assert float(dist.max()) <= net.cover_radius + 1e-12
 
 
 @pytest.mark.parametrize("d, delta", [(3, 0.3), (3, 0.1), (4, 0.5)])
@@ -174,11 +174,15 @@ def test_nets_grow_from_the_cross_polytope(d, delta):
     np.testing.assert_array_equal(net.points[: 2 * d], np.vstack([np.eye(d), -np.eye(d)]))
 
 
-@pytest.mark.parametrize("delta", [0.3, 0.1, 0.05])
-def test_sphere_net_cover_radius_is_its_voronoi_radius(delta):
+@pytest.mark.parametrize(
+    "d, delta",
+    [(3, 0.3), (3, 0.1), (3, 0.05), (4, 0.5), (4, 0.3)],
+    ids=["0.3", "0.1", "0.05", "d4-0.5", "d4-0.3"],
+)
+def test_sphere_net_cover_radius_is_its_voronoi_radius(d, delta):
     # the covering radius of a point set on the sphere is attained at a
     # Voronoi vertex: read it against every net point, not just the generators
-    net = build_net(3, delta, seed=0)
+    net = build_net(d, delta, seed=0)
     sv = scipy.spatial.SphericalVoronoi(net.points, radius=1.0, threshold=1e-10)
     verts = sv.vertices / np.linalg.norm(sv.vertices, axis=1)[:, None]
     voronoi_cover = float(net.coverage_distances(verts).max())
@@ -192,52 +196,30 @@ def test_fine_sphere_net_is_certified():
     assert net.cover_radius <= 0.03
 
 
-def test_probe_net_packs_and_covers_uncertified():
-    delta = 0.4
-    net = build_net(4, delta, seed=3)
-    assert not net.certified
-    assert net.cover_radius <= delta
-    assert net.min_pairwise_distance() >= delta
-    # the repair stops after one clean pass of 100k probes, so fresh probes
-    # may still land in a sliver of a hole: bound its share and its depth
-    dist = net.coverage_distances(probe_dirs(100_000, 4))
-    assert np.count_nonzero(dist > delta) <= 10
-    assert float(dist.max()) <= 1.02 * delta
-
-
-def test_failed_voronoi_repair_warns_and_falls_back(monkeypatch, caplog):
+@pytest.mark.parametrize(
+    "error",
+    [
+        RuntimeError("coverage repair did not converge"),
+        scipy.spatial.QhullError("QH6154 Qhull precision error"),
+        TypeError("a bug, not a geometric failure"),
+    ],
+    ids=lambda e: type(e).__name__,
+)
+def test_voronoi_repair_error_propagates(monkeypatch, caplog, error):
     def fail(pts, delta):
-        raise RuntimeError("coverage repair did not converge")
+        raise error
 
     monkeypatch.setattr(nets, "_repair_sphere", fail)
-    with caplog.at_level(logging.WARNING, logger="randhull"):
-        net = build_net(3, 0.3, seed=5)
-    assert not net.certified
-    assert any(
-        r.levelno == logging.WARNING and "probe repair" in r.getMessage() for r in caplog.records
-    )
+    with caplog.at_level(logging.DEBUG, logger="randhull"):
+        with pytest.raises(type(error)):
+            build_net(3, 0.3, seed=5)
+    assert caplog.records == []
 
 
-def test_qhull_error_in_voronoi_repair_warns_and_falls_back(monkeypatch, caplog):
-    def fail(pts, delta):
-        raise scipy.spatial.QhullError("QH6154 Qhull precision error")
-
-    monkeypatch.setattr(nets, "_repair_sphere", fail)
-    with caplog.at_level(logging.WARNING, logger="randhull"):
-        net = build_net(3, 0.3, seed=5)
-    assert not net.certified
-    assert any(
-        r.levelno == logging.WARNING and "probe repair" in r.getMessage() for r in caplog.records
-    )
-
-
-def test_unexpected_voronoi_repair_error_propagates(monkeypatch):
-    def broken(pts, delta):
-        raise TypeError("a bug, not a geometric failure")
-
-    monkeypatch.setattr(nets, "_repair_sphere", broken)
-    with pytest.raises(TypeError):
-        build_net(3, 0.3, seed=5)
+def test_repair_that_does_not_converge_says_what_to_do():
+    with pytest.raises(RuntimeError, match=r"d = 4 net at delta = 0\.3 did not converge in 2 "
+                       r"repair rounds; use a larger delta"):
+        nets._repair_sphere(np.vstack([np.eye(4), -np.eye(4)]), 0.3, max_rounds=2)
 
 
 def test_rate_net_of_the_disc_configuration_is_pinned():
@@ -334,7 +316,8 @@ def test_certificate_scales_with_the_radius_of_the_bodies():
 
 
 def test_certificate_of_uncertified_net_is_infinite():
-    net = build_net(4, 0.5, seed=2)
+    # every built net is certified; a net JSON can still say it is not
+    net = net_from_dict({**net_to_dict(build_net(4, 0.5, seed=2)), "certified": False})
     assert not net.certified
     ball = Ball(center=np.zeros(4), radius=1.0)
     metric = HullMetric(MetricSpec("hausdorff"), ball, net=net)

@@ -5,7 +5,10 @@
 
 Each run is one ``python3 perfbench/run.py --workload W --seconds S [--seed S]``
 in the checkout's own directory, so that each side runs its own sources and
-benchmark.  Pair i runs the parent first when i is even and the change first
+benchmark.  Before the pairs, each side makes one ``--trace 1`` run, whose
+``correct`` flag and ``failed call:`` / ``trace check:`` stderr lines are
+printed; a side whose traced run is not correct is marked ``incorrect`` in the
+summary.  Pair i runs the parent first when i is even and the change first
 when i is odd.  The last line of a run's stdout is its JSON result; each pair
 is printed as it completes.
 
@@ -36,16 +39,26 @@ import sys
 from pathlib import Path
 
 GAIN_WIN_FRACTION = 0.9
+# stderr lines of perfbench/run.py that say why a run is not correct
+PROBLEM_PREFIXES = ("failed call:", "trace check:")
 
 
-def run_once(checkout: Path, workload: str, seconds: float, seed: int | None) -> dict:
-    """One benchmark run in ``checkout``; its parsed JSON result, or a failure record."""
+def run_once(
+    checkout: Path, workload: str, seconds: float, seed: int | None, trace: bool = False
+) -> dict:
+    """One benchmark run in ``checkout``; its parsed JSON result, or a failure record.
+
+    ``problems`` holds the run's ``failed call:`` and ``trace check:`` stderr lines.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", str(seconds)]
     if seed is not None:
         cmd += ["--seed", str(seed)]
+    if trace:
+        cmd += ["--trace", "1"]
     proc = subprocess.run(
         cmd, cwd=checkout, capture_output=True, text=True, timeout=20 * seconds + 600
     )
+    problems = [ln for ln in proc.stderr.splitlines() if ln.startswith(PROBLEM_PREFIXES)]
     lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]
     environment = None
     if lines:
@@ -58,12 +71,19 @@ def run_once(checkout: Path, workload: str, seconds: float, seed: int | None) ->
         metrics = {name: m["value"] for name, m in result["metrics"].items()}
     except (IndexError, json.JSONDecodeError, KeyError, TypeError):
         error = proc.stderr[-2000:]
-        return {"correct": False, "metrics": {}, "error": error, "environment": environment}
+        return {
+            "correct": False,
+            "metrics": {},
+            "error": error,
+            "problems": problems,
+            "environment": environment,
+        }
     return {
         "correct": bool(result.get("correct")),
         "attempted": result.get("attempted"),
         "failed": result.get("failed"),
         "metrics": metrics,
+        "problems": problems,
         "environment": environment,
     }
 
@@ -130,6 +150,15 @@ def summarize_runs(parent_runs: list[dict], change_runs: list[dict], spec: list[
     return out
 
 
+def format_traced(traced: dict[str, dict]) -> str:
+    """One line per side's traced run, ``correct`` or ``incorrect``, then its problem lines."""
+    lines = []
+    for side, r in traced.items():
+        lines.append(f"  traced {side:8s} {'correct' if r['correct'] else 'incorrect'}")
+        lines += [f"    {p}" for p in r["problems"]]
+    return "\n".join(lines)
+
+
 def format_summary(summary: dict) -> str:
     lines = []
     for name, s in summary.items():
@@ -159,6 +188,12 @@ def main(argv=None) -> int:
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
     names = [m["name"] for m in spec]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    traced = {}
+    for side, checkout in sides.items():
+        traced[side] = run_once(checkout, args.workload, args.seconds, args.seed, trace=True)
+        print(f"traced {side}: correct={traced[side]['correct']}", flush=True)
+        for line in traced[side]["problems"]:
+            print(f"  {line}", flush=True)
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     order = []
     for i in range(args.pairs):
@@ -175,6 +210,7 @@ def main(argv=None) -> int:
 
     summary = summarize_runs(runs["parent"], runs["change"], spec)
     print(f"{args.workload} seed {args.seed if args.seed is not None else 'default'}:")
+    print(format_traced(traced))
     print(format_summary(summary))
     if args.out is not None:
         environment = next((r["environment"] for r in runs["parent"] if r["environment"]), None)
@@ -187,6 +223,10 @@ def main(argv=None) -> int:
             "machine": environment,
             "first_in_pair": order,
             "summary": summary,
+            "traced": {
+                side: {"correct": r["correct"], "problems": r["problems"], "metrics": r["metrics"]}
+                for side, r in traced.items()
+            },
             "runs": {
                 side: {n: [r["metrics"].get(n) for r in rs] for n in names}
                 for side, rs in runs.items()

@@ -23,23 +23,29 @@ volumes V_1..V_k.  On the interior stream the sampler draws, in this order:
 1. when k > 1, n uniforms u; point i goes to the simplex m with
    c_(m-1) <= u_i < c_m, where c_0 = 0 and
    c_m = (V_1 + ... + V_m) / (V_1 + ... + V_k);
-2. a (d + 1, n) block of standard exponentials e, row r holding the r-th
-   weight of every point.
+2. a (d, n) block of uniforms v, row r holding the r-th uniform of every
+   point.
 
-With S = e_0 + e_1 + ... + e_d, added in that order, the point is
-x_j = a_j + (e_1 / S)(f_1 - a)_j + ... + (e_d / S)(f_d - a)_j, the terms
-added in that order: the Dirichlet(1, ..., 1) weights e / S are uniform
-barycentric coordinates.
+With s_1 <= s_2 <= ... <= s_d a point's d uniforms sorted, its weights are
+the spacings w_1 = s_1, w_2 = s_2 - s_1, ..., w_d = s_d - s_(d-1), and the
+point is x_j = a_j + w_1 (f_1 - a)_j + ... + w_d (f_d - a)_j, the terms added
+in that order.  The spacings of d sorted uniforms, with 1 - s_d as the apex's
+weight, are Dirichlet(1, ..., 1) (Devroye 1986, ch. V, uniform spacings):
+uniform barycentric coordinates.  The uniforms are multiples of 2^-53 in
+[0, 1), so every spacing is exact and the weights sum to s_d < 1.
 
 The hot kernels make each RNG draw whole, over all n points, then do the
 per-point arithmetic in blocks of _BLOCK_ROWS rows, column by column: a
 broadcast against a last axis of length d runs a d-element inner loop per
 row, which costs more than the arithmetic, and full-length passes over a
 large cloud spill the L2 cache.  Within a block each column is worked in a
-reused contiguous buffer and written into the output once.  Each operation
-is the IEEE operation the broadcast would do on the same operands, in the
-same order, so every cloud is the one the broadcast form gives, bit for bit,
-whatever the block size.  Row norms are summed column by column only up to
+reused contiguous buffer and written into the output once.  The
+triangulation sampler sorts each point's uniforms with a compare-exchange
+network of np.minimum / np.maximum over the block's rows; any sorting network
+gives the same sorted values.  Each operation is the IEEE operation the
+per-point form would do on the same operands, in the same order, so every
+cloud is the one the per-point form gives, bit for bit, whatever the block
+size.  Row norms are summed column by column only up to
 d = 7; from d = 8 on numpy's own reduction sums in another order, so
 ``np.linalg.norm`` is called there.
 """
@@ -222,7 +228,7 @@ def _sample_interior(body: BodySpec, n: int, rng: np.random.Generator) -> np.nda
             pts = body.radius * unit_ball_points(rng, m, d)
             return np.compress(contains_batch(body, pts), pts, axis=0)
 
-        return _collect(n, propose)
+        return _collect(body, "interior", n, propose)
     raise TypeError(f"unknown body kind {type(body).__name__}")
 
 
@@ -244,36 +250,43 @@ def _triangulation_points(tri: Triangulation, n: int, rng: np.random.Generator) 
     """n uniform points of the union of the simplices [a, f_1, ..., f_d].
 
     The draw order is documented in the module docstring.  The draws are
-    whole; the arithmetic then runs _BLOCK_ROWS points at a time: S in a
-    reused block buffer, the weights e_r / S in place, and each output column
-    summed in a contiguous block buffer and written into pts once.
+    whole; the arithmetic then runs _BLOCK_ROWS points at a time: each
+    point's d uniforms sorted by a compare-exchange network over the block's
+    rows (the rows are views, the reused block buffer the spare), the
+    spacings taken in place, and each output column summed in a contiguous
+    block buffer and written into pts once.
     """
     k, d, _ = tri.edges.shape
     if k > 1:
         cum = np.cumsum(tri.volumes)
         which = np.searchsorted(cum[:-1] / cum[-1], rng.random(n), side="right")
-    e = rng.standard_exponential((d + 1, n))
+    u = rng.random((d, n))
     pts = np.empty((n, d))
     rows = min(n, _BLOCK_ROWS)
-    total, acc, term = np.empty(rows), np.empty(rows), np.empty(rows)
+    spare, acc, term = np.empty(rows), np.empty(rows), np.empty(rows)
     for s in range(0, n, _BLOCK_ROWS):
         t = min(s + _BLOCK_ROWS, n)
-        w, tot, col, buf = e[:, s:t], total[: t - s], acc[: t - s], term[: t - s]
-        np.add(w[0], w[1], out=tot)
-        for r in range(2, d + 1):
-            tot += w[r]
-        w[1:] /= tot
+        w, tmp, col, buf = list(u[:, s:t]), spare[: t - s], acc[: t - s], term[: t - s]
+        # odd-even transposition network: d rounds sort any d rows
+        for p in range(d):
+            for i in range(p % 2, d - 1, 2):
+                np.minimum(w[i], w[i + 1], out=tmp)
+                np.maximum(w[i], w[i + 1], out=w[i + 1])
+                w[i], tmp = tmp, w[i]
+        for r in range(d - 1, 0, -1):
+            w[r] -= w[r - 1]
         for j in range(d):
-            for r in range(1, d + 1):
-                # w_r E_rj, E_rj the edge entry of each point's simplex, into
-                # col for r = 1 (w_1 E_1j + a_j is the IEEE sum a_j + w_1 E_1j)
-                out = col if r == 1 else buf
+            for r in range(d):
+                # w[r] E_rj, E_rj the entry j of each point's edge f_(r+1) - a,
+                # into col for r = 0 (w[0] E_0j + a_j is the IEEE sum
+                # a_j + w[0] E_0j)
+                out = col if r == 0 else buf
                 if k == 1:
-                    np.multiply(w[r], tri.edges[0, r - 1, j], out=out)
+                    np.multiply(w[r], tri.edges[0, r, j], out=out)
                 else:
-                    np.take(tri.edges[:, r - 1, j], which[s:t], out=out)
+                    np.take(tri.edges[:, r, j], which[s:t], out=out)
                     out *= w[r]
-                col += tri.apex[j] if r == 1 else buf
+                col += tri.apex[j] if r == 0 else buf
             pts[s:t, j] = col
     return pts
 
@@ -292,14 +305,14 @@ def _sample_boundary(body: BodySpec, n: int, rng: np.random.Generator) -> np.nda
             keep = rng.random(m) < accept_prob
             return theta[keep]
 
-        theta = _collect(n, propose)
+        theta = _collect(body, "boundary", n, propose)
         return body.center + (theta * s) @ body.rotation.T
     raise ValueError(
         f"boundary sampling is not supported for {type(body).__name__}"
     )
 
 
-def _collect(n: int, propose_accepted) -> np.ndarray:
+def _collect(body: BodySpec, mode: str, n: int, propose_accepted) -> np.ndarray:
     """Run batched proposals until n points are accepted; keep the first n."""
     chunks = []
     got = 0
@@ -317,7 +330,13 @@ def _collect(n: int, propose_accepted) -> np.ndarray:
                 got / (rounds * batch),
             )
             return np.vstack(chunks)[:n]
-    raise RuntimeError("rejection sampler failed to accept enough points")
+    raise RuntimeError(
+        f"rejection sampler for the {type(body).__name__} {mode} draw of n = {n} "
+        f"accepted {got} of {_MAX_REJECTION_ROUNDS * batch} proposed points: the "
+        "body's acceptance rate is too low for this rejection sampler; use a body "
+        "that fills more of its proposal region (a less elongated ellipsoid, a "
+        "shallower dent)"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """scripts/bench_pairs.py: the paired-run verdict on synthetic runs."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -88,3 +90,27 @@ def test_summarize_runs_skips_failed_pairs():
 def test_unequal_runs_rejected():
     with pytest.raises(ValueError):
         bench_pairs.summarize([1.0, 2.0], [1.0], "lower", 0.25)
+
+
+def test_incorrect_traced_run_is_marked_in_the_summary(tmp_path, monkeypatch, capsys):
+    spec = [{"name": "wall_s", "better": "lower", "bound": 0.25}]
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        checkout.mkdir()
+        (checkout / "BENCHMARK.json").write_text(json.dumps({"end_to_end": spec}))
+    problem = "trace check: sampling spans saw 288000 points, expected 576000"
+
+    def stub_run(cmd, cwd, **kwargs):
+        # the change's traced run fails its point check; every other run is correct
+        bad = "--trace" in cmd and Path(cwd) == change.resolve()
+        result = {"correct": not bad, "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
+        stdout = json.dumps({"environment": {"nproc": 2}}) + "\n" + json.dumps(result) + "\n"
+        return subprocess.CompletedProcess(cmd, 0, stdout, problem + "\n" if bad else "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", stub_run)
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "w"]
+    assert bench_pairs.main(argv + ["--pairs", "2", "--seconds", "1"]) == 0
+    summary = capsys.readouterr().out.split("w seed default:\n", 1)[1]
+    assert "traced parent   correct" in summary
+    assert "traced change   incorrect" in summary
+    assert problem in summary

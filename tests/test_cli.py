@@ -233,7 +233,10 @@ def test_check_class_smooth_ball(tmp_path, ball_path):
 
 def test_check_class_fit_simplex_is_pinned(tmp_path):
     # exact values from the triangulation sampler's stream; any change to the
-    # simplex choice, the exponential weights or their arithmetic moves them
+    # simplex choice, the uniform weights (sorted uniforms and their spacings)
+    # or their arithmetic moves them.  The membership pass probes the widths
+    # that the fitted L makes measurable, so its worst ratio can fall below 1
+    # inside its slack
     body = tmp_path / "simplex3.json"
     save_body(PolytopeV(vertices=np.vstack([np.zeros(3), np.eye(3)])), body)
     out = tmp_path / "fit.json"
@@ -252,8 +255,8 @@ def test_check_class_fit_simplex_is_pinned(tmp_path):
         ]
     )
     doc = json.loads(out.read_text())
-    assert doc["fitted"]["L"] == 2.1360000000000037
-    assert doc["report"]["worst_ratio"] == 1.0
+    assert doc["fitted"]["L"] == 2.0407130236170987
+    assert doc["report"]["worst_ratio"] == 0.8715356898370686
     assert doc["report"]["verdict"] is True
 
 

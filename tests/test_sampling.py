@@ -236,6 +236,21 @@ def test_rejection_sampler_logs_its_acceptance(caplog):
     assert accepted / proposed == pytest.approx(acceptance, abs=0.01)
 
 
+def test_rejection_sampler_failure_says_what_happened():
+    proposed = []
+
+    def accept_nothing(m):
+        proposed.append(m)
+        return np.empty((0, 2))
+
+    with pytest.raises(RuntimeError) as info:
+        sampling._collect(DEEP_BUMP, "interior", 50, accept_nothing)
+    message = str(info.value)
+    assert "BumpBall interior draw of n = 50" in message
+    assert f"accepted 0 of {sum(proposed)} proposed points" in message
+    assert "acceptance rate is too low for this rejection sampler" in message
+
+
 @pytest.mark.parametrize(
     "body, line",
     [
@@ -275,7 +290,8 @@ def _reference_box_rejection(body, n, seed):
 
 # The triangulation sampler's documented draw order, one point at a time in
 # plain float arithmetic: n uniforms pick the simplices (only when there are
-# several), then a (d + 1, n) block of exponentials gives the weights.
+# several), then a (d, n) block of uniforms gives the weights: each point's d
+# uniforms sorted, and their spacings.
 def _reference_triangulation(body, n, seed):
     rng = philox(seed, 0)
     apex, edges, volumes = body.triangulation()
@@ -287,20 +303,18 @@ def _reference_triangulation(body, n, seed):
         cum.append(running)
     bounds = [c / cum[-1] for c in cum[:-1]]
     u = rng.random(n).tolist() if k > 1 else [0.0] * n
-    e = rng.standard_exponential((d + 1, n))
+    v = rng.random((d, n))
     out = np.empty((n, d))
     for i in range(n):
         m = 0
         while m < k - 1 and bounds[m] <= u[i]:
             m += 1
-        total = 0.0
-        for r in range(d + 1):
-            total += float(e[r, i])
-        w = [float(e[r, i]) / total for r in range(d + 1)]
+        s = sorted(float(v[r, i]) for r in range(d))
+        w = [s[0]] + [s[r] - s[r - 1] for r in range(1, d)]
         for j in range(d):
             x = float(apex[j])
-            for r in range(1, d + 1):
-                x += w[r] * float(edges[m, r - 1, j])
+            for r in range(d):
+                x += w[r] * float(edges[m, r, j])
             out[i, j] = x
     return out
 
@@ -426,6 +440,43 @@ def test_triangulation_sampler_reproduces_bitwise(name):
     b = sample(PolytopeV(vertices=body.vertices.copy()), "interior", 3000, seed=27).points
     assert np.array_equal(a, b)
     assert not np.array_equal(a, sample(body, "interior", 3000, seed=28).points)
+
+
+def _plain(state):
+    """A bit-generator state with its arrays as lists, so that == compares it."""
+    if isinstance(state, dict):
+        return {key: _plain(v) for key, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+@pytest.mark.parametrize("name", ["triangle", "simplex3", "hexagon", "random4"])
+def test_triangulation_draws_d_uniforms_per_point(name):
+    # the simplex choice takes n uniforms (several simplices only), the
+    # weights a (d, n) block of uniforms, and nothing else is drawn
+    body = TRIANGULATED[name]
+    tri = body.triangulation()
+    n, d = 1000, body.dim
+    rng = philox(41, 0)
+    sampling._triangulation_points(tri, n, rng)
+    want = philox(41, 0)
+    if len(tri.volumes) > 1:
+        want.random(n)
+    want.random((d, n))
+    assert _plain(rng.bit_generator.state) == _plain(want.bit_generator.state)
+
+
+@pytest.mark.parametrize("name", ["simplex3", "simplex7"])
+def test_triangulation_barycentric_coordinates_are_dirichlet(name):
+    # each of the d + 1 barycentric coordinates of a uniform point of a
+    # d-simplex is Beta(1, d)
+    from scipy import stats
+
+    body = TRIANGULATED[name]
+    d = body.dim
+    pts = sample(body, "interior", 200_000, seed=42).points
+    lam = np.column_stack([1.0 - pts.sum(axis=1), pts])
+    for r in range(d + 1):
+        assert stats.kstest(lam[:, r], stats.beta(1, d).cdf).pvalue > 1e-3
 
 
 # The ball-type samplers as first written, with broadcasts against the last

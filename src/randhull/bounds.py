@@ -31,7 +31,7 @@ from .geometry import (
     cap_share,
     support,
 )
-from .sampling import derived_seed, philox, sample, unit_directions
+from .sampling import derived_seed, sample, stream, unit_directions
 
 
 @dataclass
@@ -218,7 +218,7 @@ def check_class_membership(
             f"log-spaced in [{eps[0]:g}, {eps[-1]:g}]"
         )
         p_hat = np.empty((u_probes, len(eps)))
-        for j, u in enumerate(unit_directions(philox(seed, 101), u_probes, body.dim)):
+        for j, u in enumerate(unit_directions(stream(seed, 101), u_probes, body.dim)):
             # the name keeps each cloud alive until the next one is drawn, and
             # the projection is sorted in place: per 4-probe fit, freeing the
             # cloud sooner costs about 1300 more minor page faults, and sorting
@@ -255,11 +255,16 @@ def fit_class_l(
     n_mc: int = 100_000,
     seed: int = 0,
 ) -> ClassParams:
-    """Largest L making the membership verdict pass at the given alpha.
+    """L estimated as the smallest probed ratio mu(C)/eps^alpha at the given alpha.
 
     Families without analytic class constants (uniform measure in a polytope
-    has alpha = d but body-dependent L) get their L estimated as the smallest
-    probed ratio mu(C)/eps^alpha.
+    has alpha = d but body-dependent L) need their L estimated.  It is the
+    worst ratio of the membership check at L = 1, so over the widths that are
+    measurable there (eps^alpha * n_mc >= 30).  The fitted L need not pass
+    its own check: at L > 1 the check also probes smaller widths, measurable
+    at that L, whose ratios can fall below L.  Its worst ratio can then fall
+    below 1, and its verdict passes only when that shortfall is inside the
+    3-sd slack.
     """
     probe = check_class_membership(
         body, mode, ClassParams(alpha, 1.0, eps0), u_probes, eps_grid, n_mc, seed

@@ -46,7 +46,7 @@ import numpy as np
 
 from .geometry import BodySpec, canonical_center, support_batch
 from .nets import SphereNet, blocked_max_dot, sup_certificate
-from .sampling import philox, unit_directions
+from .sampling import stream, unit_directions
 
 # largest dimension in which computing the hull costs less than the max-dot
 # over the full cloud it replaces
@@ -337,7 +337,7 @@ def quadrature_directions(d: int, quad_n: int, seed: int) -> np.ndarray:
     """quad_n seeded uniform directions, the nodes of L^p and functional metrics."""
     if quad_n < 1:
         raise ValueError("quad_n must be >= 1")
-    return unit_directions(philox(seed), quad_n, d)
+    return unit_directions(stream(seed), quad_n, d)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .geometry import (
 )
 from .estimators import HullMetric, parse_metric, quadrature_directions
 from .nets import SphereNet, build_net
-from .sampling import derived_seed, philox, sample
+from .sampling import derived_seed, sample, stream
 
 log = logging.getLogger("randhull")
 
@@ -412,7 +412,7 @@ def bump_volume_defect_mc(body: BumpBall, n_pts: int, seed: int) -> float:
     R, delta = body.radius, body.bump_scale
     half_w = R * delta / 2.0
     s_min = math.sqrt(R**2 - half_w**2) - body.dent_depth
-    rng = philox(seed, 7)
+    rng = stream(seed, 7)
     t = half_w * (2.0 * rng.random((n_pts, d - 1)) - 1.0)
     s = s_min + (R - s_min) * rng.random(n_pts)
     t_norm = np.linalg.norm(t, axis=1)

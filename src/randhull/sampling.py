@@ -1,8 +1,9 @@
 """Seeded i.i.d. point clouds inside a body or on its boundary.
 
-Streams are Philox counter-based generators keyed by (seed, spawn_key), so the
-same (body, mode, n, seed) always reproduces the identical cloud bit for bit
-and distinct seeds can be consumed concurrently.  Ellipsoid interiors are the
+Streams are SFC64 generators, each seeded from the SeedSequence keyed by
+(seed, spawn_key) alone (``stream``), so the same (body, mode, n, seed) always
+reproduces the identical cloud bit for bit, whatever the thread count or the
+order in which streams are drawn.  Ellipsoid interiors are the
 affine image of the unit-ball draw with the same stream; that identity is load
 bearing (tests rely on it), so do not reorder the draws.
 
@@ -77,10 +78,10 @@ _MAX_REJECTION_ROUNDS = 500
 _BLOCK_ROWS = 16384
 
 
-def philox(seed: int, *key: int) -> np.random.Generator:
-    """Independent stream for a given seed and spawn key path."""
+def stream(seed: int, *key: int) -> np.random.Generator:
+    """Independent SFC64 stream for a given seed and spawn key path."""
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(int(seed), spawn_key=tuple(key)))
+        np.random.SFC64(np.random.SeedSequence(int(seed), spawn_key=tuple(key)))
     )
 
 
@@ -198,7 +199,7 @@ def sample(body: BodySpec, mode: str, n: int, seed: int) -> SampleCloud:
         raise ValueError(f"unknown mode {mode!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = philox(seed, _MODE_KEYS[mode])
+    rng = stream(seed, _MODE_KEYS[mode])
     if mode == "interior":
         pts = _sample_interior(body, n, rng)
     else:

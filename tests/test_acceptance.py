@@ -32,7 +32,7 @@ from randhull.experiments import (
     run_deviation_experiment,
     run_rate_experiment,
 )
-from randhull.sampling import SampleCloud, philox, unit_directions
+from randhull.sampling import SampleCloud, stream, unit_directions
 
 from conftest import record_criterion
 
@@ -112,7 +112,7 @@ def test_net_invariants():
     details = []
     ok = True
     probes_by_dim = {
-        d: unit_directions(philox(314159, d), 100000, d) for d in (2, 3)
+        d: unit_directions(stream(314159, d), 100000, d) for d in (2, 3)
     }
     for d in (2, 3):
         for delta in (0.3, 0.1):
@@ -121,7 +121,7 @@ def test_net_invariants():
             card_bound = (3.0 / delta) ** d
             cover = float(net.coverage_distances(probes_by_dim[d]).max())
             dec_err = 0.0
-            for u in unit_directions(philox(777, d), 16, d):
+            for u in unit_directions(stream(777, d), 16, d):
                 dec_err = max(dec_err, decompose(net, u, 8).error)
             good = (
                 packing >= delta * (1.0 - 1e-12)

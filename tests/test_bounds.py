@@ -18,7 +18,7 @@ from randhull.bounds import (
     rate_exponent,
 )
 from randhull.geometry import Ball, Ellipsoid, PolytopeV, support
-from randhull.sampling import derived_seed, philox, sample, unit_directions
+from randhull.sampling import derived_seed, sample, stream, unit_directions
 
 SMOOTH2 = class_params_smooth(2, 1.0)
 
@@ -220,7 +220,7 @@ def per_probe_membership(body, mode, params, u_probes, eps_grid, n_mc, seed):
     measurable = floor * n_mc >= 30.0
     eps, floor = eps[measurable], floor[measurable]
     worst, slack, argmin_eps = math.inf, 0.0, float("nan")
-    for j, u in enumerate(unit_directions(philox(seed, 101), u_probes, body.dim)):
+    for j, u in enumerate(unit_directions(stream(seed, 101), u_probes, body.dim)):
         proj = np.sort(sample(body, mode, n_mc, derived_seed(seed, j)).points @ u)
         counts = n_mc - np.searchsorted(proj, support(body, u) - eps, side="left")
         p_hat = counts / n_mc

@@ -233,10 +233,10 @@ def test_check_class_smooth_ball(tmp_path, ball_path):
 
 def test_check_class_fit_simplex_is_pinned(tmp_path):
     # exact values from the triangulation sampler's stream; any change to the
-    # simplex choice, the uniform weights (sorted uniforms and their spacings)
-    # or their arithmetic moves them.  The membership pass probes the widths
-    # that the fitted L makes measurable, so its worst ratio can fall below 1
-    # inside its slack
+    # bit generator, the simplex choice, the uniform weights (sorted uniforms
+    # and their spacings) or their arithmetic moves them.  The membership pass
+    # probes the widths that the fitted L makes measurable, so its worst ratio
+    # can fall below 1 inside its slack
     body = tmp_path / "simplex3.json"
     save_body(PolytopeV(vertices=np.vstack([np.zeros(3), np.eye(3)])), body)
     out = tmp_path / "fit.json"
@@ -255,8 +255,8 @@ def test_check_class_fit_simplex_is_pinned(tmp_path):
         ]
     )
     doc = json.loads(out.read_text())
-    assert doc["fitted"]["L"] == 2.0407130236170987
-    assert doc["report"]["worst_ratio"] == 0.8715356898370686
+    assert doc["fitted"]["L"] == 5.1652
+    assert doc["report"]["worst_ratio"] == 1.0
     assert doc["report"]["verdict"] is True
 
 
@@ -293,6 +293,32 @@ def test_check_class_fit_draws_each_probe_cloud_twice(tmp_path, monkeypatch):
     main(argv)
     probes = [("interior", 20000, derived_seed(7, j)) for j in range(3)]
     assert calls == probes + probes
+
+
+def test_disc_rate_run_draws_one_whole_cloud_per_replication(tmp_path, monkeypatch):
+    # the benchmark's traced disc_rate run counts sum(n_grid) x reps = 576000
+    # sampled points; a change that draws fewer (a shell draw, a shared
+    # cloud) fails here before the benchmark's trace check does
+    from randhull import experiments
+
+    config = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "disc_rate.yaml"
+    calls = []
+    real = experiments.sample
+
+    def counted(body, mode, n, seed):
+        cloud = real(body, mode, n, seed)
+        calls.append((mode, n, seed, len(cloud.points)))
+        return cloud
+
+    monkeypatch.setattr(experiments, "sample", counted)
+    cfg = experiments.load_experiment_config(config)
+    main(["rates", "--config", str(config), "--threads", "1", "--out", str(tmp_path / "r.json")])
+    assert calls == [
+        ("interior", n, experiments.replication_seed(cfg.master_seed, i, rep), n)
+        for i, n in enumerate(cfg.n_grid)
+        for rep in range(cfg.reps)
+    ]
+    assert sum(drawn for *_, drawn in calls) == 576000
 
 
 def _reject_constant(token):

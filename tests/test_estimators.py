@@ -388,6 +388,15 @@ def test_disc_cut_drops_only_points_beyond_the_margin():
         np.testing.assert_array_equal(outside, [True, True, True, False, False] + [True] * 4)
 
 
+def _area(body):
+    """Area of a 2-d ball, ellipse or polygon."""
+    if isinstance(body, Ball):
+        return math.pi * body.radius**2
+    if isinstance(body, Ellipsoid):
+        return math.pi * float(np.prod(body.semi_axes))
+    return float(body.triangulation().volumes.sum())
+
+
 def _inset_from_edges(x, y, poly):
     """Least signed distance of each point inside the edges of poly."""
     dist = np.full(len(x), np.inf)
@@ -420,7 +429,12 @@ def test_disc_cut_drops_only_points_deep_inside_the_probe_octagon(name):
         dropped = ~outside
         margin = 1e-9 * np.abs(pts).max()
         assert (_inset_from_edges(x[dropped], y[dropped], poly) > margin).all()
-        assert dropped.any()
+        # the disc inscribed in the thin ellipse's octagon expects a handful
+        # of points or none, so a drop is asserted only where the disc
+        # expects at least 30 (missing them all has probability below e^-30)
+        expected = len(pts) * math.pi * estimators._disc_centre(poly)[2] ** 2 / _area(body)
+        if expected >= 30:
+            assert dropped.any()
 
 
 @pytest.mark.parametrize("name, share", [("square", 0.7), ("triangle", 0.45), ("disc", 0.7)])

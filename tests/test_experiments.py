@@ -408,15 +408,16 @@ def test_boundary_lp_experiment_hands_qhull_every_point(caplog):
 
 
 # A pin of exact floats, so that a hull-path change that moves any bit fails
-# here.  The disc and ellipse means come from the Qhull facets; the square means, on the
-# net path, hold for one BLAS build (README, Reproducibility): another BLAS
-# may round the max-dot differently.
-PINNED_DISC_MEANS = [0.04479717167738151, 0.010536692632247213]
-PINNED_ELLIPSE_MEANS = [0.03966080236908237, 0.009188233091116216]
+# here; the clouds' bit generator and draw order move them too.  The disc and
+# ellipse means come from the Qhull facets; the square means, on the net path,
+# hold for one BLAS build (README, Reproducibility): another BLAS may round the
+# max-dot differently.
+PINNED_DISC_MEANS = [0.03903531518465464, 0.011056877375260399]
+PINNED_ELLIPSE_MEANS = [0.032065409575828374, 0.009319964768277456]
 PINNED_SQUARE_CSV = (
     "n,mean_metric_q,stderr,reps\n"
-    "1000,0.0447202588379955,0.002009554121503974,3\n"
-    "3000,0.03476547360048413,0.0023198814523740048,3\n"
+    "1000,0.047615807188962946,0.01250117502589593,3\n"
+    "3000,0.020669125629094617,0.005757909002122776,3\n"
 )
 
 

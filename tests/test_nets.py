@@ -22,11 +22,11 @@ from randhull.nets import (
     net_to_dict,
     sup_certificate,
 )
-from randhull.sampling import derived_seed, philox, unit_directions
+from randhull.sampling import derived_seed, stream, unit_directions
 
 
 def probe_dirs(n, d, seed=777):
-    return unit_directions(philox(seed), n, d)
+    return unit_directions(stream(seed), n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +81,7 @@ def _closed_form_deltas():
 
 
 def test_circle_net_is_the_least_equally_spaced_cover():
-    rng = philox(41)
+    rng = stream(41)
     for delta in _closed_form_deltas():
         net = build_net(2, delta, seed=3)
         m = len(net)

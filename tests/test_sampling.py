@@ -20,9 +20,9 @@ from randhull.geometry import (
 from randhull.experiments import write_text
 from randhull.sampling import (
     load_points,
-    philox,
     points_to_csv,
     sample,
+    stream,
     unit_ball_points,
     unit_directions,
 )
@@ -104,14 +104,14 @@ def test_ellipsoid_interior_is_affine_image_of_ball_draw():
     cloud = sample(ELL, "interior", n, seed=seed)
     # the ellipsoid sampler pushes the unit-ball draw of the same stream
     # through the affine map; the equality is exact, not statistical
-    rng = philox(seed, 0)
+    rng = stream(seed, 0)
     z = unit_ball_points(rng, n, 2)
     expected = np.asarray(ELL.center) + (z * ELL.semi_axes) @ np.asarray(ELL.rotation).T
     np.testing.assert_array_equal(cloud.points, expected)
 
 
 def test_unit_ball_points_radial_law():
-    rng = philox(11)
+    rng = stream(11)
     pts = unit_ball_points(rng, 40000, 2)
     r = np.linalg.norm(pts, axis=1)
     assert float(r.max()) <= 1.0
@@ -121,10 +121,17 @@ def test_unit_ball_points_radial_law():
 
 
 def test_unit_directions_are_unit():
-    dirs = unit_directions(philox(4), 1000, 3)
+    n = 100_000
+    dirs = unit_directions(stream(4), n, 3)
     np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
-    # no hemisphere bias: mean is near zero
-    assert np.linalg.norm(dirs.mean(axis=0)) < 0.05
+    # no hemisphere bias: each coordinate of a uniform direction in d = 3 has
+    # variance 1/3, so 3 n |mean|^2 is chi-squared with 3 degrees of freedom,
+    # and a correct sampler exceeds this bound (about 0.0101) with
+    # probability 1e-6
+    from scipy import stats
+
+    bound = math.sqrt(stats.chi2.isf(1e-6, 3) / (3 * n))
+    assert np.linalg.norm(dirs.mean(axis=0)) < bound
 
 
 def test_interior_cap_probability_matches_volume_ratio():
@@ -274,7 +281,7 @@ def test_polytope_sampler_logs_its_path(caplog, body, line):
 # and a single max over the facet values.  A box takes every proposal, so the
 # direct draw must match it bit for bit.
 def _reference_box_rejection(body, n, seed):
-    rng = philox(seed, 0)
+    rng = stream(seed, 0)
     eqs = body.facet_inequalities()
     lo = body.vertices.min(axis=0)
     hi = body.vertices.max(axis=0)
@@ -293,7 +300,7 @@ def _reference_box_rejection(body, n, seed):
 # several), then a (d, n) block of uniforms gives the weights: each point's d
 # uniforms sorted, and their spacings.
 def _reference_triangulation(body, n, seed):
-    rng = philox(seed, 0)
+    rng = stream(seed, 0)
     apex, edges, volumes = body.triangulation()
     k, d = len(volumes), body.dim
     cum = []
@@ -456,9 +463,9 @@ def test_triangulation_draws_d_uniforms_per_point(name):
     body = TRIANGULATED[name]
     tri = body.triangulation()
     n, d = 1000, body.dim
-    rng = philox(41, 0)
+    rng = stream(41, 0)
     sampling._triangulation_points(tri, n, rng)
-    want = philox(41, 0)
+    want = stream(41, 0)
     if len(tri.volumes) > 1:
         want.random(n)
     want.random((d, n))
@@ -477,6 +484,22 @@ def test_triangulation_barycentric_coordinates_are_dirichlet(name):
     lam = np.column_stack([1.0 - pts.sum(axis=1), pts])
     for r in range(d + 1):
         assert stats.kstest(lam[:, r], stats.beta(1, d).cdf).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_ball_interior_is_uniform(d):
+    # for a uniform point x of the unit ball, |x|^d is U(0, 1) and, in
+    # d = 2, the polar angle is U(-pi, pi)
+    from scipy import stats
+
+    center = np.arange(1.0, d + 1.0)
+    pts = sample(Ball(center=center, radius=2.5), "interior", 200_000, seed=43).points
+    z = (pts - center) / 2.5
+    r = np.linalg.norm(z, axis=1)
+    assert stats.kstest(r**d, stats.uniform.cdf).pvalue > 1e-3
+    if d == 2:
+        angle = np.arctan2(z[:, 1], z[:, 0])
+        assert stats.kstest(angle, stats.uniform(-math.pi, 2 * math.pi).cdf).pvalue > 1e-3
 
 
 # The ball-type samplers as first written, with broadcasts against the last
@@ -510,7 +533,7 @@ def _reference_collect(n, propose_accepted):
 
 def _reference_sample(body, mode, n, seed):
     d = body.dim
-    rng = philox(seed, 0 if mode == "interior" else 1)
+    rng = stream(seed, 0 if mode == "interior" else 1)
     if mode == "boundary" and isinstance(body, Ball):
         return body.center + body.radius * _reference_unit_directions(rng, n, d)
     if mode == "boundary":
@@ -570,8 +593,8 @@ BALL_IDS = [
 def test_unit_directions_match_broadcast_reference(d, n):
     # d = 8 and 9 cross the switch from column sums to np.linalg.norm
     for seed in range(4):
-        got = unit_directions(philox(seed, d), n, d)
-        want = _reference_unit_directions(philox(seed, d), n, d)
+        got = unit_directions(stream(seed, d), n, d)
+        want = _reference_unit_directions(stream(seed, d), n, d)
         assert np.array_equal(got, want)
 
 
@@ -579,8 +602,8 @@ def test_unit_directions_match_broadcast_reference(d, n):
 @pytest.mark.parametrize("n", [1, 2, 1023, 100_000])
 def test_unit_ball_points_match_broadcast_reference(d, n):
     for seed in range(4):
-        got = unit_ball_points(philox(seed, d), n, d)
-        want = _reference_unit_ball_points(philox(seed, d), n, d)
+        got = unit_ball_points(stream(seed, d), n, d)
+        want = _reference_unit_ball_points(stream(seed, d), n, d)
         assert np.array_equal(got, want)
 
 
@@ -596,7 +619,7 @@ class _ZeroFirstRow:
     """A generator whose first standard_normal draw has an all-zero row 1."""
 
     def __init__(self, seed):
-        self._rng = philox(seed)
+        self._rng = stream(seed)
         self.zeroed = False
 
     def standard_normal(self, size):

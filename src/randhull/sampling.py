@@ -7,11 +7,24 @@ order in which streams are drawn.  Ellipsoid interiors are the
 affine image of the unit-ball draw with the same stream; that identity is load
 bearing (tests rely on it), so do not reorder the draws.
 
-Interior modes: ball by radial scaling, ellipsoid by affine pushforward,
-polytope by a direct draw when it is its bounding box and by its
-triangulation otherwise, dented ball by rejection from its enclosing ball.
-Boundary modes: ball via normalized Gaussians, ellipsoid via
-Jacobian-reweighted rejection off the sphere (exact area uniformity, no mesh).
+Interior modes: ball by rejection from its bounding cube in d <= 3 and by
+radial scaling from d = 4 on, ellipsoid by affine pushforward, polytope by a
+direct draw when it is its bounding box and by its triangulation otherwise,
+dented ball by rejection from its enclosing ball.  Boundary modes: ball via
+normalized Gaussians, ellipsoid via Jacobian-reweighted rejection off the
+sphere (exact area uniformity, no mesh).
+
+A ball interior in d <= 3 (_CUBE_MAX_D, set where the cube kernel stops
+beating the Gaussian one; Devroye 1986, ch. II.3 and V.4) is drawn in rounds
+until n points are accepted.  With got points accepted so far, a round draws
+one (d, m) block of uniforms u, row r holding coordinate r of every proposal,
+with m = ceil((n - got) / p_d * 1.01) + 256 and p_d the cube's share of the
+ball (1, pi/4, pi/6 for d = 1, 2, 3; about one round in almost every draw).
+Proposal i is v = u[:, i] - 1/2, which is exact, and it is accepted when
+v_0^2 + ... + v_(d-1)^2 < 1/4, summed in that order.  The round keeps the
+first n - got accepted proposals in column order, and the point is
+center + (2 radius) v.  From d = 4 on, a ball point is a normalized Gaussian
+row times U^(1/d), from n standard normal rows and then n uniforms.
 
 A polytope's interior draw is exact and rejects nothing.  When its vertices
 include all 2^d corners of their bounding box [lo, hi] (compared exactly), it
@@ -40,7 +53,9 @@ per-point arithmetic in blocks of _BLOCK_ROWS rows, column by column: a
 broadcast against a last axis of length d runs a d-element inner loop per
 row, which costs more than the arithmetic, and full-length passes over a
 large cloud spill the L2 cache.  Within a block each column is worked in a
-reused contiguous buffer and written into the output once.  The
+reused contiguous buffer and written into the output once.  The cube
+kernel's blocks are _BLOCK_ROWS proposals (columns of u), and it stops at the
+block that accepts the n-th point.  The
 triangulation sampler sorts each point's uniforms with a compare-exchange
 network of np.minimum / np.maximum over the block's rows; any sorting network
 gives the same sorted values.  Each operation is the IEEE operation the
@@ -54,6 +69,7 @@ d = 7; from d = 8 on numpy's own reduction sums in another order, so
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +92,12 @@ _MAX_REJECTION_ROUNDS = 500
 # weights, norms and output columns stay in the L2 cache (measured sweep in
 # BENCH_sampler_blocks.json)
 _BLOCK_ROWS = 16384
+# ball interiors up to this dimension are drawn by rejection from the cube;
+# the cube kernel's time over the Gaussian path's at n = 1e5 is 0.5-0.7 in
+# d = 1 to 3, 0.9-1.0 in d = 4 and 1.7 in d = 5 (BENCH_ball_cube.json)
+_CUBE_MAX_D = 3
+# the cube's share of the ball, pi^(d/2) / (Gamma(d/2 + 1) 2^d), for d = 1..3
+_CUBE_ACCEPT = (1.0, math.pi / 4, math.pi / 6)
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -135,17 +157,65 @@ def _gaussian_rows(rng: np.random.Generator, n: int, d: int) -> tuple[np.ndarray
     return g, norms
 
 
+def _cube_ball_points(
+    rng: np.random.Generator, n: int, d: int, radius=None, center=None
+) -> np.ndarray:
+    """n uniform points of the unit ball, or of the ball (center, radius), by
+    rejection from the bounding cube (stream in the module docstring).
+
+    Each round's draw is whole; the proposals are then centred, tested and
+    written _BLOCK_ROWS columns at a time in reused buffers, until n points
+    are accepted.  The squared norm is summed in coordinate order and each
+    output column is center + scale * v, so the bits are those of the
+    broadcast form at any block size.
+    """
+    scale = 2.0 if radius is None else 2.0 * radius
+    pts = np.empty((n, d))
+    got = 0
+    while got < n:
+        m = math.ceil((n - got) / _CUBE_ACCEPT[d - 1] * 1.01) + 256
+        u = rng.random((d, m))
+        rows = min(m, _BLOCK_ROWS)
+        acc, term, ok = np.empty(rows), np.empty(rows), np.empty(rows, dtype=bool)
+        for s in range(0, m, _BLOCK_ROWS):
+            t = min(s + _BLOCK_ROWS, m)
+            sq, buf, keep = acc[: t - s], term[: t - s], ok[: t - s]
+            for r in range(d):
+                v = u[r, s:t]
+                v -= 0.5
+                np.multiply(v, v, out=buf if r else sq)
+                if r:
+                    sq += buf
+            np.less(sq, 0.25, out=keep)
+            hits = np.flatnonzero(keep)[: n - got]
+            k = len(hits)
+            col = buf[:k]
+            for j in range(d):
+                np.take(u[j, s:t], hits, out=col)
+                col *= scale
+                if center is not None:
+                    col += center[j]
+                pts[got : got + k, j] = col
+            got += k
+            if got == n:
+                break
+    return pts
+
+
 def _ball_draw(
     rng: np.random.Generator, n: int, d: int, interior: bool, radius=None, center=None
 ) -> np.ndarray:
-    """Uniform directions, or unit-ball points (direction times U^(1/d)),
-    times radius plus center when given.
+    """Uniform directions, or unit-ball points, times radius plus center when
+    given.
 
-    The draws are whole; each column is then divided, scaled and shifted
-    _BLOCK_ROWS rows at a time in a contiguous buffer, in the order of
-    center + radius * ((g / norms) * radii), so the bits are those of that
-    expression.
+    Ball points in d <= _CUBE_MAX_D come from _cube_ball_points.  Otherwise
+    a point is a direction times U^(1/d): the draws are whole; each column is
+    then divided, scaled and shifted _BLOCK_ROWS rows at a time in a
+    contiguous buffer, in the order of center + radius * ((g / norms) * radii),
+    so the bits are those of that expression.
     """
+    if interior and d <= _CUBE_MAX_D:
+        return _cube_ball_points(rng, n, d, radius, center)
     g, norms = _gaussian_rows(rng, n, d)
     radii = rng.random(n) ** (1.0 / d) if interior else None
     acc = np.empty(min(n, _BLOCK_ROWS))
@@ -169,7 +239,8 @@ def unit_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 
 
 def unit_ball_points(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    """Uniform draw from the unit ball: direction times U^(1/d) radius."""
+    """Uniform draw from the unit ball: from the cube in d <= 3, else
+    direction times U^(1/d) radius."""
     return _ball_draw(rng, n, d, interior=True)
 
 

@@ -408,12 +408,12 @@ def test_boundary_lp_experiment_hands_qhull_every_point(caplog):
 
 
 # A pin of exact floats, so that a hull-path change that moves any bit fails
-# here; the clouds' bit generator and draw order move them too.  The disc and
-# ellipse means come from the Qhull facets; the square means, on the net path,
-# hold for one BLAS build (README, Reproducibility): another BLAS may round the
-# max-dot differently.
-PINNED_DISC_MEANS = [0.03903531518465464, 0.011056877375260399]
-PINNED_ELLIPSE_MEANS = [0.032065409575828374, 0.009319964768277456]
+# here; the clouds' bit generator, draw order and ball kernel move them too.
+# The disc and ellipse means come from the Qhull facets; the square means, on
+# the net path, hold for one BLAS build (README, Reproducibility): another
+# BLAS may round the max-dot differently.
+PINNED_DISC_MEANS = [0.035997198567666644, 0.00949082842620752]
+PINNED_ELLIPSE_MEANS = [0.033847807880849845, 0.008456584508576392]
 PINNED_SQUARE_CSV = (
     "n,mean_metric_q,stderr,reps\n"
     "1000,0.047615807188962946,0.01250117502589593,3\n"

@@ -515,10 +515,39 @@ def _reference_unit_directions(rng, n, d):
     return g / norms[:, None]
 
 
-def _reference_unit_ball_points(rng, n, d):
+def _reference_gaussian_ball_points(rng, n, d):
     dirs = _reference_unit_directions(rng, n, d)
     radii = rng.random(n) ** (1.0 / d)
     return dirs * radii[:, None]
+
+
+# the cube's share of the ball in d = 1, 2, 3
+_CUBE_SHARE = {1: 1.0, 2: math.pi / 4, 3: math.pi / 6}
+
+
+def _cube_round_size(need, d):
+    return math.ceil(need / _CUBE_SHARE[d] * 1.01) + 256
+
+
+def _reference_cube_ball(rng, n, d):
+    # rounds of (d, m) uniforms, proposal i the column u[:, i] - 1/2, kept
+    # while its squared norm is under 1/4, first n - got per round
+    chunks, got = [], 0
+    while got < n:
+        v = rng.random((d, _cube_round_size(n - got, d))) - 0.5
+        sq = v[0] * v[0]
+        for r in range(1, d):
+            sq = sq + v[r] * v[r]
+        kept = v[:, sq < 0.25][:, : n - got]
+        chunks.append(kept.T)
+        got += kept.shape[1]
+    return 2.0 * np.vstack(chunks)
+
+
+def _reference_unit_ball_points(rng, n, d):
+    if d <= 3:
+        return _reference_cube_ball(rng, n, d)
+    return _reference_gaussian_ball_points(rng, n, d)
 
 
 def _reference_collect(n, propose_accepted):
@@ -640,8 +669,14 @@ def test_zero_norm_row_is_redrawn_as_in_reference(d):
     assert np.array_equal(got, want)
     assert np.all(np.isfinite(got))
     np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, atol=1e-12)
+
+
+# ball points draw normals only from d = 4 on
+@pytest.mark.parametrize("d", [4, 9])
+def test_zero_norm_row_in_ball_points_is_redrawn_as_in_reference(d):
     got = unit_ball_points(_ZeroFirstRow(6), 50, d)
-    assert np.array_equal(got, _reference_unit_ball_points(_ZeroFirstRow(6), 50, d))
+    assert np.array_equal(got, _reference_gaussian_ball_points(_ZeroFirstRow(6), 50, d))
+    assert np.all(np.isfinite(got))
 
 
 # ---------------------------------------------------------------------------
@@ -691,5 +726,73 @@ def test_zero_norm_row_is_redrawn_across_block_edges(d, rng_type):
     got = unit_directions(rng_type(5), n, d)
     assert np.array_equal(got, _reference_unit_directions(rng_type(5), n, d))
     np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [4, 9])
+@pytest.mark.parametrize("rng_type", [_ZeroFirstRow, _ZeroRowInThirdBlock])
+def test_zero_norm_row_in_ball_points_is_redrawn_across_block_edges(d, rng_type):
+    n = 2 * _B + 1
     got = unit_ball_points(rng_type(6), n, d)
-    assert np.array_equal(got, _reference_unit_ball_points(rng_type(6), n, d))
+    assert np.array_equal(got, _reference_gaussian_ball_points(rng_type(6), n, d))
+
+
+# ---------------------------------------------------------------------------
+# ball interiors in d <= 3: rejection from the cube
+
+CUBE_CASES = [BALL_OFF, BALL_OFF3, ELL, ELL3, Ball(center=[0.5], radius=2.0)]
+CUBE_IDS = ["ball", "ball3", "ellipsoid", "ellipsoid3", "segment"]
+
+
+@pytest.mark.parametrize("rows", [7, 1000])
+@pytest.mark.parametrize("body", CUBE_CASES, ids=CUBE_IDS)
+def test_cube_ball_clouds_do_not_depend_on_block_rows(monkeypatch, body, rows):
+    want = [sample(body, "interior", n, seed=51).points for n in (1, 3000)]
+    monkeypatch.setattr(sampling, "_BLOCK_ROWS", rows)
+    for n, cloud in zip((1, 3000), want):
+        assert np.array_equal(sample(body, "interior", n, seed=51).points, cloud)
+
+
+class _RejectFirstBlock:
+    """A generator whose first uniform block is all `fill`, a corner of the
+    cube that the ball rejects, so the draw takes a second round."""
+
+    def __init__(self, seed, fill):
+        self._rng = stream(seed)
+        self.fill = fill
+        self.calls = 0
+
+    def random(self, size):
+        self.calls += 1
+        if self.calls == 1:
+            return np.full(size, self.fill)
+        return self._rng.random(size)
+
+
+@pytest.mark.parametrize("d, fill", [(1, 0.0), (2, 0.0), (3, 0.0), (2, 0.999), (3, 0.999)])
+def test_cube_ball_second_round_matches_reference(d, fill):
+    rng = _RejectFirstBlock(7, fill)
+    got = unit_ball_points(rng, 500, d)
+    assert rng.calls == 2
+    assert np.array_equal(got, _reference_cube_ball(_RejectFirstBlock(7, fill), 500, d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cube_ball_draws_only_uniforms(d):
+    # one (d, m) block of uniforms, and no standard normal
+    n = 20_000
+    body = Ball(center=np.zeros(d), radius=1.5)
+    rng = stream(44, 0)
+    sampling._sample_interior(body, n, rng)
+    want = stream(44, 0)
+    want.random((d, _cube_round_size(n, d)))
+    assert _plain(rng.bit_generator.state) == _plain(want.bit_generator.state)
+
+
+def test_cube_ball_directions_are_isotropic():
+    # for a uniform point x of the 3-ball, each x_j / |x| is U(-1, 1)
+    from scipy import stats
+
+    pts = sample(BALL_OFF3, "interior", 200_000, seed=45).points - BALL_OFF3.center
+    cos = pts / np.linalg.norm(pts, axis=1)[:, None]
+    for j in range(3):
+        assert stats.kstest(cos[:, j], stats.uniform(-1.0, 2.0).cdf).pvalue > 1e-3

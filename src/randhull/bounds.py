@@ -64,12 +64,21 @@ def class_params_smooth(d: int, r: float) -> ClassParams:
 
 
 def class_params_boundary(d: int, r: float) -> ClassParams:
-    """Uniform measure on the boundary of a body with a radius-r rolling ball."""
+    """Uniform measure on the boundary of a body in the unit ball with a
+    radius-r rolling ball.
+
+    L = omega_(d-1) r^((d-1)/2) / (d omega_d): for eps <= r the boundary part
+    of a cap projects onto the cap's base, which holds a (d-1)-disc of radius
+    sqrt(2 r eps - eps^2) >= sqrt(r eps); projection does not increase area,
+    and the boundary's area is at most the unit sphere's, d omega_d.  That is
+    sqrt(r) / pi in d = 2 and r / 4 in d = 3.
+    """
     if d < 2:
         raise ValueError("boundary case needs d >= 2")
     if not (0.0 < r <= 1.0):
         raise ValueError("r must lie in (0, 1]")
-    return ClassParams(alpha=(d - 1) / 2.0, big_l=r ** ((d - 1) / 2.0), eps0=r)
+    big_l = ball_volume(d - 1) * r ** ((d - 1) / 2.0) / (d * ball_volume(d))
+    return ClassParams(alpha=(d - 1) / 2.0, big_l=big_l, eps0=r)
 
 
 def family_params(family: str, body: BodySpec) -> ClassParams:

@@ -28,6 +28,18 @@ them can be a vertex, so Qhull returns the same points from about 3% of a disc
 cloud.  A boundary cloud, with no point deep inside, fails the probe and goes
 to Qhull whole.
 
+A ball or ellipsoid interior cloud in d = 2 or 3 can skip the cascade: its
+sampler records the points outside an inner homothet c + s (K - c), about 1%
+of a 1e5-point disc cloud (sampling gives s), and sample_hull_points hands
+Qhull only those.  It keeps their hull when the homothet clears every facet
+a.x <= b by the pre-filter's margin at the body's scale,
+a.c + s (h_K(a) - a.c) < b - margin, checked with one support evaluation on
+the facet normals.  Every other point lies in the homothet, up to roundoff
+far below the margin, so strictly inside the hull: it is no vertex, and the
+hull is the full cloud's, with its extremes.  Otherwise the full cloud is
+reduced as above.  Polytopes, dented balls, boundary clouds, d >= 4 and
+`randhull distance`, which reads its cloud from a file, keep hull_points.
+
 HullMetric is the one reader of both paths: built once from a metric spec,
 a body and a direction source (a net, a net built on first need, or
 quadrature directions), it decides which path an array of points takes, and
@@ -46,7 +58,7 @@ import numpy as np
 
 from .geometry import BodySpec, canonical_center, support_batch
 from .nets import SphereNet, blocked_max_dot, sup_certificate
-from .sampling import stream, unit_directions
+from .sampling import SampleCloud, stream, unit_directions
 
 # largest dimension in which computing the hull costs less than the max-dot
 # over the full cloud it replaces
@@ -61,7 +73,8 @@ _PREFILTER_PROBE_STRIDE = 64
 _PREFILTER_MIN_DEEP = 0.5
 # how far inside a polygon, as a fraction of the largest coordinate, a point
 # must lie to be dropped; far above the roundoff of the edge and disc tests and
-# of Qhull's own distance tests, so no point on or outside an edge is dropped
+# of Qhull's own distance tests, so no point on or outside an edge is dropped;
+# the shell cut's coverage check takes the same margin at the body's norm bound
 _PREFILTER_MARGIN = 1e-9
 # extreme directions of the octagon and the 16-gon, counter-clockwise over half
 # a turn; the other half are their negatives
@@ -244,6 +257,16 @@ def _x_tied(xs: np.ndarray, keep: np.ndarray) -> bool:
     return np.count_nonzero(kept_x[at] == xs) > len(kept_x)
 
 
+def _subset_hull(points: np.ndarray, subset: np.ndarray) -> HullPoints | None:
+    """The Qhull hull of points[subset], subset ascending; None when Qhull
+    rejects them or a hull point shares its x-coordinate with another of them."""
+    candidates = points[subset]
+    hull = _qhull_keep(candidates)
+    if hull is None or _x_tied(candidates[:, 0], hull[0]):
+        return None
+    return HullPoints(candidates[hull[0]], True, len(candidates), hull[1])
+
+
 def hull_points(points: np.ndarray) -> HullPoints:
     """The points of an (n, d) cloud that can attain its hull's support function.
 
@@ -273,16 +296,54 @@ def hull_points(points: np.ndarray) -> HullPoints:
     if d == 2 and len(points) >= _PREFILTER_MIN_POINTS:
         survivors = _prefilter_survivors(points)
         if survivors is not None:
-            candidates = points[survivors]
-            qhull_input = len(candidates)
-            hull = _qhull_keep(candidates)
-            if hull is not None and not _x_tied(candidates[:, 0], hull[0]):
-                return HullPoints(points[survivors[hull[0]]], True, qhull_input, hull[1])
+            hull = _subset_hull(points, survivors)
+            if hull is not None:
+                return hull
+            qhull_input = len(survivors)
     qhull_input += len(points)
     hull = _qhull_keep(points)
     if hull is None:
         return HullPoints(points, False, qhull_input, None)
     return HullPoints(points[hull[0]], True, qhull_input, hull[1])
+
+
+def _homothet_inside(cloud: SampleCloud, equations: np.ndarray) -> bool:
+    """Whether the inner homothet c + s (K - c) clears every facet a.x <= b
+    of Qhull's rows [a, -b]: a.c + s (h_K(a) - a.c) < b - margin, the margin
+    _PREFILTER_MARGIN times the body's norm bound."""
+    normals, offsets = equations[:, :-1], equations[:, -1]
+    body = cloud.body
+    shift = normals @ body.center
+    reach = shift + cloud.inner_scale * (support_batch(body, normals) - shift)
+    return bool(np.all(reach < -offsets - _PREFILTER_MARGIN * body.max_norm_bound()))
+
+
+def sample_hull_points(cloud: SampleCloud) -> tuple[HullPoints, bool | None]:
+    """hull_points(cloud.points), reached through the cloud's outer points
+    when the sampler recorded them, and whether that cut held (None: no cut).
+
+    The cut holds when Qhull takes the outer points (more than d of them,
+    none tied in x with a hull point, as in hull_points) and the inner
+    homothet clears their hull's facets (_homothet_inside).  Every other
+    point then lies in the homothet, up to the sampler's roundoff, far below
+    the margin, so strictly inside that hull: it is no Qhull vertex or
+    coplanar point, the hull is the full cloud's, with the cloud's own
+    extremes, and the points are the same array, in the same order, as from
+    hull_points.  The facets are the same hull's, though Qhull can round
+    them differently in the last bits.  When the cut fails, the full cloud
+    is reduced by hull_points, and qhull_input counts both Qhull inputs.
+    """
+    outer = cloud.outer
+    if outer is None:
+        return hull_points(cloud.points), None
+    tried = 0
+    if len(outer) > cloud.dim:
+        tried = len(outer)
+        hull = _subset_hull(cloud.points, outer)
+        if hull is not None and _homothet_inside(cloud, hull.equations):
+            return hull, True
+    full = hull_points(cloud.points)
+    return full._replace(qhull_input=tried + full.qhull_input), False
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +512,14 @@ class HullMetric:
             return _power_mean(np.maximum(self.body_vals - hull_vals, 0.0), self.spec.p)
         return abs(self._body_functional - _functional(hull_vals, self.spec.which, self.spec.p))
 
-    def value(self, points: np.ndarray) -> tuple[float, HullPoints, bool]:
+    def value(
+        self, points: np.ndarray, hull: HullPoints | None = None
+    ) -> tuple[float, HullPoints, bool]:
         """The metric of conv(points), the hull points it was computed on, and
-        whether it was read from the facets."""
-        hull = hull_points(points)
+        whether it was read from the facets; hull, when given, is
+        hull_points(points) already built."""
+        if hull is None:
+            hull = hull_points(points)
         exact = self.facet_value(hull.equations) if self.exact else None
         if exact is not None:
             return exact, hull, True

@@ -41,7 +41,7 @@ from .geometry import (
     bump_profile_mass,
     read_fields,
 )
-from .estimators import HullMetric, parse_metric, quadrature_directions
+from .estimators import HullMetric, parse_metric, quadrature_directions, sample_hull_points
 from .nets import SphereNet, build_net
 from .sampling import derived_seed, sample, stream
 
@@ -202,6 +202,8 @@ def _run_replications(config: ExperimentConfig, metric: HullMetric, threads: int
     exact = np.zeros(out.shape, dtype=bool)
     reduced = np.zeros(out.shape, dtype=bool)
     qhull_input = np.zeros(out.shape, dtype=np.int64)
+    cut = np.zeros(out.shape, dtype=bool)
+    fell_back = np.zeros(out.shape, dtype=bool)
 
     def task(i_n: int, rep: int) -> None:
         cloud = sample(
@@ -210,7 +212,9 @@ def _run_replications(config: ExperimentConfig, metric: HullMetric, threads: int
             config.n_grid[i_n],
             replication_seed(config.master_seed, i_n, rep),
         )
-        out[i_n, rep], hull, exact[i_n, rep] = metric.value(cloud.points)
+        hull, held = sample_hull_points(cloud)
+        cut[i_n, rep], fell_back[i_n, rep] = held is not None, held is False
+        out[i_n, rep], _, exact[i_n, rep] = metric.value(cloud.points, hull)
         reduced[i_n, rep], qhull_input[i_n, rep] = hull.reduced, hull.qhull_input
 
     jobs = [(i, r) for i in range(len(config.n_grid)) for r in range(config.reps)]
@@ -232,6 +236,12 @@ def _run_replications(config: ExperimentConfig, metric: HullMetric, threads: int
         "hull reduction: %d clouds reduced, %d fell back to the full cloud",
         int(reduced.sum()),
         int(reduced.size - reduced.sum()),
+    )
+    log.debug(
+        "shell cut: %d of %d clouds cut at the inner homothet, %d fell back to the full cloud",
+        int(cut.sum()),
+        cut.size,
+        int(fell_back.sum()),
     )
     log.debug(
         "hull pre-filter: %d of %d sampled points passed to Qhull",

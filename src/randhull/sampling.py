@@ -26,6 +26,19 @@ first n - got accepted proposals in column order, and the point is
 center + (2 radius) v.  From d = 4 on, a ball point is a normalized Gaussian
 row times U^(1/d), from n standard normal rows and then n uniforms.
 
+Ball and ellipsoid interiors in d = 2 and 3 also record, on the SampleCloud,
+the ascending indices of the points outside the inner homothet
+c + s (K - c), s = 1 - _SHELL_WIDTH (ln n / n)^(2/(d+1)) (none when s <= 0):
+the accepted proposals with computed v_0^2 + ... + v_(d-1)^2 >= s^2 / 4, read
+from the squared norms the cube kernel already sums, so the clouds keep their
+bits; an ellipsoid takes them from its unit-ball draw, whose affine image
+maps the unit ball's homothet onto its own.  The hull of n uniform points
+holds the floating body of cap volume of order ln n / n with high
+probability (Barany and Larman 1988), whose depth is of order
+(ln n / n)^(2/(d+1)), so for _SHELL_WIDTH a small multiple the other points
+lie inside the hull of these; estimators.sample_hull_points checks that
+before it relies on it.
+
 A polytope's interior draw is exact and rejects nothing.  When its vertices
 include all 2^d corners of their bounding box [lo, hi] (compared exactly), it
 is that box, and the sampler draws an (n, d) block of uniforms U on the
@@ -98,6 +111,9 @@ _BLOCK_ROWS = 16384
 _CUBE_MAX_D = 3
 # the cube's share of the ball, pi^(d/2) / (Gamma(d/2 + 1) 2^d), for d = 1..3
 _CUBE_ACCEPT = (1.0, math.pi / 4, math.pi / 6)
+# the shell cut's width 1 - s in units of (ln n / n)^(2/(d+1)), the scale of
+# the floating body the hull contains (Barany and Larman 1988)
+_SHELL_WIDTH = 2.0
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -158,10 +174,13 @@ def _gaussian_rows(rng: np.random.Generator, n: int, d: int) -> tuple[np.ndarray
 
 
 def _cube_ball_points(
-    rng: np.random.Generator, n: int, d: int, radius=None, center=None
-) -> np.ndarray:
+    rng: np.random.Generator, n: int, d: int, radius=None, center=None, inner=None
+) -> tuple[np.ndarray, np.ndarray | None]:
     """n uniform points of the unit ball, or of the ball (center, radius), by
-    rejection from the bounding cube (stream in the module docstring).
+    rejection from the bounding cube (stream in the module docstring), and,
+    when inner = s is given, the ascending indices of the points outside the
+    inner homothet: those whose computed |v|^2 is at least s^2 / 4 (None
+    otherwise).
 
     Each round's draw is whole; the proposals are then centred, tested and
     written _BLOCK_ROWS columns at a time in reused buffers, until n points
@@ -170,10 +189,13 @@ def _cube_ball_points(
     broadcast form at any block size.
     """
     scale = 2.0 if radius is None else 2.0 * radius
+    cut = None if inner is None else 0.25 * inner * inner
     pts = np.empty((n, d))
-    got = 0
+    outer = []
+    got = proposed = 0
     while got < n:
         m = math.ceil((n - got) / _CUBE_ACCEPT[d - 1] * 1.01) + 256
+        proposed += m
         u = rng.random((d, m))
         rows = min(m, _BLOCK_ROWS)
         acc, term, ok = np.empty(rows), np.empty(rows), np.empty(rows, dtype=bool)
@@ -189,6 +211,8 @@ def _cube_ball_points(
             np.less(sq, 0.25, out=keep)
             hits = np.flatnonzero(keep)[: n - got]
             k = len(hits)
+            if cut is not None:
+                outer.append(got + np.flatnonzero(np.take(sq, hits) >= cut))
             col = buf[:k]
             for j in range(d):
                 np.take(u[j, s:t], hits, out=col)
@@ -199,7 +223,8 @@ def _cube_ball_points(
             got += k
             if got == n:
                 break
-    return pts
+    log.debug("ball sampler: accepted %d of %d proposed", n, proposed)
+    return pts, None if cut is None else np.concatenate(outer)
 
 
 def _ball_draw(
@@ -215,7 +240,7 @@ def _ball_draw(
     so the bits are those of that expression.
     """
     if interior and d <= _CUBE_MAX_D:
-        return _cube_ball_points(rng, n, d, radius, center)
+        return _cube_ball_points(rng, n, d, radius, center)[0]
     g, norms = _gaussian_rows(rng, n, d)
     radii = rng.random(n) ** (1.0 / d) if interior else None
     acc = np.empty(min(n, _BLOCK_ROWS))
@@ -246,11 +271,17 @@ def unit_ball_points(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 
 @dataclass
 class SampleCloud:
+    """n points drawn from body; for a ball or ellipsoid interior in d = 2
+    or 3, outer holds the ascending indices of the points outside the inner
+    homothet center + inner_scale (body - center) (both None otherwise)."""
+
     points: np.ndarray
     body: BodySpec
     mode: str
     seed: int
     n: int
+    inner_scale: float | None = None
+    outer: np.ndarray | None = None
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -271,36 +302,56 @@ def sample(body: BodySpec, mode: str, n: int, seed: int) -> SampleCloud:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = stream(seed, _MODE_KEYS[mode])
-    if mode == "interior":
-        pts = _sample_interior(body, n, rng)
-    else:
+    if mode == "boundary":
         pts = _sample_boundary(body, n, rng)
-    return SampleCloud(points=pts, body=body, mode=mode, seed=int(seed), n=n)
+        return SampleCloud(points=pts, body=body, mode=mode, seed=int(seed), n=n)
+    inner = _inner_scale(body, n)
+    pts, outer = _sample_interior(body, n, rng, inner)
+    return SampleCloud(pts, body, mode, int(seed), n, inner, outer)
 
 
-def _sample_interior(body: BodySpec, n: int, rng: np.random.Generator) -> np.ndarray:
+def _inner_scale(body: BodySpec, n: int) -> float | None:
+    """s = 1 - _SHELL_WIDTH (ln n / n)^(2/(d+1)) of the inner homothet for a
+    ball or ellipsoid interior in d = 2 or 3; None elsewhere or outside (0, 1)."""
+    d = body.dim
+    if not (isinstance(body, (Ball, Ellipsoid)) and 2 <= d <= _CUBE_MAX_D):
+        return None
+    s = 1.0 - _SHELL_WIDTH * (math.log(n) / n) ** (2.0 / (d + 1))
+    return s if 0.0 < s < 1.0 else None
+
+
+def _sample_interior(
+    body: BodySpec, n: int, rng: np.random.Generator, inner: float | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The points, and the indices outside the inner homothet of scale inner
+    (None when inner is None)."""
     d = body.dim
     if isinstance(body, Ball):
-        return _ball_draw(rng, n, d, True, body.radius, body.center)
+        if inner is None:
+            return _ball_draw(rng, n, d, True, body.radius, body.center), None
+        return _cube_ball_points(rng, n, d, body.radius, body.center, inner)
     if isinstance(body, Ellipsoid):
-        z = unit_ball_points(rng, n, d)
-        return body.center + (z * body.semi_axes) @ body.rotation.T
+        if inner is None:
+            z, outer = unit_ball_points(rng, n, d), None
+        else:
+            z, outer = _cube_ball_points(rng, n, d, inner=inner)
+        return body.center + (z * body.semi_axes) @ body.rotation.T, outer
     if isinstance(body, PolytopeV):
         lo = body.vertices.min(axis=0)
         hi = body.vertices.max(axis=0)
         if _is_box(body.vertices, lo, hi):
             log.debug("polytope sampler: box path")
-            return _scale_shift_columns(rng.random((n, d)), hi - lo, lo)
+            return _scale_shift_columns(rng.random((n, d)), hi - lo, lo), None
         tri = body.triangulation()
         log.debug("polytope sampler: triangulation path, simplices %d", len(tri.volumes))
-        return _triangulation_points(tri, n, rng)
+        return _triangulation_points(tri, n, rng), None
     if isinstance(body, BumpBall):
 
         def propose(m: int) -> np.ndarray:
             pts = body.radius * unit_ball_points(rng, m, d)
             return np.compress(contains_batch(body, pts), pts, axis=0)
 
-        return _collect(body, "interior", n, propose)
+        return _collect(body, "interior", n, propose), None
     raise TypeError(f"unknown body kind {type(body).__name__}")
 
 

@@ -13,6 +13,7 @@ from randhull.bounds import (
     class_params_boundary,
     class_params_smooth,
     deviation_bound,
+    family_params,
     fit_class_l,
     make_deviation_bound,
     rate_exponent,
@@ -40,10 +41,13 @@ def test_smooth_params_closed_form_d3():
 
 
 def test_boundary_params_closed_form():
+    # L = omega_(d-1) r^((d-1)/2) / (d omega_d): sqrt(r) / pi in d = 2, r / 4 in d = 3
     p = class_params_boundary(2, 1.0)
-    assert (p.alpha, p.big_l, p.eps0) == pytest.approx((0.5, 1.0, 1.0))
+    assert (p.alpha, p.big_l, p.eps0) == pytest.approx((0.5, 1.0 / math.pi, 1.0))
     q = class_params_boundary(2, 0.25)
-    assert (q.alpha, q.big_l, q.eps0) == pytest.approx((0.5, 0.5, 0.25))
+    assert (q.alpha, q.big_l, q.eps0) == pytest.approx((0.5, 0.5 / math.pi, 0.25))
+    t = class_params_boundary(3, 0.5)
+    assert (t.alpha, t.big_l, t.eps0) == pytest.approx((1.0, 0.125, 0.5))
 
 
 def test_params_validation():
@@ -169,9 +173,9 @@ def test_small_circle_boundary_membership_analytic():
     params = class_params_boundary(2, 0.25)
     rep = check_class_membership(body, "boundary", params)
     assert rep.analytic and rep.verdict
-    # smallest grid width eps = 1e-3 * eps0 gives the minimum ratio
+    # smallest grid width eps = 1e-3 * eps0 gives the minimum ratio, at L = 0.5 / pi
     eps = 1e-3 * 0.25
-    expected = math.acos(1.0 - eps / 0.25) / (math.pi * 0.5 * math.sqrt(eps))
+    expected = math.acos(1.0 - eps / 0.25) / (0.5 * math.sqrt(eps))
     assert rep.worst_ratio == pytest.approx(expected, rel=1e-10)
 
 
@@ -192,16 +196,30 @@ def test_ball_narrower_than_the_widest_probed_cap_is_rejected():
         )
 
 
-def test_unit_circle_boundary_falls_short_of_nominal_constant():
-    # the stated constant r^((d-1)/2) = 1 is not met by the unit circle at
-    # small widths: arc mass / sqrt(eps) tends to sqrt(2)/pi < 1/2
+def test_unit_circle_boundary_meets_its_constant():
+    # arc mass / (L sqrt(eps)) at L = 1 / pi tends to sqrt(2) > 1 at small
+    # widths; the old constant r^((d-1)/2) = 1 read sqrt(2) / pi there and failed
     rep = check_class_membership(
         Ball(center=[0.0, 0.0], radius=1.0), "boundary", class_params_boundary(2, 1.0)
     )
-    assert not rep.verdict
+    assert rep.verdict
     eps = 1e-3
-    expected = math.acos(1.0 - eps) / (math.pi * math.sqrt(eps))
+    expected = math.acos(1.0 - eps) / math.sqrt(eps)
     assert rep.worst_ratio == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("family", ["smooth_interior", "smooth_boundary"])
+def test_analytic_families_hold_on_the_unit_ball(family, d):
+    # each analytic family's constant passes its own check on the unit ball,
+    # and 10 times it fails
+    ball = Ball(center=np.zeros(d), radius=1.0)
+    mode = "interior" if family == "smooth_interior" else "boundary"
+    params = family_params(family, ball)
+    rep = check_class_membership(ball, mode, params)
+    assert rep.analytic and rep.verdict and rep.worst_ratio >= 1.0
+    inflated = ClassParams(params.alpha, 10.0 * params.big_l, params.eps0)
+    assert not check_class_membership(ball, mode, inflated).verdict
 
 
 def test_monte_carlo_membership_for_ellipsoid():

@@ -370,10 +370,11 @@ def test_rate_experiment_logs_net_and_reduction(caplog):
 
 
 def test_rate_experiment_logs_prefilter_survivors(caplog):
-    cfg = tiny_config(n_grid=[200, 5000], reps=3)
+    # a square cloud reaches Qhull through the 2-d cascade of hull_points
+    cfg = tiny_config(body=SQUARE, n_grid=[200, 5000], reps=3)
     passed = sum(
         hull_points(
-            sample(BALL2, "interior", n, replication_seed(cfg.master_seed, i, r)).points
+            sample(SQUARE, "interior", n, replication_seed(cfg.master_seed, i, r)).points
         ).qhull_input
         for i, n in enumerate(cfg.n_grid)
         for r in range(cfg.reps)
@@ -384,6 +385,23 @@ def test_rate_experiment_logs_prefilter_survivors(caplog):
         run_rate_experiment(cfg)
     messages = [r.getMessage() for r in caplog.records]
     assert f"hull pre-filter: {passed} of 15600 sampled points passed to Qhull" in messages
+    assert "shell cut: 0 of 6 clouds cut at the inner homothet, 0 fell back to the full cloud" in messages
+
+    # a disc cloud hands Qhull only its points outside the inner homothet
+    caplog.clear()
+    cfg = tiny_config(n_grid=[200, 5000], reps=3)
+    clouds = [
+        sample(BALL2, "interior", n, replication_seed(cfg.master_seed, i, r))
+        for i, n in enumerate(cfg.n_grid)
+        for r in range(cfg.reps)
+    ]
+    passed = sum(len(cloud.outer) for cloud in clouds)
+    assert passed < sum(hull_points(cloud.points).qhull_input for cloud in clouds)
+    with caplog.at_level(logging.DEBUG, logger="randhull"):
+        run_rate_experiment(cfg)
+    messages = [r.getMessage() for r in caplog.records]
+    assert f"hull pre-filter: {passed} of 15600 sampled points passed to Qhull" in messages
+    assert "shell cut: 6 of 6 clouds cut at the inner homothet, 0 fell back to the full cloud" in messages
 
 
 def test_boundary_ball_experiment_hands_qhull_every_point(caplog):

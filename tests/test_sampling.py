@@ -776,6 +776,17 @@ def test_cube_ball_second_round_matches_reference(d, fill):
     assert np.array_equal(got, _reference_cube_ball(_RejectFirstBlock(7, fill), 500, d))
 
 
+def test_cube_ball_logs_its_acceptance(caplog):
+    with caplog.at_level(logging.DEBUG, logger="randhull"):
+        unit_ball_points(stream(46), 1000, 2)
+        unit_ball_points(_RejectFirstBlock(7, 0.999), 500, 3)
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages == [
+        f"ball sampler: accepted 1000 of {_cube_round_size(1000, 2)} proposed",
+        f"ball sampler: accepted 500 of {2 * _cube_round_size(500, 3)} proposed",
+    ]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_cube_ball_draws_only_uniforms(d):
     # one (d, m) block of uniforms, and no standard normal
